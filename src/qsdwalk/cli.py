@@ -55,8 +55,11 @@ def _g(x: float) -> str:
     return format(x, ".17g")
 
 
-def _add_rule_flags(p: argparse.ArgumentParser) -> None:
+def _add_mu_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=int, default=2, help="dummy-qubit count (default 2)")
+
+
+def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=100, help="iterations per trial (default 100)")
     p.add_argument("--k", type=int, default=2, help="decision iteration (default 2)")
     p.add_argument("--i1", type=float, default=0.0, help="lower interval bound (default 0)")
@@ -64,6 +67,18 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", default="interval",
                    choices=["interval", "never-apply-h", "always-apply-h"],
                    help="when to apply the basis rotation (default interval)")
+
+
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
+                   help="worker threads (default: available parallelism)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -199,6 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one trial and emit its trace as CSV")
     p.add_argument("--state", required=True, help="prepared state: zero|one|plus|minus")
+    _add_mu_flag(p)
     _add_rule_flags(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_trial)
@@ -207,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", default="zero,one,plus,minus",
                    help="comma-separated subset of zero,one,plus,minus (default all)")
     p.add_argument("--trials", type=int, default=100_000, help="trials per state (default 100000)")
+    _add_mu_flag(p)
     _add_rule_flags(p)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (default: available parallelism)")
+    _add_threads_flag(p)
     p.add_argument("--format", default="json", choices=["json", "human"],
                    help="report format (default json)")
     _add_common_flags(p)
@@ -219,14 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="mu values: '2', '1..10', or '1,3,5'")
     p.add_argument("--trials", type=int, default=10_000,
                    help="trials per state per mu (default 10000)")
-    p.add_argument("--r", type=int, default=100, help="iterations per trial (default 100)")
-    p.add_argument("--k", type=int, default=2, help="decision iteration (default 2)")
-    p.add_argument("--i1", type=float, default=0.0, help="lower interval bound (default 0)")
-    p.add_argument("--i2", type=float, default=1.0, help="upper interval bound (default 1)")
-    p.add_argument("--mode", default="interval",
-                   choices=["interval", "never-apply-h", "always-apply-h"])
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads (default: available parallelism)")
+    _add_rule_flags(p)
+    _add_threads_flag(p)
     _add_common_flags(p)
     p.set_defaults(handler=cmd_sweep)
 

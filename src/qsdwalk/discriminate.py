@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .gates import SQRT2
-from .walk import QubitState, WalkParams, weak_step
+from .walk import QubitState, WalkParams, walk_table
 
 _MODES = ("interval", "never-apply-h", "always-apply-h")
 
@@ -155,23 +155,28 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     """Run one full discrimination trial of r iterations.
 
     Consumes exactly r uniform draws from rng. The checkpoint test runs
-    at iteration k after that iteration's counter update.
+    at iteration k after that iteration's counter update. p0 and the
+    traced amplitudes come from walk.walk_table, indexed by the net
+    count since the start or since H, as in the batch engine.
     """
     if r < 1:
         raise ValueError(f"iteration count r must be >= 1, got {r}")
     if rule.k > r:
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
-    state = initial.to_state()
+    table = walk_table(initial.to_state(), params)
+    n = 0
     j0 = 0
     j1 = 0
     h_applied = False
     trace = []
     for j in range(1, r + 1):
-        outcome, state = weak_step(state, params, rng)
+        outcome = 0 if rng.uniform() < table.p0_at(n) else 1
         if outcome == 0:
             j0 += 1
+            n += 1
         else:
             j1 += 1
+            n -= 1
         approx = j0 / (j0 + j1)
         if j == rule.k:
             if rule.mode == "always-apply-h":
@@ -181,9 +186,11 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             else:
                 fire = rule.i1 < approx < rule.i2
             if fire:
-                state = apply_hadamard_update(state)
+                table = walk_table(apply_hadamard_update(table.state(n)), params)
+                n = 0
                 h_applied = True
-        trace.append((j, outcome, state.alpha, state.beta, approx))
+        alpha, beta = table.amplitudes(n)
+        trace.append((j, outcome, alpha, beta, approx))
     counters = WalkCounters(j0, j1)
     decided, tie = classify(counters, h_applied)
     return TrialOutcome(

@@ -6,10 +6,14 @@ changes results, and different states or mu values reuse the same
 underlying uniforms (common random numbers, which sharpens sweep
 comparisons).
 
-The batch engine below is the throughput path. It evolves whole trial
-arrays through the same expression sequence as walk.weak_step and
-discriminate.run_trial, so batch and scalar decisions are bit-identical
-and the scalar path stays the readable reference.
+The batch engine below is the throughput path. A trial's walk depends
+only on its net count n = j0 - j1 and on its branch (no H, or H fired
+at a given j0), so each trial holds one index into the p0 tables of
+walk.walk_table and a step is a lookup, a compare and an index move.
+discriminate.run_trial reads the same memoized tables, so batch and
+scalar decisions are bit-identical by construction and the scalar path
+stays the readable reference. The phase-tracking variant of
+phase_report is the same engine with other tables after H.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial
+from .discriminate import (DecisionRule, StateLabel, TrialOutcome, apply_hadamard_update,
+                           run_trial)
 from .gates import SQRT2, PhaseRoot
 from .rng import batch_uniform, substream, substream_states
-from .walk import WalkParams, step_arrays
+from .walk import QubitState, WalkParams, walk_table
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -93,97 +98,118 @@ def _fire_mask(j0: np.ndarray, rule: DecisionRule) -> np.ndarray:
     return (approx > rule.i1) & (approx < rule.i2)
 
 
-def _chunk_counts(state: StateLabel, config: ExperimentConfig,
+def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState:
+    """Amplitude moduli just after H in the phase-tracking walk.
+
+    That walk's step factors (1 +- k^d)/2 are cos(d*pi/2t) and
+    -i*sin(d*pi/2t), each times exp(i*d*pi/2t). As d1 - d0 = 1, every
+    step turns beta's phase by pi/2t against alpha's, whatever the
+    outcome, and leaves the moduli as in the real walk. So after k steps
+    the state is, up to a global phase, (alpha, beta * exp(i*k*pi/2t))
+    with the real walk's alpha and beta. From H on p0 depends only on
+    the moduli, so the rest is the real walk from the moduli after H.
+    """
+    beta = before.beta * PhaseRoot(2 * params.t, k).value
+    return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """The p0 tables one state's trials can read, stacked row by row.
+
+    Row 0 walks without H; row b > 0 walks from the b-th distinct start
+    after H. Every row is padded with its edge values to the same
+    half-width, so row b holds n = -half .. half at b*width + half + n.
+    """
+
+    p0: np.ndarray
+    half: int
+    row_of_j0: np.ndarray  # row a trial enters at step k, by its j0 (0 = no H)
+
+    @property
+    def width(self) -> int:
+        return 2 * self.half + 1
+
+
+def _stack(state: StateLabel, config: ExperimentConfig, phase: bool) -> _Stack:
+    params = WalkParams(config.mu)
+    rule = config.rule
+    base = walk_table(state.to_state(), params)
+    rows = {base: 0}
+    row_of_j0 = np.zeros(rule.k + 1, dtype=np.int64)
+    if config.r > rule.k:  # with no steps left after k, no row but 0 is read
+        for j0 in np.flatnonzero(_fire_mask(np.arange(rule.k + 1), rule)):
+            before = base.state(2 * int(j0) - rule.k)
+            start = (_phase_h_start(before, params, rule.k) if phase
+                     else apply_hadamard_update(before))
+            row_of_j0[j0] = rows.setdefault(walk_table(start, params), len(rows))
+    half = max(max(t.lo, t.hi) for t in rows)
+    p0 = np.concatenate([np.pad(t.p0, (half - t.lo, half - t.hi), mode="edge")
+                         for t in rows])
+    return _Stack(p0, half, row_of_j0)
+
+
+def _chunk_counts(stack: _Stack, state: StateLabel, config: ExperimentConfig,
                   start: int, size: int) -> tuple[int, int, int, int]:
     """Run trials [start, start+size) in one array pass.
 
-    Returns integer counts (h_applied, success & h, success & no h,
-    ties); integers keep the later reduction order-independent.
+    Each trial holds a flat index into the stack: its row plus its net
+    count n since the walk entered that row. Returns integer counts
+    (h_applied, success & h, success & no h, ties); integers keep the
+    later reduction order-independent.
     """
-    init = state.to_state()
-    factors = WalkParams(config.mu).factors
     rule = config.rule
+    half, width = stack.half, stack.width
     streams = substream_states(config.master_seed, start, size)
-    alpha = np.full(size, init.alpha)
-    beta = np.full(size, init.beta)
-    j0 = np.zeros(size, dtype=np.int64)
+    idx = np.full(size, half, dtype=np.int64)
+    # each trial's row bounds; arrays, as numpy clamps faster against them
+    lo = np.zeros(size, dtype=np.int64)
+    hi = np.full(size, width - 1, dtype=np.int64)
+    # net count = idx + offset; rows entered at step k move the offset
+    offset = -half
     h = np.zeros(size, dtype=bool)
+    pos = np.empty(size, dtype=np.int64)
+    p0 = np.empty(size)
+    out0 = np.empty(size, dtype=np.int64)
     for j in range(1, config.r + 1):
         u = batch_uniform(streams)
-        out0, alpha, beta = step_arrays(alpha, beta, factors, u)
-        j0 += out0
+        np.maximum(idx, lo, out=pos)
+        np.minimum(pos, hi, out=pos)
+        np.take(stack.p0, pos, out=p0, mode="clip")
+        np.less(u, p0, out=out0)
+        idx += out0
+        idx += out0
+        idx -= 1
         if j == rule.k:
+            n = idx - half
+            j0 = (n + j) // 2
             h = _fire_mask(j0, rule)
-            if h.any():
-                ha = (alpha + beta) / SQRT2
-                hb = (alpha - beta) / SQRT2
-                alpha = np.where(h, ha, alpha)
-                beta = np.where(h, hb, beta)
-    j1 = config.r - j0
-    success = (j1 > j0) == bool(state.bit)
+            if config.r > j and h.any():
+                lo = stack.row_of_j0[j0] * width
+                hi = lo + (width - 1)
+                offset = np.where(h, n - half - lo, -half)
+                idx = np.where(h, lo + half, idx)
+    n = idx + offset
+    success = (n < 0) == bool(state.bit)
     return (int(np.count_nonzero(h)),
             int(np.count_nonzero(h & success)),
             int(np.count_nonzero(~h & success)),
-            int(np.count_nonzero(j0 == j1)))
-
-
-def _complex_factors(params: WalkParams) -> tuple[complex, complex, complex, complex]:
-    """Step multipliers (1 +- k^d)/2 with their phases kept."""
-    t = params.t
-    k0 = PhaseRoot(t, params.d0).value
-    k1 = PhaseRoot(t, params.d1).value
-    return ((1 + k0) / 2, (1 + k1) / 2, (1 - k0) / 2, (1 - k1) / 2)
-
-
-def _chunk_counts_complex(state: StateLabel, config: ExperimentConfig,
-                          start: int, size: int) -> tuple[int, int, int, int]:
-    """Same as _chunk_counts but with complex amplitudes, so the
-    per-step relative phase survives into the H rotation."""
-    init = state.to_state()
-    f00, f01, f10, f11 = _complex_factors(WalkParams(config.mu))
-    rule = config.rule
-    streams = substream_states(config.master_seed, start, size)
-    ac = np.full(size, init.alpha, dtype=complex)
-    bc = np.full(size, init.beta, dtype=complex)
-    j0 = np.zeros(size, dtype=np.int64)
-    h = np.zeros(size, dtype=bool)
-    for j in range(1, config.r + 1):
-        u = batch_uniform(streams)
-        a0 = ac * f00
-        b0 = bc * f01
-        a1 = ac * f10
-        b1 = bc * f11
-        p0 = a0.real ** 2 + a0.imag ** 2 + b0.real ** 2 + b0.imag ** 2
-        p1 = a1.real ** 2 + a1.imag ** 2 + b1.real ** 2 + b1.imag ** 2
-        out0 = u < p0
-        norm = np.sqrt(np.where(out0, p0, p1))
-        ac = np.where(out0, a0, a1) / norm
-        bc = np.where(out0, b0, b1) / norm
-        j0 += out0
-        if j == rule.k:
-            h = _fire_mask(j0, rule)
-            if h.any():
-                ha = (ac + bc) / SQRT2
-                hb = (ac - bc) / SQRT2
-                ac = np.where(h, ha, ac)
-                bc = np.where(h, hb, bc)
-    j1 = config.r - j0
-    success = (j1 > j0) == bool(state.bit)
-    return (int(np.count_nonzero(h)),
-            int(np.count_nonzero(h & success)),
-            int(np.count_nonzero(~h & success)),
-            int(np.count_nonzero(j0 == j1)))
+            int(np.count_nonzero(n == 0)))
 
 
 def _state_counts(state: StateLabel, config: ExperimentConfig, threads: int,
-                  kernel) -> tuple[int, int, int, int]:
-    """Split trials into contiguous chunks and sum the kernel's counts."""
-    if threads <= 1 or config.trials < 2 * threads:
-        return kernel(state, config, 0, config.trials)
+                  phase: bool = False) -> tuple[int, int, int, int]:
+    """Split trials into contiguous chunks and sum their counts. The
+    tables are stacked once here, before the fan-out."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    stack = _stack(state, config, phase)
+    if threads == 1 or config.trials < 2 * threads:
+        return _chunk_counts(stack, state, config, 0, config.trials)
     bounds = np.linspace(0, config.trials, threads + 1, dtype=int)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(
-            lambda se: kernel(state, config, int(se[0]), int(se[1] - se[0])),
+            lambda se: _chunk_counts(stack, state, config, int(se[0]), int(se[1] - se[0])),
             zip(bounds[:-1], bounds[1:])))
     return tuple(sum(col) for col in zip(*parts))
 
@@ -215,7 +241,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[StateRepo
     prepared zero that was rotated and classified plus counts as
     success, exactly the accounting behind the success/failure split.
     """
-    return [_build_report(s, config, _state_counts(s, config, threads, _chunk_counts))
+    return [_build_report(s, config, _state_counts(s, config, threads))
             for s in config.states]
 
 
@@ -258,16 +284,17 @@ def collect_traces(config: ExperimentConfig, sample_count: int) -> list[TrialOut
 def phase_report(config: ExperimentConfig, threads: int = 1) -> list[PhasePoint]:
     """How much the dropped per-step phase moves the success rate.
 
-    Runs the real-amplitude engine and the complex engine on identical
-    random streams and reports both success rates per state. States
-    that reach the H rotation with a single nonzero component (zero,
-    one) cannot show a relative phase, so their difference is pure
-    Monte Carlo residue.
+    Runs the engine as the real-amplitude walk and as the
+    phase-tracking variant on identical random streams and reports both
+    success rates per state. The two differ only in where the walk
+    restarts after H (see _phase_h_start). States that reach the H
+    rotation with a single nonzero component (zero, one) cannot show a
+    relative phase, so their two rates are equal.
     """
     points = []
     for state in config.states:
-        real = _state_counts(state, config, threads, _chunk_counts)
-        cplx = _state_counts(state, config, threads, _chunk_counts_complex)
+        real = _state_counts(state, config, threads)
+        cplx = _state_counts(state, config, threads, phase=True)
         ts_real = (real[1] + real[2]) / config.trials
         ts_cplx = (cplx[1] + cplx[2]) / config.trials
         points.append(PhasePoint(state, ts_real, ts_cplx, abs(ts_real - ts_cplx)))

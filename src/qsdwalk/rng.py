@@ -85,7 +85,11 @@ def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
 def batch_uniform(states: np.ndarray) -> np.ndarray:
     """One uniform draw from every stream; advances `states` in place."""
     states += _U_GOLDEN
-    z = (states ^ (states >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
+    z = states >> _U30
+    z ^= states
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
     z ^= z >> _U31
-    return (z >> _U11) * _TWO53_INV
+    z >>= _U11
+    return z * _TWO53_INV

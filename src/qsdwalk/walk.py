@@ -13,6 +13,13 @@ Because d0 + d1 = t the two cosine factors are complementary, which
 makes alpha^2 a bounded martingale: the walk drifts towards (1,0) or
 (0,1) at a rate set by mu and never changes E[alpha^2].
 
+The same complementarity makes the walk count-indexed: for mu >= 1,
+after any prefix of outcomes the amplitudes are proportional to
+(alpha * (c0/c1)^n, beta), with n = j0 - j1 the net count, so they
+depend on n alone. walk_table memoizes them, with p0, along n; the
+Monte Carlo engine and the per-trial rule both read it. (At mu = 0 the
+first outcome collapses the state, and the table holds it there.)
+
 The updates here are the real-amplitude walk; the relative phase that a
 full register simulation develops per step is deliberately not tracked
 (the statevector oracle module quantifies it).
@@ -21,8 +28,9 @@ full register simulation develops per step is deliberately not tracked
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,6 +139,104 @@ def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitSta
     p0, _ = ax_probabilities(state, params)
     outcome = 0 if rng.uniform() < p0 else 1
     return outcome, collapse_update(state, outcome, params)
+
+
+def _chain_step(state: QubitState, outcome: int, params: WalkParams) -> QubitState:
+    try:
+        return collapse_update(state, outcome, params)
+    except ValueError:
+        # the outcome has vanishing probability here (mu = 0 from a basis
+        # state): there is no state to move to, so the walk stays put
+        return state
+
+
+def _settled(state: QubitState, outcome: int, params: WalkParams) -> bool:
+    """Whether p0 can no longer change along the chain of `outcome` steps.
+
+    True once the amplitude the chain grows is exactly +-1 and both
+    outcome probabilities already round to their values with the other
+    amplitude at zero. From there the grown amplitude stays +-1
+    (sqrt(x*x) == x in floats), the other only shrinks, and rounding is
+    monotone, so neither probability moves again.
+    """
+    major = state.alpha if outcome == 0 else state.beta
+    if abs(major) != 1.0:
+        return False
+    bare = QubitState(major, 0.0) if outcome == 0 else QubitState(0.0, major)
+    return ax_probabilities(state, params) == ax_probabilities(bare, params)
+
+
+class WalkTable:
+    """The walk from one start state, indexed by the net count n = j0 - j1.
+
+    Entry n is the state after |n| equal outcomes (0 for n > 0, 1 for
+    n < 0), stepped with collapse_update. Any other path to n reaches
+    the same amplitudes up to rounding in the last bits.
+
+    p0 holds the outcome-0 probability at n = -lo .. hi. Each chain is
+    cut where p0 stops changing, which depends on mu and not on how long
+    a walk runs; beyond the cut p0 is the edge value. Amplitudes are
+    stepped and kept only as far as they are asked for.
+    """
+
+    def __init__(self, start: QubitState, params: WalkParams):
+        self.params = params
+        sides = []
+        for outcome in (0, 1):
+            state = start
+            side = [ax_probabilities(state, params)[0]]
+            while not _settled(state, outcome, params):
+                nxt = _chain_step(state, outcome, params)
+                if nxt == state:  # a fixed point: nothing changes from here
+                    break
+                state = nxt
+                side.append(ax_probabilities(state, params)[0])
+            sides.append(side)
+        pos, neg = sides
+        self.lo = len(neg) - 1
+        self.hi = len(pos) - 1
+        self.p0 = np.array(neg[:0:-1] + pos)
+        self.p0.flags.writeable = False
+        # per chain (indexed by its outcome): alpha and beta at |n| = 0, 1, ...
+        self._alpha = ([start.alpha], [start.alpha])
+        self._beta = ([start.beta], [start.beta])
+        self._last = [start, start]
+        self._fixed = [False, False]
+        self._lock = threading.Lock()
+
+    def p0_at(self, n: int) -> float:
+        """Probability of outcome 0 at net count n."""
+        return self.p0[min(max(n, -self.lo), self.hi) + self.lo]
+
+    def amplitudes(self, n: int) -> tuple[float, float]:
+        """(alpha, beta) at net count n."""
+        outcome = 0 if n >= 0 else 1
+        alpha, beta = self._alpha[outcome], self._beta[outcome]
+        m = abs(n)
+        if m >= len(alpha) and not self._fixed[outcome]:
+            with self._lock:
+                while m >= len(alpha) and not self._fixed[outcome]:
+                    last = self._last[outcome]
+                    nxt = _chain_step(last, outcome, self.params)
+                    if nxt == last:
+                        self._fixed[outcome] = True
+                    else:
+                        # beta first: readers outside the lock go by len(alpha)
+                        beta.append(nxt.beta)
+                        alpha.append(nxt.alpha)
+                        self._last[outcome] = nxt
+        m = min(m, len(alpha) - 1)
+        return alpha[m], beta[m]
+
+    def state(self, n: int) -> QubitState:
+        """The state at net count n."""
+        return QubitState(*self.amplitudes(n))
+
+
+@lru_cache(maxsize=256)
+def walk_table(start: QubitState, params: WalkParams) -> WalkTable:
+    """The memoized WalkTable of (start, params), built on first use."""
+    return WalkTable(start, params)
 
 
 def step_arrays(alpha: np.ndarray, beta: np.ndarray,

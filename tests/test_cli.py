@@ -122,6 +122,31 @@ def test_experiment_threads_agree(capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--threads", "0"],
+    ["experiment", "--threads", "-3"],
+    ["sweep", "--mu", "2", "--threads", "0"],
+])
+def test_threads_below_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "10", "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads" in captured.err and "must be >= 1" in captured.err
+
+
+def test_sweep_takes_shared_rule_flags(capsys):
+    args = ("--trials", "200", "--r", "31", "--k", "3", "--i1", "0.1", "--i2", "0.9",
+            "--mode", "always-apply-h", "--seed", "4", "--threads", "1")
+    _, out, _ = run_cli(capsys, "sweep", "--mu", "2", *args)
+    _, exp, _ = run_cli(capsys, "experiment", "--mu", "2", *args)
+    ts = {rec["state"]: rec["total_success"] for rec in json.loads(exp)}
+    row = out.strip().split("\n")[1].split(",")
+    assert float(row[1]) == (ts["zero"] + ts["one"]) / 2
+    assert float(row[2]) == (ts["plus"] + ts["minus"]) / 2
+
+
 def test_sweep_rows_and_determinism(capsys):
     args = ("sweep", "--mu", "1..4", "--trials", "100", "--seed", "9")
     code, out, _ = run_cli(capsys, *args)

@@ -1,17 +1,22 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qsdwalk.discriminate import DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
     ExperimentConfig,
+    _build_report,
+    _stack,
     collect_traces,
     phase_report,
     run_experiment,
     sweep_mu,
 )
-from qsdwalk.rng import substream
-from qsdwalk.walk import WalkParams
+from qsdwalk.gates import SQRT2, PhaseRoot
+from qsdwalk.rng import batch_uniform, substream, substream_states
+from qsdwalk.walk import WalkParams, step_arrays
 
 ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -204,3 +209,160 @@ def test_phase_report_deterministic():
     config = ExperimentConfig(trials=1000, master_seed=11)
     assert phase_report(config) == phase_report(config)
     assert phase_report(config) == phase_report(config, threads=4)
+
+
+def reference_counts(state: StateLabel, config: ExperimentConfig) -> tuple[int, int, int, int]:
+    """The batch kernel as it was before the count-indexed tables: the
+    amplitude arrays are stepped with walk.step_arrays and rotated in
+    place by H at step k."""
+    init = state.to_state()
+    factors = WalkParams(config.mu).factors
+    rule = config.rule
+    streams = substream_states(config.master_seed, 0, config.trials)
+    alpha = np.full(config.trials, init.alpha)
+    beta = np.full(config.trials, init.beta)
+    j0 = np.zeros(config.trials, dtype=np.int64)
+    h = np.zeros(config.trials, dtype=bool)
+    for j in range(1, config.r + 1):
+        u = batch_uniform(streams)
+        out0, alpha, beta = step_arrays(alpha, beta, factors, u)
+        j0 += out0
+        if j == rule.k:
+            if rule.mode == "always-apply-h":
+                h = np.ones(config.trials, dtype=bool)
+            elif rule.mode == "interval":
+                h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
+            ha = (alpha + beta) / SQRT2
+            hb = (alpha - beta) / SQRT2
+            alpha = np.where(h, ha, alpha)
+            beta = np.where(h, hb, beta)
+    j1 = config.r - j0
+    success = (j1 > j0) == bool(state.bit)
+    return (int(np.count_nonzero(h)),
+            int(np.count_nonzero(h & success)),
+            int(np.count_nonzero(~h & success)),
+            int(np.count_nonzero(j0 == j1)))
+
+
+def reference_phase_success(state: StateLabel, config: ExperimentConfig) -> float:
+    """Success rate of the phase-tracking walk with complex amplitudes
+    stepped by the factors (1 +- k^d)/2, as the engine ran it before the
+    variant became a post-H table."""
+    params = WalkParams(config.mu)
+    k0 = PhaseRoot(params.t, params.d0).value
+    k1 = PhaseRoot(params.t, params.d1).value
+    f00, f01, f10, f11 = (1 + k0) / 2, (1 + k1) / 2, (1 - k0) / 2, (1 - k1) / 2
+    init = state.to_state()
+    rule = config.rule
+    streams = substream_states(config.master_seed, 0, config.trials)
+    ac = np.full(config.trials, init.alpha, dtype=complex)
+    bc = np.full(config.trials, init.beta, dtype=complex)
+    j0 = np.zeros(config.trials, dtype=np.int64)
+    for j in range(1, config.r + 1):
+        u = batch_uniform(streams)
+        a0, b0, a1, b1 = ac * f00, bc * f01, ac * f10, bc * f11
+        p0 = a0.real ** 2 + a0.imag ** 2 + b0.real ** 2 + b0.imag ** 2
+        p1 = a1.real ** 2 + a1.imag ** 2 + b1.real ** 2 + b1.imag ** 2
+        out0 = u < p0
+        norm = np.sqrt(np.where(out0, p0, p1))
+        ac = np.where(out0, a0, a1) / norm
+        bc = np.where(out0, b0, b1) / norm
+        j0 += out0
+        if j == rule.k:
+            h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
+            if rule.mode != "interval":
+                h[:] = rule.mode == "always-apply-h"
+            ac, bc = np.where(h, (ac + bc) / SQRT2, ac), np.where(h, (ac - bc) / SQRT2, bc)
+    success = (config.r - j0 > j0) == bool(state.bit)
+    return int(np.count_nonzero(success)) / config.trials
+
+
+def assert_matches_reference(config: ExperimentConfig, threads: int = 2):
+    expected = [_build_report(s, config, reference_counts(s, config)) for s in config.states]
+    assert run_experiment(config, threads=threads) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("mode", ["interval", "never-apply-h", "always-apply-h"])
+@pytest.mark.parametrize("mu", [0, 1, 2, 5, 10])
+def test_counts_equal_reference_kernel(mu, mode, seed):
+    assert_matches_reference(ExperimentConfig(trials=1500, mu=mu, master_seed=seed,
+                                              rule=DecisionRule(mode=mode)))
+
+
+EDGE_CONFIGS = {
+    "r=1": dict(r=1, rule=DecisionRule(k=1)),
+    "odd-r": dict(r=37, rule=DecisionRule(k=5, i1=0.2, i2=0.8)),
+    "k=r-interval": dict(r=30, rule=DecisionRule(k=30)),
+    "k=r-always": dict(r=30, rule=DecisionRule(k=30, mode="always-apply-h")),
+    "interval-on-j0-grid": dict(r=40, rule=DecisionRule(k=4, i1=0.25, i2=0.75)),
+    "late-k": dict(r=200, rule=DecisionRule(k=60, mode="always-apply-h")),
+}
+
+
+@pytest.mark.parametrize("mu", [0, 2, 10])
+@pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+def test_edge_counts_equal_reference_kernel(edge, mu):
+    assert_matches_reference(ExperimentConfig(trials=1000, mu=mu, master_seed=3,
+                                              **EDGE_CONFIGS[edge]))
+
+
+@pytest.mark.parametrize("mu,rule", [
+    (1, DecisionRule()),
+    (2, DecisionRule()),
+    (5, DecisionRule(k=7, mode="always-apply-h")),
+    (2, DecisionRule(k=4, i1=0.2, i2=0.8)),
+])
+def test_phase_variant_matches_complex_amplitudes(mu, rule):
+    config = ExperimentConfig(states=(StateLabel.PLUS, StateLabel.MINUS), trials=2000,
+                              mu=mu, rule=rule, master_seed=21)
+    for point in phase_report(config, threads=2):
+        assert point.total_success_complex == reference_phase_success(point.state, config)
+
+
+@pytest.mark.parametrize("trials,threads", [(3, 8), (10, 4), (7, 7)])
+def test_more_threads_than_trials_equal_reference_kernel(trials, threads):
+    assert_matches_reference(ExperimentConfig(trials=trials, master_seed=42), threads)
+
+
+@pytest.mark.parametrize("state", ALL_STATES)
+@pytest.mark.parametrize("mu,r,rule", [
+    (0, 100, DecisionRule()),
+    (2, 25, DecisionRule(k=25)),
+    (1, 25, DecisionRule(k=25, mode="always-apply-h")),
+])
+def test_scalar_trials_match_batch_at_edges(state, mu, r, rule):
+    trials = 300
+    config = ExperimentConfig(states=(state,), trials=trials, r=r, mu=mu, rule=rule,
+                              master_seed=77)
+    rep = run_experiment(config)[0]
+    outs = [run_trial(state, WalkParams(mu), rule, r, substream(77, i)) for i in range(trials)]
+    assert rep.frac_h_applied == sum(o.h_applied for o in outs) / trials
+    assert rep.total_success == sum(o.decided_state.bit == state.bit for o in outs) / trials
+    assert rep.tie_count == sum(o.tie for o in outs)
+
+
+def test_tables_do_not_grow_with_r():
+    small = ExperimentConfig(trials=20, r=100, mu=10, master_seed=9)
+    large = dataclasses.replace(small, r=10_000)
+    for state in ALL_STATES:
+        stack = _stack(state, large, phase=False)
+        assert stack.p0.size == _stack(state, small, phase=False).p0.size
+        assert stack.half < 1000
+    for rep in run_experiment(large):
+        assert rep.trials == 20
+        assert abs(rep.success_given_h + rep.failure_given_h - rep.frac_h_applied) < 1e-12
+        assert abs(rep.success_given_no_h + rep.failure_given_no_h - rep.frac_no_h) < 1e-12
+        assert abs(rep.success_given_h + rep.success_given_no_h - rep.total_success) < 1e-12
+        assert 0 <= rep.tie_count <= rep.trials
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads):
+    config = ExperimentConfig(trials=10, master_seed=1)
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(config, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        sweep_mu(config, [1], threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        phase_report(config, threads=threads)

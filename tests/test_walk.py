@@ -11,6 +11,7 @@ from qsdwalk.walk import (
     collapse_update,
     step_arrays,
     walk_ensemble,
+    walk_table,
     weak_step,
 )
 
@@ -215,3 +216,45 @@ def test_single_step_outcome_frequency():
     alpha, beta, _ = walk_ensemble(PLUS, WalkParams(2), 1, 100_000, 2024)
     frac0 = float(np.mean(alpha > beta))
     assert abs(frac0 - 0.5) < 0.005
+
+
+TABLE_STARTS = [PLUS, MINUS, QubitState.from_angle(0.3), QubitState(1.0, 0.0),
+                QubitState(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 5])
+@pytest.mark.parametrize("start", TABLE_STARTS)
+def test_walk_table_is_the_monotone_chain(start, mu):
+    params = WalkParams(mu)
+    table = walk_table(start, params)
+    for outcome, sign in ((0, 1), (1, -1)):
+        state = start
+        for m in range(3 * max(table.lo, table.hi, 10)):
+            assert table.state(sign * m) == state
+            # past the cut p0 is the edge value, and stepping on agrees
+            assert table.p0_at(sign * m) == ax_probabilities(state, params)[0]
+            try:
+                state = collapse_update(state, outcome, params)
+            except ValueError:
+                pass  # vanishing branch at mu = 0: the table keeps the state
+
+
+def test_walk_table_keeps_unreachable_states_at_mu0():
+    params = WalkParams(0)
+    one = QubitState(0.0, 1.0)
+    with pytest.raises(ValueError):
+        collapse_update(one, 0, params)
+    table = walk_table(one, params)
+    assert table.state(5) == one
+    assert table.p0.size == 1
+
+
+@pytest.mark.parametrize("mu", [1, 10, 40])
+def test_walk_table_length_depends_on_mu_only(mu):
+    table = walk_table(PLUS, WalkParams(mu))
+    # p0 settles once beta^2 is below the last bit of alpha^2, about
+    # 37 / ln(c0/c1) steps from the start, whatever length a walk runs
+    c0, c1, _, _ = WalkParams(mu).factors
+    assert max(table.lo, table.hi) < 40 / math.log(c0 / c1)
+    assert table.p0.size == table.lo + table.hi + 1
+    assert walk_table(PLUS, WalkParams(mu)) is table
