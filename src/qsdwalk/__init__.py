@@ -13,90 +13,35 @@ per-trial decision procedure), experiment (seeded Monte Carlo
 aggregation), cli (command-line surface), rng (splitmix64 substreams).
 """
 
-from .discriminate import (
-    DecisionRule,
-    StateLabel,
-    TrialOutcome,
-    WalkCounters,
-    alpha_approx,
-    apply_hadamard_update,
-    classify,
-    run_trial,
-)
+from .discriminate import DecisionRule, StateLabel
 from .experiment import (
     ExperimentConfig,
-    PhasePoint,
-    StateReport,
-    SweepPoint,
     collect_traces,
     phase_report,
     run_experiment,
     sweep_mu,
 )
-from .gates import PhaseRoot, hadamard, is_unitary, rx, sigma_x, v_power, v_root
-from .oracle import (
-    RegisterState,
-    apply_p,
-    ax_marginal,
-    phase_table,
-    prepare_register,
-    project_ax,
-    psi_moduli,
-    relative_phase,
-    walk_agreement,
-)
-from .rng import SplitMix64, splitmix64, substream
-from .walk import (
-    QubitState,
-    WalkParams,
-    ax_probabilities,
-    collapse_update,
-    walk_ensemble,
-    weak_step,
-)
+from .gates import PhaseRoot, rx, sigma_x, v_power, v_root
+from .oracle import phase_table, walk_agreement
+from .walk import WalkParams, walk_ensemble
 
 __all__ = [
     "DecisionRule",
     "ExperimentConfig",
-    "PhasePoint",
     "PhaseRoot",
-    "QubitState",
-    "RegisterState",
-    "SplitMix64",
     "StateLabel",
-    "StateReport",
-    "SweepPoint",
-    "TrialOutcome",
-    "WalkCounters",
     "WalkParams",
-    "alpha_approx",
-    "apply_hadamard_update",
-    "apply_p",
-    "ax_marginal",
-    "ax_probabilities",
-    "classify",
-    "collapse_update",
     "collect_traces",
-    "hadamard",
-    "is_unitary",
     "phase_report",
     "phase_table",
-    "prepare_register",
-    "project_ax",
-    "psi_moduli",
-    "relative_phase",
     "run_experiment",
-    "run_trial",
     "rx",
     "sigma_x",
-    "splitmix64",
-    "substream",
     "sweep_mu",
     "v_power",
     "v_root",
     "walk_agreement",
     "walk_ensemble",
-    "weak_step",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import os
 import secrets
 import sys
 
-from .discriminate import DecisionRule, StateLabel, run_trial
+from .discriminate import MODES, DecisionRule, StateLabel, run_trial
 from .experiment import ExperimentConfig, run_experiment, sweep_mu
 from .oracle import phase_table, walk_agreement
 from .rng import substream
@@ -44,8 +44,11 @@ def _resolve_seed(args) -> int:
 
 def _emit(payload: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -64,9 +67,12 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=2, help="decision iteration (default 2)")
     p.add_argument("--i1", type=float, default=0.0, help="lower interval bound (default 0)")
     p.add_argument("--i2", type=float, default=1.0, help="upper interval bound (default 1)")
-    p.add_argument("--mode", default="interval",
-                   choices=["interval", "never-apply-h", "always-apply-h"],
+    p.add_argument("--mode", default="interval", choices=MODES,
                    help="when to apply the basis rotation (default interval)")
+
+
+def _rule(args) -> DecisionRule:
+    return DecisionRule(k=args.k, i1=args.i1, i2=args.i2, mode=args.mode)
 
 
 def _thread_count(text: str) -> int:
@@ -76,8 +82,14 @@ def _thread_count(text: str) -> int:
     return value
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_thread_count, default=_available_cpus(),
                    help="worker threads (default: available parallelism)")
 
 
@@ -89,7 +101,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 def cmd_trial(args) -> int:
     state = StateLabel.parse(args.state)
     params = WalkParams(args.mu)
-    rule = DecisionRule(k=args.k, i1=args.i1, i2=args.i2, mode=args.mode)
+    rule = _rule(args)
     seed = _resolve_seed(args)
     # substream 0 so this trial equals trial 0 of an experiment run with the same seed
     outcome = run_trial(state, params, rule, args.r, substream(seed, 0))
@@ -123,7 +135,7 @@ def cmd_experiment(args) -> int:
         trials=args.trials,
         r=args.r,
         mu=args.mu,
-        rule=DecisionRule(k=args.k, i1=args.i1, i2=args.i2, mode=args.mode),
+        rule=_rule(args),
         master_seed=seed,
     )
     reports = run_experiment(config, threads=args.threads)
@@ -178,7 +190,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         r=args.r,
         mu=mu_values[0],
-        rule=DecisionRule(k=args.k, i1=args.i1, i2=args.i2, mode=args.mode),
+        rule=_rule(args),
         master_seed=seed,
     )
     points = sweep_mu(base, mu_values, threads=args.threads)

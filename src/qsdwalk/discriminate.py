@@ -17,10 +17,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .gates import SQRT2
-from .walk import QubitState, WalkParams, walk_table
+from .gates import SQRT2, PhaseRoot
+from .walk import QubitState, WalkParams, WalkTable, walk_table
 
-_MODES = ("interval", "never-apply-h", "always-apply-h")
+MODES = ("interval", "never-apply-h", "always-apply-h")
 
 
 class StateLabel(enum.IntEnum):
@@ -83,14 +83,20 @@ class DecisionRule:
     mode: str = "interval"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValueError(f"decision iteration k must be >= 1, got {self.k}")
         if self.mode == "interval" and not (0.0 <= self.i1 < self.i2 <= 1.0):
             raise ValueError(
                 f"interval bounds need 0 <= i1 < i2 <= 1, got ({self.i1}, {self.i2})"
             )
+
+    def fires(self, j0: int) -> bool:
+        """Whether H fires at iteration k after j0 zero outcomes."""
+        if self.mode == "interval":
+            return self.i1 < j0 / self.k < self.i2
+        return self.mode == "always-apply-h"
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,31 @@ def apply_hadamard_update(state: QubitState) -> QubitState:
                       (state.alpha - state.beta) / SQRT2)
 
 
+def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState:
+    """Amplitude moduli just after H in the phase-tracking walk.
+
+    That walk's step factors (1 +- k^d)/2 are cos(d*pi/2t) and
+    -i*sin(d*pi/2t), each times exp(i*d*pi/2t). As d1 - d0 = 1, every
+    step turns beta's phase by pi/2t against alpha's, whatever the
+    outcome, and leaves the moduli as in the real walk. So after k steps
+    the state is, up to a global phase, (alpha, beta * exp(i*k*pi/2t))
+    with the real walk's alpha and beta. From H on p0 depends only on
+    the moduli, so the rest is the real walk from the moduli after H.
+    """
+    beta = before.beta * PhaseRoot(2 * params.t, k).value
+    return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
+
+
+def table_after_h(table: WalkTable, n: int, k: int, phase: bool = False) -> WalkTable:
+    """The table the walk restarts from when H fires at iteration k and
+    net count n of `table`: the real walk, or with phase=True the
+    phase-tracking variant (see _phase_h_start)."""
+    before = table.state(n)
+    start = (_phase_h_start(before, table.params, k) if phase
+             else apply_hadamard_update(before))
+    return walk_table(start, table.params)
+
+
 def classify(counters: WalkCounters, h_applied: bool) -> tuple[StateLabel, bool]:
     """Majority vote in the decided basis.
 
@@ -154,10 +185,11 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
               r: int, rng) -> TrialOutcome:
     """Run one full discrimination trial of r iterations.
 
-    Consumes exactly r uniform draws from rng. The checkpoint test runs
-    at iteration k after that iteration's counter update. p0 and the
-    traced amplitudes come from walk.walk_table, indexed by the net
-    count since the start or since H, as in the batch engine.
+    Consumes exactly r uniform draws from rng. The checkpoint test
+    (rule.fires) runs at iteration k after that iteration's counter
+    update. p0 and the traced amplitudes come from walk.walk_table,
+    indexed by the net count since the start or since H
+    (table_after_h), as in the batch engine.
     """
     if r < 1:
         raise ValueError(f"iteration count r must be >= 1, got {r}")
@@ -177,20 +209,12 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
         else:
             j1 += 1
             n -= 1
-        approx = j0 / (j0 + j1)
-        if j == rule.k:
-            if rule.mode == "always-apply-h":
-                fire = True
-            elif rule.mode == "never-apply-h":
-                fire = False
-            else:
-                fire = rule.i1 < approx < rule.i2
-            if fire:
-                table = walk_table(apply_hadamard_update(table.state(n)), params)
-                n = 0
-                h_applied = True
+        if j == rule.k and rule.fires(j0):
+            table = table_after_h(table, n, rule.k)
+            n = 0
+            h_applied = True
         alpha, beta = table.amplitudes(n)
-        trace.append((j, outcome, alpha, beta, approx))
+        trace.append((j, outcome, alpha, beta, j0 / (j0 + j1)))
     counters = WalkCounters(j0, j1)
     decided, tie = classify(counters, h_applied)
     return TrialOutcome(

@@ -10,10 +10,12 @@ The batch engine below is the throughput path. A trial's walk depends
 only on its net count n = j0 - j1 and on its branch (no H, or H fired
 at a given j0), so each trial holds one index into the p0 tables of
 walk.walk_table and a step is a lookup, a compare and an index move.
-discriminate.run_trial reads the same memoized tables, so batch and
-scalar decisions are bit-identical by construction and the scalar path
-stays the readable reference. The phase-tracking variant of
-phase_report is the same engine with other tables after H.
+The engine owns no rule of the procedure: whether H fires at step k
+comes from DecisionRule.fires and where the walk restarts after H from
+discriminate.table_after_h, the same calls discriminate.run_trial
+makes, so batch and scalar decisions are bit-identical by construction
+and the scalar path stays the readable reference. The phase-tracking
+variant of phase_report is the same engine with other tables after H.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import (DecisionRule, StateLabel, TrialOutcome, apply_hadamard_update,
-                           run_trial)
-from .gates import SQRT2, PhaseRoot
+from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, table_after_h
 from .rng import batch_uniform, substream, substream_states
-from .walk import QubitState, WalkParams, walk_table
+from .walk import WalkParams, walk_table
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -89,30 +89,6 @@ class PhasePoint:
     abs_diff: float
 
 
-def _fire_mask(j0: np.ndarray, rule: DecisionRule) -> np.ndarray:
-    if rule.mode == "always-apply-h":
-        return np.ones(j0.shape, dtype=bool)
-    if rule.mode == "never-apply-h":
-        return np.zeros(j0.shape, dtype=bool)
-    approx = j0 / rule.k
-    return (approx > rule.i1) & (approx < rule.i2)
-
-
-def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState:
-    """Amplitude moduli just after H in the phase-tracking walk.
-
-    That walk's step factors (1 +- k^d)/2 are cos(d*pi/2t) and
-    -i*sin(d*pi/2t), each times exp(i*d*pi/2t). As d1 - d0 = 1, every
-    step turns beta's phase by pi/2t against alpha's, whatever the
-    outcome, and leaves the moduli as in the real walk. So after k steps
-    the state is, up to a global phase, (alpha, beta * exp(i*k*pi/2t))
-    with the real walk's alpha and beta. From H on p0 depends only on
-    the moduli, so the rest is the real walk from the moduli after H.
-    """
-    beta = before.beta * PhaseRoot(2 * params.t, k).value
-    return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
-
-
 @dataclass(frozen=True)
 class _Stack:
     """The p0 tables one state's trials can read, stacked row by row.
@@ -124,6 +100,7 @@ class _Stack:
 
     p0: np.ndarray
     half: int
+    fires: np.ndarray  # whether H fires at step k, by the trial's j0
     row_of_j0: np.ndarray  # row a trial enters at step k, by its j0 (0 = no H)
 
     @property
@@ -132,21 +109,19 @@ class _Stack:
 
 
 def _stack(state: StateLabel, config: ExperimentConfig, phase: bool) -> _Stack:
-    params = WalkParams(config.mu)
-    rule = config.rule
-    base = walk_table(state.to_state(), params)
+    k = config.rule.k
+    base = walk_table(state.to_state(), WalkParams(config.mu))
+    fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
     rows = {base: 0}
-    row_of_j0 = np.zeros(rule.k + 1, dtype=np.int64)
-    if config.r > rule.k:  # with no steps left after k, no row but 0 is read
-        for j0 in np.flatnonzero(_fire_mask(np.arange(rule.k + 1), rule)):
-            before = base.state(2 * int(j0) - rule.k)
-            start = (_phase_h_start(before, params, rule.k) if phase
-                     else apply_hadamard_update(before))
-            row_of_j0[j0] = rows.setdefault(walk_table(start, params), len(rows))
+    row_of_j0 = np.zeros(k + 1, dtype=np.int64)
+    if config.r > k:  # with no steps left after k, no row but 0 is read
+        for j0 in np.flatnonzero(fires):
+            after = table_after_h(base, 2 * int(j0) - k, k, phase)
+            row_of_j0[j0] = rows.setdefault(after, len(rows))
     half = max(max(t.lo, t.hi) for t in rows)
     p0 = np.concatenate([np.pad(t.p0, (half - t.lo, half - t.hi), mode="edge")
                          for t in rows])
-    return _Stack(p0, half, row_of_j0)
+    return _Stack(p0, half, fires, row_of_j0)
 
 
 def _chunk_counts(stack: _Stack, state: StateLabel, config: ExperimentConfig,
@@ -158,7 +133,7 @@ def _chunk_counts(stack: _Stack, state: StateLabel, config: ExperimentConfig,
     (h_applied, success & h, success & no h, ties); integers keep the
     later reduction order-independent.
     """
-    rule = config.rule
+    k = config.rule.k
     half, width = stack.half, stack.width
     streams = substream_states(config.master_seed, start, size)
     idx = np.full(size, half, dtype=np.int64)
@@ -180,15 +155,14 @@ def _chunk_counts(stack: _Stack, state: StateLabel, config: ExperimentConfig,
         idx += out0
         idx += out0
         idx -= 1
-        if j == rule.k:
+        if j == k:
             n = idx - half
             j0 = (n + j) // 2
-            h = _fire_mask(j0, rule)
-            if config.r > j and h.any():
-                lo = stack.row_of_j0[j0] * width
-                hi = lo + (width - 1)
-                offset = np.where(h, n - half - lo, -half)
-                idx = np.where(h, lo + half, idx)
+            h = stack.fires[j0]
+            lo = stack.row_of_j0[j0] * width
+            hi = lo + (width - 1)
+            offset = np.where(h, n - half - lo, -half)
+            idx = np.where(h, lo + half, idx)
     n = idx + offset
     success = (n < 0) == bool(state.bit)
     return (int(np.count_nonzero(h)),
@@ -287,7 +261,7 @@ def phase_report(config: ExperimentConfig, threads: int = 1) -> list[PhasePoint]
     Runs the engine as the real-amplitude walk and as the
     phase-tracking variant on identical random streams and reports both
     success rates per state. The two differ only in where the walk
-    restarts after H (see _phase_h_start). States that reach the H
+    restarts after H (see discriminate.table_after_h). States that reach the H
     rotation with a single nonzero component (zero, one) cannot show a
     relative phase, so their two rates are equal.
     """

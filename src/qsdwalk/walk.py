@@ -34,6 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .gates import PhaseRoot
 from .rng import batch_uniform, substream_states
 
 _NORM_TOL = 1e-10
@@ -82,16 +83,16 @@ class WalkParams:
 
     @cached_property
     def factors(self) -> tuple[float, float, float, float]:
-        """(c0, c1, s0, s1) = cos/sin of d0*pi/2t and d1*pi/2t.
+        """(c0, c1, s0, s1) = cos/sin of d0*pi/2t and d1*pi/2t, the entry
+        moduli of V^d0 and V^d1 (gates.PhaseRoot).
 
         Computed once so every code path (scalar and vectorized) shares
         bit-identical constants.
         """
-        t = self.t
-        theta0 = self.d0 * math.pi / (2 * t)
-        theta1 = self.d1 * math.pi / (2 * t)
-        return (math.cos(theta0), math.cos(theta1),
-                math.sin(theta0), math.sin(theta1))
+        root0 = PhaseRoot(self.t, self.d0)
+        root1 = PhaseRoot(self.t, self.d1)
+        return (root0.diag_modulus, root1.diag_modulus,
+                root0.offdiag_modulus, root1.offdiag_modulus)
 
 
 def ax_probabilities(state: QubitState, params: WalkParams) -> tuple[float, float]:
@@ -134,7 +135,10 @@ def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitSta
     """Sample one auxiliary-qubit outcome and collapse.
 
     Consumes exactly one uniform draw; outcome is 0 iff the draw is
-    strictly below p0.
+    strictly below p0. The engine does not call it: with step_arrays
+    and walk_ensemble it is the amplitude-level reference that
+    test_walk, test_experiment and acceptance criterion 4 check the
+    count-indexed tables against.
     """
     p0, _ = ax_probabilities(state, params)
     outcome = 0 if rng.uniform() < p0 else 1
@@ -246,7 +250,8 @@ def step_arrays(alpha: np.ndarray, beta: np.ndarray,
 
     Expression structure mirrors the scalar path exactly, so a batch of
     walks is bit-identical to the same walks run one weak_step at a
-    time. Returns (outcome0_mask, alpha, beta).
+    time. Returns (outcome0_mask, alpha, beta). An amplitude-level
+    reference for tests (see weak_step), not used by the engine.
     """
     c0, c1, s0, s1 = factors
     a0 = alpha * c0
@@ -266,7 +271,8 @@ def walk_ensemble(state: QubitState, params: WalkParams, steps: int, trials: int
 
     Trial i draws from substream(master_seed, i). Returns the final
     (alpha, beta) arrays and the worst |alpha^2 + beta^2 - 1| seen at
-    any visited state.
+    any visited state. An amplitude-level reference for tests (see
+    weak_step), not used by the engine.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

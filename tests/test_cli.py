@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -242,3 +243,26 @@ def test_module_entrypoint_byte_identical():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.startswith(b"trial_id,")
+
+
+def test_out_unwritable_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "experiment", "--trials", "10", "--seed", "1",
+                             "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform cannot restrict CPU affinity")
+def test_threads_default_counts_usable_cpus():
+    script = ("import os\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              "from qsdwalk.cli import _build_parser\n"
+              "print(_build_parser().parse_args(['experiment']).threads)\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n"

@@ -187,3 +187,22 @@ def test_tie_possible_only_at_even_r():
     for i in range(200):
         out = run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), 5, substream(42, i))
         assert not out.tie
+
+
+@pytest.mark.parametrize("rule,fired", [
+    # the default open interval (0,1) at k=2 fires only on j0 = 1
+    (DecisionRule(), [False, True, False]),
+    # k=1: the estimate is 0 or 1, never inside (0,1)
+    (DecisionRule(k=1), [False, False]),
+    (DecisionRule(k=1, mode="always-apply-h"), [True, True]),
+    (DecisionRule(k=3, mode="never-apply-h"), [False] * 4),
+    # bounds on the j0/k grid are excluded, strictly
+    (DecisionRule(k=4, i1=0.25, i2=0.75), [False, False, True, False, False]),
+    # just off the grid they take the neighbouring point in
+    (DecisionRule(k=4, i1=0.2499, i2=0.7501), [False, True, True, True, False]),
+    (DecisionRule(k=4, i1=0.0, i2=0.25), [False] * 5),
+    (DecisionRule(k=4, i1=0.75, i2=1.0), [False] * 5),
+    (DecisionRule(k=5, i1=0.0, i2=0.2000001), [False, True, False, False, False, False]),
+])
+def test_decision_rule_fires(rule, fired):
+    assert [rule.fires(j0) for j0 in range(rule.k + 1)] == fired

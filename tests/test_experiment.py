@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsdwalk.discriminate import DecisionRule, StateLabel, run_trial
+from qsdwalk.discriminate import MODES, DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
     ExperimentConfig,
     _build_report,
@@ -366,3 +368,42 @@ def test_threads_below_one_rejected(threads):
         sweep_mu(config, [1], threads=threads)
     with pytest.raises(ValueError, match="threads"):
         phase_report(config, threads=threads)
+
+
+@st.composite
+def legal_runs(draw):
+    """A legal (config, threads): small walks, every mode, interval
+    bounds on and off the j0/k grid, and thread counts above the trial
+    count."""
+    r = draw(st.integers(1, 60))
+    k = draw(st.integers(1, r))
+    bound = st.one_of(st.sampled_from([j0 / k for j0 in range(k + 1)]),
+                      st.floats(0.0, 1.0))
+    i1, i2 = sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+    config = ExperimentConfig(
+        trials=draw(st.integers(1, 40)), r=r, mu=draw(st.integers(0, 6)),
+        rule=DecisionRule(k=k, i1=i1, i2=i2, mode=draw(st.sampled_from(MODES))),
+        master_seed=draw(st.integers(0, 2**64 - 1)))
+    return config, draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(legal_runs())
+def test_legal_configs_agree_across_paths(run):
+    config, threads = run
+    reports = run_experiment(config, threads=threads)
+    params = WalkParams(config.mu)
+    for state, rep in zip(config.states, reports):
+        counts = reference_counts(state, config)
+        assert rep == _build_report(state, config, counts)
+        outs = [run_trial(state, params, config.rule, config.r,
+                          substream(config.master_seed, i)) for i in range(config.trials)]
+        n_h, succ_h, succ_noh, ties = counts
+        assert sum(o.h_applied for o in outs) == n_h
+        assert sum(o.decided_state.bit == state.bit for o in outs) == succ_h + succ_noh
+        assert sum(o.tie for o in outs) == ties
+        assert abs(rep.frac_h_applied + rep.frac_no_h - 1.0) < 1e-12
+        assert abs(rep.success_given_h + rep.failure_given_h - rep.frac_h_applied) < 1e-12
+        assert abs(rep.success_given_no_h + rep.failure_given_no_h - rep.frac_no_h) < 1e-12
+        assert abs(rep.success_given_h + rep.success_given_no_h - rep.total_success) < 1e-12
+        assert 0 <= rep.tie_count <= rep.trials

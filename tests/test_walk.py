@@ -63,6 +63,14 @@ def test_factors_complementary(mu):
     assert abs(c0 * c0 + c1 * c1 - 1.0) < TOL
 
 
+def test_factors_are_cos_and_sin_of_the_densities():
+    for mu in range(200):
+        t = 2 * mu + 1
+        theta0, theta1 = mu * math.pi / (2 * t), (mu + 1) * math.pi / (2 * t)
+        assert WalkParams(mu).factors == (math.cos(theta0), math.cos(theta1),
+                                          math.sin(theta0), math.sin(theta1))
+
+
 def test_probabilities_zero_state_mu1():
     p0, p1 = ax_probabilities(QubitState(1.0, 0.0), WalkParams(1))
     assert abs(p0 - 0.75) < TOL
