@@ -90,7 +90,7 @@ def _available_cpus() -> int:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=_available_cpus(),
-                   help="worker threads (default: available parallelism)")
+                   help="most worker threads (default: available CPUs)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -174,13 +174,17 @@ def cmd_experiment(args) -> int:
 
 def _parse_mu_list(text: str) -> list[int]:
     """Accepts '2', '1..10', or '1,3,5'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty mu range {text!r}")
-        return values
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--mu takes N, LO..HI or A,B,C; got {text!r}") from None
+    if not values:
+        raise ValueError(f"--mu takes N, LO..HI or A,B,C; got the empty range {text!r}")
+    return values
 
 
 def cmd_sweep(args) -> int:

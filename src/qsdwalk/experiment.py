@@ -1,9 +1,9 @@
 """Seeded Monte Carlo harness over the discrimination trial.
 
 Trial i always draws from substream(master_seed, i), so a report is a
-pure function of its config: runs are replayable, thread count never
-changes results, and different states or mu values reuse the same
-underlying uniforms (common random numbers, which sharpens sweep
+pure function of its config: runs are replayable, the thread count never
+changes results, and different states, mu values and walk variants see
+the same uniforms (common random numbers, which sharpens sweep
 comparisons).
 
 The batch engine below is the throughput path. A trial's walk depends
@@ -16,6 +16,17 @@ discriminate.table_after_h, the same calls discriminate.run_trial
 makes, so batch and scalar decisions are bit-identical by construction
 and the scalar path stays the readable reference. The phase-tracking
 variant of phase_report is the same engine with other tables after H.
+
+Every run is one pass over lanes = (job, trial). A job is one walk that
+every trial runs: a start state, a mu, and the real or phase-tracking
+restart after H. run_experiment passes its states, sweep_mu every mu
+times the four states, phase_report every state twice. Since every job
+reads trial i's draws from the same substream, a step draws once per
+trial and broadcasts the draw across the jobs. The trials are cut into
+contiguous chunks by _chunk_plan, a pure function of (trials, jobs,
+threads): at most max(trials, jobs) lanes are live at once, and the
+chunks fan out to threads only when each holds at least _FANOUT_LANES
+lanes. Smaller runs stay in the calling thread, so `threads` is a cap.
 """
 
 from __future__ import annotations
@@ -31,6 +42,12 @@ from .rng import batch_uniform, substream, substream_states
 from .walk import WalkParams, walk_table
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
+
+# Below this many lanes per chunk, one step's numpy calls are too short
+# for threads to overlap: they contend for the interpreter lock, and two
+# threads run slower than one.
+_FANOUT_LANES = 1 << 15
+_INDEX = np.int32  # flat indices into the stacks and net counts
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,7 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class _Stack:
-    """The p0 tables one state's trials can read, stacked row by row.
+    """The p0 tables one job's trials can read, stacked row by row.
 
     Row 0 walks without H; row b > 0 walks from the b-th distinct start
     after H. Every row is padded with its edge values to the same
@@ -124,68 +141,130 @@ def _stack(state: StateLabel, config: ExperimentConfig, phase: bool) -> _Stack:
     return _Stack(p0, half, fires, row_of_j0)
 
 
-def _chunk_counts(stack: _Stack, state: StateLabel, config: ExperimentConfig,
-                  start: int, size: int) -> tuple[int, int, int, int]:
-    """Run trials [start, start+size) in one array pass.
+# A job is one walk every trial runs: (start state, mu, phase-tracking).
+_Job = tuple[StateLabel, int, bool]
 
-    Each trial holds a flat index into the stack: its row plus its net
-    count n since the walk entered that row. Returns integer counts
-    (h_applied, success & h, success & no h, ties); integers keep the
+
+@dataclass(frozen=True)
+class _Lanes:
+    """The stacks of every job of a pass, concatenated into one p0 array.
+
+    Per-job arrays have one row per job, so they broadcast against the
+    (jobs, trials) lane arrays of a chunk. Job j's stack starts at flat
+    index base[j]; it walks from home[j] = base[j] + half[j] (row 0, n = 0).
+    """
+
+    p0: np.ndarray
+    base: np.ndarray  # (jobs, 1)
+    half: np.ndarray  # (jobs, 1)
+    fires: np.ndarray  # (jobs, k + 1): whether H fires, by j0
+    row_start: np.ndarray  # (jobs, k + 1): where the row entered at step k starts, by j0
+    bit: np.ndarray  # (jobs, 1): the prepared state's bit
+
+    @property
+    def home(self) -> np.ndarray:
+        return self.base + self.half
+
+
+def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
+    stacks = [_stack(state, dataclasses.replace(config, mu=mu), phase)
+              for state, mu, phase in jobs]
+    base = np.cumsum([0] + [s.p0.size for s in stacks[:-1]])
+    column = lambda values: np.array(values, dtype=_INDEX).reshape(-1, 1)
+    return _Lanes(
+        p0=np.concatenate([s.p0 for s in stacks]),
+        base=column(base),
+        half=column([s.half for s in stacks]),
+        fires=np.stack([s.fires for s in stacks]),
+        row_start=np.stack([b + s.row_of_j0 * s.width
+                            for b, s in zip(base, stacks)]).astype(_INDEX),
+        bit=np.array([bool(state.bit) for state, _, _ in jobs]).reshape(-1, 1),
+    )
+
+
+def _chunk_counts(lanes: _Lanes, config: ExperimentConfig,
+                  start: int, size: int) -> np.ndarray:
+    """Run trials [start, start+size) of every job in one array pass.
+
+    Each lane holds a flat index into the concatenated stacks: its job's
+    row plus its net count n since the walk entered that row. All jobs
+    read trial i's draw. Returns integer counts per job, (jobs, 4):
+    h_applied, success & h, success & no h, ties; integers keep the
     later reduction order-independent.
     """
     k = config.rule.k
-    half, width = stack.half, stack.width
     streams = substream_states(config.master_seed, start, size)
-    idx = np.full(size, half, dtype=np.int64)
-    # each trial's row bounds; arrays, as numpy clamps faster against them
-    lo = np.zeros(size, dtype=np.int64)
-    hi = np.full(size, width - 1, dtype=np.int64)
+    home = lanes.home
+    idx = np.repeat(home, size, axis=1)
+    # row bounds: one row per job until step k, then one per lane
+    lo = lanes.base
+    hi = lo + 2 * lanes.half
     # net count = idx + offset; rows entered at step k move the offset
-    offset = -half
-    h = np.zeros(size, dtype=bool)
-    pos = np.empty(size, dtype=np.int64)
-    p0 = np.empty(size)
-    out0 = np.empty(size, dtype=np.int64)
+    offset = -home
+    h = np.zeros(idx.shape, dtype=bool)
+    pos = np.empty_like(idx)
+    p0 = np.empty(idx.shape)
+    out0 = np.empty_like(idx)
     for j in range(1, config.r + 1):
         u = batch_uniform(streams)
         np.maximum(idx, lo, out=pos)
         np.minimum(pos, hi, out=pos)
-        np.take(stack.p0, pos, out=p0, mode="clip")
+        np.take(lanes.p0, pos, out=p0, mode="clip")
         np.less(u, p0, out=out0)
         idx += out0
         idx += out0
         idx -= 1
         if j == k:
-            n = idx - half
+            n = idx - home
             j0 = (n + j) // 2
-            h = stack.fires[j0]
-            lo = stack.row_of_j0[j0] * width
-            hi = lo + (width - 1)
-            offset = np.where(h, n - half - lo, -half)
-            idx = np.where(h, lo + half, idx)
+            h = np.take_along_axis(lanes.fires, j0, axis=1)
+            lo = np.take_along_axis(lanes.row_start, j0, axis=1)
+            hi = lo + 2 * lanes.half
+            offset = np.where(h, n - lanes.half - lo, offset)
+            idx = np.where(h, lo + lanes.half, idx)
     n = idx + offset
-    success = (n < 0) == bool(state.bit)
-    return (int(np.count_nonzero(h)),
-            int(np.count_nonzero(h & success)),
-            int(np.count_nonzero(~h & success)),
-            int(np.count_nonzero(n == 0)))
+    success = (n < 0) == lanes.bit
+    return np.stack([np.count_nonzero(h, axis=1),
+                     np.count_nonzero(h & success, axis=1),
+                     np.count_nonzero(~h & success, axis=1),
+                     np.count_nonzero(n == 0, axis=1)], axis=1)
 
 
-def _state_counts(state: StateLabel, config: ExperimentConfig, threads: int,
-                  phase: bool = False) -> tuple[int, int, int, int]:
-    """Split trials into contiguous chunks and sum their counts. The
-    tables are stacked once here, before the fan-out."""
+def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[int, int]]]:
+    """(workers, chunks): contiguous (start, size) chunks of the trials.
+
+    At most max(trials, jobs) lanes are live at once, as many as one job
+    alone needs. The chunks fan out to `workers` threads only when every
+    chunk holds at least _FANOUT_LANES lanes; otherwise workers is 1 and
+    they run one after another in the caller.
+    """
+    live = max(trials, jobs)
+    workers = max(1, min(threads, live // _FANOUT_LANES))
+    while True:
+        per = max(1, live // (workers * jobs))  # most trials in one chunk
+        count = -(-trials // per)
+        bounds = [trials * c // count for c in range(count + 1)]
+        if workers == 1 or (workers * per * jobs <= live
+                            and trials // count * jobs >= _FANOUT_LANES):
+            return workers, [(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+        workers -= 1
+
+
+def _job_counts(config: ExperimentConfig, jobs: list[_Job],
+                threads: int) -> list[tuple[int, int, int, int]]:
+    """Counts of every job, from one pass over (job, trial) lanes. The
+    tables are stacked once here, before any fan-out."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    stack = _stack(state, config, phase)
-    if threads == 1 or config.trials < 2 * threads:
-        return _chunk_counts(stack, state, config, 0, config.trials)
-    bounds = np.linspace(0, config.trials, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda se: _chunk_counts(stack, state, config, int(se[0]), int(se[1] - se[0])),
-            zip(bounds[:-1], bounds[1:])))
-    return tuple(sum(col) for col in zip(*parts))
+    lanes = _lanes(config, jobs)
+    workers, chunks = _chunk_plan(config.trials, len(jobs), threads)
+    run = lambda chunk: _chunk_counts(lanes, config, *chunk)
+    if workers == 1:
+        parts = [run(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, chunks))
+    return [tuple(int(c) for c in row) for row in sum(parts)]
 
 
 def _build_report(state: StateLabel, config: ExperimentConfig,
@@ -207,7 +286,7 @@ def _build_report(state: StateLabel, config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[StateReport]:
-    """One StateReport per requested state.
+    """One StateReport per requested state, all from one pass.
 
     Success means the decided label names the same basis vector as the
     prepared one (zero/plus carry bit 0, one/minus bit 1); when H was
@@ -215,23 +294,27 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[StateRepo
     prepared zero that was rotated and classified plus counts as
     success, exactly the accounting behind the success/failure split.
     """
-    return [_build_report(s, config, _state_counts(s, config, threads))
-            for s in config.states]
+    counts = _job_counts(config, [(s, config.mu, False) for s in config.states], threads)
+    return [_build_report(s, config, c) for s, c in zip(config.states, counts)]
 
 
 def sweep_mu(base: ExperimentConfig, mu_values, threads: int = 1) -> list[SweepPoint]:
-    """Rerun the experiment across mu, averaging success per basis pair.
+    """The experiment across mu, averaging success per basis pair.
 
-    Always runs all four states regardless of base.states, since a
-    SweepPoint needs both pairs.
+    Every mu times the four states is one job of a single pass, so each
+    trial's draws are made once and shared by every (state, mu). Always
+    runs all four states regardless of base.states, since a SweepPoint
+    needs both pairs.
     """
     mu_values = list(mu_values)
     if not mu_values:
         raise ValueError("mu_values must not be empty")
+    jobs = [(s, mu, False) for mu in mu_values for s in _ALL_STATES]
+    counts = _job_counts(base, jobs, threads)
     points = []
-    for mu in mu_values:
-        config = dataclasses.replace(base, mu=mu, states=_ALL_STATES)
-        ts = {rep.state: rep.total_success for rep in run_experiment(config, threads)}
+    for i, mu in enumerate(mu_values):
+        ts = {s: _build_report(s, base, c).total_success
+              for s, c in zip(_ALL_STATES, counts[4 * i:4 * i + 4])}
         points.append(SweepPoint(
             mu=mu,
             success_computational=(ts[StateLabel.ZERO] + ts[StateLabel.ONE]) / 2,
@@ -258,17 +341,18 @@ def collect_traces(config: ExperimentConfig, sample_count: int) -> list[TrialOut
 def phase_report(config: ExperimentConfig, threads: int = 1) -> list[PhasePoint]:
     """How much the dropped per-step phase moves the success rate.
 
-    Runs the engine as the real-amplitude walk and as the
-    phase-tracking variant on identical random streams and reports both
-    success rates per state. The two differ only in where the walk
-    restarts after H (see discriminate.table_after_h). States that reach the H
-    rotation with a single nonzero component (zero, one) cannot show a
-    relative phase, so their two rates are equal.
+    Every state runs twice, as the real-amplitude walk and as the
+    phase-tracking variant, all as jobs of one pass, so both read
+    identical random streams; reports both success rates per state. The
+    two differ only in where the walk restarts after H (see
+    discriminate.table_after_h). States that reach the H rotation with a
+    single nonzero component (zero, one) cannot show a relative phase, so
+    their two rates are equal.
     """
+    jobs = [(s, config.mu, phase) for phase in (False, True) for s in config.states]
+    counts = _job_counts(config, jobs, threads)
     points = []
-    for state in config.states:
-        real = _state_counts(state, config, threads)
-        cplx = _state_counts(state, config, threads, phase=True)
+    for state, real, cplx in zip(config.states, counts, counts[len(config.states):]):
         ts_real = (real[1] + real[2]) / config.trials
         ts_cplx = (cplx[1] + cplx[2]) / config.trials
         points.append(PhasePoint(state, ts_real, ts_cplx, abs(ts_real - ts_cplx)))

@@ -169,6 +169,17 @@ def test_sweep_single_and_list(capsys):
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["1", "3"]
 
 
+@pytest.mark.parametrize("text,problem", [
+    ("1..", ""), ("..3", ""), ("1,,2", ""), (",", ""), ("", ""), ("x", ""),
+    ("1..x", ""), ("1.5", ""), ("1..2..3", ""), ("5..1", "the empty range "),
+])
+def test_sweep_rejects_malformed_mu(capsys, text, problem):
+    code, out, err = run_cli(capsys, "sweep", "--mu", text, "--trials", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --mu takes N, LO..HI or A,B,C; got {problem}{text!r}\n"
+
+
 def test_oracle_check_passes(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--mu-max", "3", "--cases", "60",
                            "--seed", "13")

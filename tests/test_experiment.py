@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsdwalk.experiment as experiment
 from qsdwalk.discriminate import MODES, DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
+    _FANOUT_LANES,
     ExperimentConfig,
+    SweepPoint,
     _build_report,
+    _chunk_plan,
+    _job_counts,
     _stack,
     collect_traces,
     phase_report,
@@ -370,27 +375,74 @@ def test_threads_below_one_rejected(threads):
         phase_report(config, threads=threads)
 
 
+@pytest.mark.parametrize("trials,jobs,threads,workers", [
+    (10_000, 40, 2, 1),  # a mu sweep: 10k lanes in all, too few to share
+    (100_000, 4, 1, 1),
+    (100_000, 4, 2, 2),
+    (100_000, 4, 4, 2),  # three chunks at a time would hold < _FANOUT_LANES each
+    (65_536, 1, 2, 2),
+    (65_535, 1, 2, 1),
+    (1_000_000, 40, 8, 8),
+    (200_000, 40, 8, 6),
+    (1, 40, 8, 1),
+    (3, 8, 8, 1),
+    (2, 70_000, 4, 1),  # more jobs than trials: one trial per chunk, one at a time
+])
+def test_chunk_plan(trials, jobs, threads, workers):
+    got, chunks = _chunk_plan(trials, jobs, threads)
+    assert got == workers
+    starts = [start for start, _ in chunks]
+    sizes = [size for _, size in chunks]
+    assert min(sizes) >= 1
+    assert starts == [sum(sizes[:c]) for c in range(len(chunks))]
+    assert sum(sizes) == trials
+    assert min(workers, len(chunks)) * max(sizes) * jobs <= max(trials, jobs)
+    if workers > 1:
+        assert len(chunks) >= workers
+        assert min(sizes) * jobs >= _FANOUT_LANES
+
+
+def test_fanned_out_pass_equals_serial_and_reference(monkeypatch):
+    config = ExperimentConfig(trials=70_000, r=3, master_seed=6,
+                              rule=DecisionRule(k=2, i1=0.2, i2=0.8))
+    assert _chunk_plan(config.trials, len(config.states), 2)[0] == 2
+    pools = []
+
+    class CountingPool(experiment.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", CountingPool)
+    expected = [_build_report(s, config, reference_counts(s, config)) for s in config.states]
+    for threads in (1, 2, 3):
+        assert run_experiment(config, threads=threads) == expected
+    assert pools == [2, 2]
+
+
 @st.composite
 def legal_runs(draw):
-    """A legal (config, threads): small walks, every mode, interval
-    bounds on and off the j0/k grid, and thread counts above the trial
-    count."""
+    """A legal (config, threads, mu list): small walks, every mode,
+    interval bounds on and off the j0/k grid, states in any order and
+    repeated, and thread counts above the trial count."""
     r = draw(st.integers(1, 60))
     k = draw(st.integers(1, r))
     bound = st.one_of(st.sampled_from([j0 / k for j0 in range(k + 1)]),
                       st.floats(0.0, 1.0))
     i1, i2 = sorted(draw(st.lists(bound, min_size=2, max_size=2, unique=True)))
+    mu = st.integers(0, 6)
     config = ExperimentConfig(
-        trials=draw(st.integers(1, 40)), r=r, mu=draw(st.integers(0, 6)),
+        states=tuple(draw(st.lists(st.sampled_from(ALL_STATES), min_size=1, max_size=6))),
+        trials=draw(st.integers(1, 40)), r=r, mu=draw(mu),
         rule=DecisionRule(k=k, i1=i1, i2=i2, mode=draw(st.sampled_from(MODES))),
         master_seed=draw(st.integers(0, 2**64 - 1)))
-    return config, draw(st.integers(1, 4))
+    return config, draw(st.integers(1, 4)), draw(st.lists(mu, min_size=1, max_size=3))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(legal_runs())
 def test_legal_configs_agree_across_paths(run):
-    config, threads = run
+    config, threads, mu_values = run
     reports = run_experiment(config, threads=threads)
     params = WalkParams(config.mu)
     for state, rep in zip(config.states, reports):
@@ -407,3 +459,21 @@ def test_legal_configs_agree_across_paths(run):
         assert abs(rep.success_given_no_h + rep.failure_given_no_h - rep.frac_no_h) < 1e-12
         assert abs(rep.success_given_h + rep.success_given_no_h - rep.total_success) < 1e-12
         assert 0 <= rep.tie_count <= rep.trials
+
+    # one pass over every (mu, state) gives what each run alone gives
+    expected = []
+    for mu in mu_values:
+        at_mu = dataclasses.replace(config, mu=mu)
+        ts = {s: _build_report(s, at_mu, reference_counts(s, at_mu)).total_success
+              for s in ALL_STATES}
+        expected.append(SweepPoint(mu, (ts[StateLabel.ZERO] + ts[StateLabel.ONE]) / 2,
+                                   (ts[StateLabel.PLUS] + ts[StateLabel.MINUS]) / 2))
+    assert sweep_mu(config, mu_values, threads=threads) == expected
+
+    # phase_report's one pass gives what each (state, variant) gives as
+    # the only job of a pass
+    for point in phase_report(config, threads=threads):
+        alone = [_job_counts(config, [(point.state, config.mu, phase)], 1)[0]
+                 for phase in (False, True)]
+        assert point.total_success_real == (alone[0][1] + alone[0][2]) / config.trials
+        assert point.total_success_complex == (alone[1][1] + alone[1][2]) / config.trials
