@@ -8,8 +8,15 @@ comparisons).
 
 The batch engine below is the throughput path. A trial's walk depends
 only on its net count n = j0 - j1 and on its branch (no H, or H fired
-at a given j0), so each trial holds one index into the p0 tables of
-walk.walk_table and a step is a lookup, a compare and an index move.
+at a given j0), so the p0 tables of walk.walk_table decide every step.
+Each trial holds one index, g: its row's home plus the count of outcome
+0 since it entered the row. Since n = 2*j0 - s after s steps, each row
+is split into the entries read after an even and after an odd number
+of steps, and the step-s lookup goes through one view shared by every
+trial. A step is a lookup, a compare and an add. Rows are padded with
+their edge values out to the reach r (less k after H) so no index needs
+a clamp; where that padding would pass _ENTRY_CAP entries, the rows are
+cut where p0 settles and the lookup clamps, in the same loop (_Lanes).
 The engine owns no rule of the procedure: whether H fires at step k
 comes from DecisionRule.fires and where the walk restarts after H from
 discriminate.table_after_h, the same calls discriminate.run_trial
@@ -22,11 +29,13 @@ every trial runs: a start state, a mu, and the real or phase-tracking
 restart after H. run_experiment passes its states, sweep_mu every mu
 times the four states, phase_report every state twice. Since every job
 reads trial i's draws from the same substream, a step draws once per
-trial and broadcasts the draw across the jobs. The trials are cut into
-contiguous chunks by _chunk_plan, a pure function of (trials, jobs,
-threads): at most max(trials, jobs) lanes are live at once, and the
-chunks fan out to threads only when each holds at least _FANOUT_LANES
-lanes. Smaller runs stay in the calling thread, so `threads` is a cap.
+trial and broadcasts the draw across the jobs; one batch_uniform call
+draws a block of steps, at most _DRAW_BLOCK draws. The trials are cut
+into contiguous chunks by _chunk_plan, a pure function of (trials,
+jobs, threads): at most max(trials, jobs) lanes are live at once, and
+the chunks fan out to threads only when each holds at least
+_FANOUT_LANES lanes. Smaller runs stay in the calling thread, so
+`threads` is a cap.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, table_after_h
-from .rng import batch_uniform, substream, substream_states
-from .walk import WalkParams, walk_table
+from .rng import batch_uniform, step_offsets, substream, substream_states
+from .walk import WalkParams, WalkTable, walk_table
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -47,7 +56,14 @@ _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINU
 # for threads to overlap: they contend for the interpreter lock, and two
 # threads run slower than one.
 _FANOUT_LANES = 1 << 15
-_INDEX = np.int32  # flat indices into the stacks and net counts
+# Most p0 entries the padded rows of one pass may hold; past it the rows
+# are cut where p0 settles and the lookup clamps. It also keeps every
+# slot well inside _INDEX.
+_ENTRY_CAP = 1 << 20
+# Most uniforms one batch_uniform call draws for a chunk, as a block of
+# steps; on narrow chunks this saves most of the per-call cost.
+_DRAW_BLOCK = 1 << 13
+_INDEX = np.int32  # slots, lane indices and counts
 
 
 @dataclass(frozen=True)
@@ -106,78 +122,112 @@ class PhasePoint:
     abs_diff: float
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """The p0 tables one job's trials can read, stacked row by row.
-
-    Row 0 walks without H; row b > 0 walks from the b-th distinct start
-    after H. Every row is padded with its edge values to the same
-    half-width, so row b holds n = -half .. half at b*width + half + n.
-    """
-
-    p0: np.ndarray
-    half: int
-    fires: np.ndarray  # whether H fires at step k, by the trial's j0
-    row_of_j0: np.ndarray  # row a trial enters at step k, by its j0 (0 = no H)
-
-    @property
-    def width(self) -> int:
-        return 2 * self.half + 1
-
-
-def _stack(state: StateLabel, config: ExperimentConfig, phase: bool) -> _Stack:
-    k = config.rule.k
-    base = walk_table(state.to_state(), WalkParams(config.mu))
-    fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
-    rows = {base: 0}
-    row_of_j0 = np.zeros(k + 1, dtype=np.int64)
-    if config.r > k:  # with no steps left after k, no row but 0 is read
-        for j0 in np.flatnonzero(fires):
-            after = table_after_h(base, 2 * int(j0) - k, k, phase)
-            row_of_j0[j0] = rows.setdefault(after, len(rows))
-    half = max(max(t.lo, t.hi) for t in rows)
-    p0 = np.concatenate([np.pad(t.p0, (half - t.lo, half - t.hi), mode="edge")
-                         for t in rows])
-    return _Stack(p0, half, fires, row_of_j0)
-
-
 # A job is one walk every trial runs: (start state, mu, phase-tracking).
 _Job = tuple[StateLabel, int, bool]
 
 
+def _walk_rows(state: StateLabel, config: ExperimentConfig,
+               phase: bool) -> tuple[list[WalkTable], np.ndarray, np.ndarray]:
+    """The walk tables one job reads, and the rule at step k.
+
+    Returns (tables, fires, row_of_j0). tables[0] walks from the start
+    state and the others from the distinct restarts after H. fires[j0]
+    says whether H fires at step k after j0 outcome-0 counts, and
+    row_of_j0[j0] is the table the trial walks in from then on (0 if
+    H does not fire).
+    """
+    k = config.rule.k
+    base = walk_table(state.to_state(), WalkParams(config.mu))
+    fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
+    after: dict[WalkTable, int] = {}
+    row_of_j0 = np.zeros(k + 1, dtype=_INDEX)
+    if config.r > k:  # with no steps left after k, no table after H is read
+        for j0 in np.flatnonzero(fires):
+            table = table_after_h(base, 2 * int(j0) - k, k, phase)
+            row_of_j0[j0] = 1 + after.setdefault(table, len(after))
+    return [base, *after], fires, row_of_j0
+
+
+def _row_slots(reach: int, entered: int) -> tuple[int, int]:
+    """(first, count): the slots of a row entered after `entered` steps
+    and read at |n| <= reach, n counted from its entry. The row keeps n
+    in slot floor(nu/2) - first of parity slice nu % 2, where
+    nu = n + entered % 2 has the parity of the steps done."""
+    first = (entered % 2 - reach) // 2
+    return first, (entered % 2 + reach) // 2 - first + 1
+
+
 @dataclass(frozen=True)
 class _Lanes:
-    """The stacks of every job of a pass, concatenated into one p0 array.
+    """The p0 rows of every job of a pass, laid out for a three-op step.
 
-    Per-job arrays have one row per job, so they broadcast against the
-    (jobs, trials) lane arrays of a chunk. Job j's stack starts at flat
-    index base[j]; it walks from home[j] = base[j] + half[j] (row 0, n = 0).
+    A lane holds g: its row's home plus its outcome-0 count since it
+    entered the row. Each row is stored as two parity slices, in the
+    same slots of p0[0] and p0[1]. After s steps, a lane reads
+    p0[s % 2][lead - ceil(s/2) + g]: a lookup through one view that
+    every lane shares, then a compare with the draw, then g += 1 on
+    outcome 0.
+
+    Row 0 of a job walks from the start state and keeps net count n at
+    nu = n. A row entered by H at step k keeps n at nu = n + k % 2, so
+    that what it is read at after s steps also sits in slice s % 2. For
+    odd k it is laid out unlike row 0 even where the tables are equal,
+    so the two are never merged. Rows are padded with their edge values
+    out to the largest |n| they are read at: r - 1 for row 0, r - 1 - k
+    after H. Where that padding would pass _ENTRY_CAP entries in all,
+    the rows end instead where p0 stops changing (clamp is True), and
+    each lookup is clamped into its row's slots row_lo .. row_hi.
+
+    Rows are numbered across the pass. Per-job arrays hold one job per
+    line of axis 0, so they broadcast against the (jobs, trials) lane
+    arrays.
     """
 
-    p0: np.ndarray
-    base: np.ndarray  # (jobs, 1)
-    half: np.ndarray  # (jobs, 1)
-    fires: np.ndarray  # (jobs, k + 1): whether H fires, by j0
-    row_start: np.ndarray  # (jobs, k + 1): where the row entered at step k starts, by j0
+    p0: np.ndarray  # (2, slots): the even and the odd parity slice
+    lead: int  # the view start before step 1
+    clamp: bool
+    row_home: np.ndarray  # (rows,): g of a lane entering the row
+    row_lo: np.ndarray  # (rows,): the row's first slot
+    row_hi: np.ndarray  # (rows,): the row's last slot
+    home: np.ndarray  # (jobs, 1): row 0 of each job
+    fires: np.ndarray  # (jobs, k + 1): whether H fires at step k, by j0
+    entry: np.ndarray  # (jobs, k + 1): the row walked after step k, by j0
     bit: np.ndarray  # (jobs, 1): the prepared state's bit
-
-    @property
-    def home(self) -> np.ndarray:
-        return self.base + self.half
 
 
 def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
-    stacks = [_stack(state, dataclasses.replace(config, mu=mu), phase)
-              for state, mu, phase in jobs]
-    base = np.cumsum([0] + [s.p0.size for s in stacks[:-1]])
-    column = lambda values: np.array(values, dtype=_INDEX).reshape(-1, 1)
+    k, r = config.rule.k, config.r
+    walks = [_walk_rows(state, dataclasses.replace(config, mu=mu), phase)
+             for state, mu, phase in jobs]
+    # every row with the steps done when lanes enter it: 0, or k after H
+    rows = [(table, k if i else 0) for tables, _, _ in walks for i, table in enumerate(tables)]
+    reach = [r - 1 - entered for _, entered in rows]
+    clamp = 2 * sum(_row_slots(n, entered)[1]
+                    for n, (_, entered) in zip(reach, rows)) > _ENTRY_CAP
+    if clamp:
+        reach = [min(n, max(table.lo, table.hi) + 1) for n, (table, _) in zip(reach, rows)]
+    spans = [_row_slots(n, entered) for n, (_, entered) in zip(reach, rows)]
+    row_lo = np.cumsum([0] + [count for _, count in spans])
+    p0 = np.empty((2, row_lo[-1]))
+    for (table, entered), (first, count), lo in zip(rows, spans, row_lo):
+        n = np.arange(2 * first, 2 * (first + count)) - entered % 2
+        p0[:, lo:lo + count] = \
+            table.p0[np.clip(n, -table.lo, table.hi) + table.lo].reshape(count, 2).T
+    lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
+    first_row = np.cumsum([0] + [len(tables) for tables, _, _ in walks[:-1]])
+    index = lambda values: np.array(values, dtype=_INDEX)
     return _Lanes(
-        p0=np.concatenate([s.p0 for s in stacks]),
-        base=column(base),
-        half=column([s.half for s in stacks]),
-        fires=np.stack([s.fires for s in stacks]),
-        row_start=np.stack([b + s.row_of_j0 * s.width
-                            for b, s in zip(base, stacks)]).astype(_INDEX),
+        p0=p0,
+        lead=lead,
+        clamp=clamp,
+        # slot lead - ceil(s/2) + g is then nu = n + entered % 2, as above
+        row_home=index([lo - first - lead + (entered + 1) // 2
+                        for (_, entered), (first, _), lo in zip(rows, spans, row_lo)]),
+        row_lo=index(row_lo[:-1]),
+        row_hi=index(row_lo[1:] - 1),
+        home=index(first_row).reshape(-1, 1),
+        fires=np.stack([fires for _, fires, _ in walks]),
+        entry=index([f + row_of_j0 for f, (_, _, row_of_j0) in zip(first_row, walks)]),
         bit=np.array([bool(state.bit) for state, _, _ in jobs]).reshape(-1, 1),
     )
 
@@ -186,43 +236,52 @@ def _chunk_counts(lanes: _Lanes, config: ExperimentConfig,
                   start: int, size: int) -> np.ndarray:
     """Run trials [start, start+size) of every job in one array pass.
 
-    Each lane holds a flat index into the concatenated stacks: its job's
-    row plus its net count n since the walk entered that row. All jobs
-    read trial i's draw. Returns integer counts per job, (jobs, 4):
+    Draws come in blocks of at most _DRAW_BLOCK (or one step): row b of
+    a block is drawn from the chunk's substream states advanced by b
+    steps, so one batch_uniform call serves several steps. Every job
+    reads trial i's draw. Returns integer counts per job, (jobs, 4):
     h_applied, success & h, success & no h, ties; integers keep the
     later reduction order-independent.
     """
-    k = config.rule.k
+    k, r = config.rule.k, config.r
     streams = substream_states(config.master_seed, start, size)
-    home = lanes.home
-    idx = np.repeat(home, size, axis=1)
-    # row bounds: one row per job until step k, then one per lane
-    lo = lanes.base
-    hi = lo + 2 * lanes.half
-    # net count = idx + offset; rows entered at step k move the offset
-    offset = -home
-    h = np.zeros(idx.shape, dtype=bool)
-    pos = np.empty_like(idx)
-    p0 = np.empty(idx.shape)
-    out0 = np.empty_like(idx)
-    for j in range(1, config.r + 1):
-        u = batch_uniform(streams)
-        np.maximum(idx, lo, out=pos)
-        np.minimum(pos, hi, out=pos)
-        np.take(lanes.p0, pos, out=p0, mode="clip")
-        np.less(u, p0, out=out0)
-        idx += out0
-        idx += out0
-        idx -= 1
-        if j == k:
-            n = idx - home
-            j0 = (n + j) // 2
-            h = np.take_along_axis(lanes.fires, j0, axis=1)
-            lo = np.take_along_axis(lanes.row_start, j0, axis=1)
-            hi = lo + 2 * lanes.half
-            offset = np.where(h, n - lanes.half - lo, offset)
-            idx = np.where(h, lo + lanes.half, idx)
-    n = idx + offset
+    depth = max(1, min(r, _DRAW_BLOCK // size))  # steps per block
+    skips = step_offsets(depth).reshape(-1, 1)
+    block = np.empty((depth, size), dtype=np.uint64)
+    slices = tuple(lanes.p0)
+    clamp = lanes.clamp
+    row = lanes.home
+    lo, hi = lanes.row_lo[row], lanes.row_hi[row]
+    g = np.repeat(lanes.row_home[row], size, axis=1)
+    offset = -lanes.row_home[row]  # g + offset is the outcome-0 count j0
+    h = np.zeros(g.shape, dtype=bool)
+    pos = np.empty_like(g)
+    p0 = np.empty(g.shape)
+    out0 = np.empty_like(g)
+    for done in range(0, r, depth):
+        steps = min(depth, r - done)
+        np.add(streams, skips[:steps], out=block[:steps])
+        u = batch_uniform(block[:steps])
+        np.copyto(streams, block[steps - 1])
+        for s in range(done, done + steps):
+            view = lanes.lead - (s + 1) // 2
+            if clamp:
+                np.add(g, view, out=pos)
+                np.maximum(pos, lo, out=pos)
+                np.minimum(pos, hi, out=pos)
+                np.take(slices[s & 1], pos, out=p0, mode="clip")
+            else:
+                np.take(slices[s & 1][view:], g, out=p0, mode="clip")
+            np.less(u[s - done], p0, out=out0)
+            g += out0
+            if s + 1 == k:
+                j0 = g + offset
+                h = np.take_along_axis(lanes.fires, j0, axis=1)
+                row = np.take_along_axis(lanes.entry, j0, axis=1)
+                g = np.where(h, lanes.row_home[row], g)
+                offset = j0 - g
+                lo, hi = lanes.row_lo[row], lanes.row_hi[row]
+    n = 2 * (g + offset) - r  # the net count since the start
     success = (n < 0) == lanes.bit
     return np.stack([np.count_nonzero(h, axis=1),
                      np.count_nonzero(h & success, axis=1),

@@ -82,8 +82,22 @@ def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     return z ^ (z >> _U31)
 
 
+def step_offsets(count: int) -> np.ndarray:
+    """uint64 offsets b * golden (mod 2^64) for b = 0 .. count-1.
+
+    A splitmix64 state advances by adding the golden-ratio increment,
+    so states + offset b are those streams b draws further on: adding
+    step_offsets(B)[:, None] to a state vector gives a (B, count) block
+    whose row b, passed to batch_uniform, yields each stream's draw b+1.
+    """
+    return np.array([b * _GOLDEN & _MASK64 for b in range(count)], dtype=np.uint64)
+
+
 def batch_uniform(states: np.ndarray) -> np.ndarray:
-    """One uniform draw from every stream; advances `states` in place."""
+    """One uniform draw from every stream; advances `states` in place.
+
+    Works on any shape: each entry is one stream's state.
+    """
     states += _U_GOLDEN
     z = states >> _U30
     z ^= states

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 import qsdwalk.experiment as experiment
 from qsdwalk.discriminate import MODES, DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
+    _ENTRY_CAP,
     _FANOUT_LANES,
     ExperimentConfig,
     SweepPoint,
     _build_report,
     _chunk_plan,
     _job_counts,
-    _stack,
+    _lanes,
+    _walk_rows,
     collect_traces,
     phase_report,
     run_experiment,
@@ -289,12 +291,31 @@ def assert_matches_reference(config: ExperimentConfig, threads: int = 2):
     assert run_experiment(config, threads=threads) == expected
 
 
-@pytest.mark.parametrize("seed", [1, 42])
-@pytest.mark.parametrize("mode", ["interval", "never-apply-h", "always-apply-h"])
-@pytest.mark.parametrize("mu", [0, 1, 2, 5, 10])
+def real_jobs(config: ExperimentConfig) -> list:
+    return [(s, config.mu, False) for s in config.states]
+
+
+def reference_grid(test):
+    """The (mu, mode, seed) grid of the reference-kernel comparison."""
+    test = pytest.mark.parametrize("mu", [0, 1, 2, 5, 10])(test)
+    test = pytest.mark.parametrize("mode", ["interval", "never-apply-h", "always-apply-h"])(test)
+    return pytest.mark.parametrize("seed", [1, 42])(test)
+
+
+@reference_grid
 def test_counts_equal_reference_kernel(mu, mode, seed):
     assert_matches_reference(ExperimentConfig(trials=1500, mu=mu, master_seed=seed,
                                               rule=DecisionRule(mode=mode)))
+
+
+@reference_grid
+def test_capped_counts_equal_reference_kernel(mu, mode, seed, monkeypatch):
+    # with no room for padding, every row is cut where p0 settles and
+    # the lookup clamps
+    monkeypatch.setattr(experiment, "_ENTRY_CAP", 0)
+    config = ExperimentConfig(trials=1500, mu=mu, master_seed=seed, rule=DecisionRule(mode=mode))
+    assert _lanes(config, real_jobs(config)).clamp
+    assert_matches_reference(config)
 
 
 EDGE_CONFIGS = {
@@ -304,14 +325,43 @@ EDGE_CONFIGS = {
     "k=r-always": dict(r=30, rule=DecisionRule(k=30, mode="always-apply-h")),
     "interval-on-j0-grid": dict(r=40, rule=DecisionRule(k=4, i1=0.25, i2=0.75)),
     "late-k": dict(r=200, rule=DecisionRule(k=60, mode="always-apply-h")),
+    # at mu=0, plus collapses to zero or one and H turns that back into
+    # plus: the rows after an odd k hold the start table, laid out
+    # for the other parity
+    "odd-k-self-restart": dict(r=9, rule=DecisionRule(k=3, mode="always-apply-h")),
 }
 
 
-@pytest.mark.parametrize("mu", [0, 2, 10])
-@pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))
+def edge_grid(test):
+    test = pytest.mark.parametrize("edge", sorted(EDGE_CONFIGS))(test)
+    return pytest.mark.parametrize("mu", [0, 2, 10])(test)
+
+
+@edge_grid
 def test_edge_counts_equal_reference_kernel(edge, mu):
     assert_matches_reference(ExperimentConfig(trials=1000, mu=mu, master_seed=3,
                                               **EDGE_CONFIGS[edge]))
+
+
+@edge_grid
+def test_capped_edge_counts_equal_reference_kernel(edge, mu, monkeypatch):
+    monkeypatch.setattr(experiment, "_ENTRY_CAP", 0)
+    config = ExperimentConfig(trials=1000, mu=mu, master_seed=3, **EDGE_CONFIGS[edge])
+    assert _lanes(config, real_jobs(config)).clamp
+    assert_matches_reference(config)
+
+
+def test_config_past_the_cap_equals_reference_kernel():
+    # always-apply-h from plus restarts from some 300 distinct states,
+    # so padding every row out to its reach would pass the cap
+    config = ExperimentConfig(states=(StateLabel.PLUS,), trials=20, r=3000, mu=6,
+                              master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
+    tables, _, _ = _walk_rows(StateLabel.PLUS, config, phase=False)
+    padded = 2 * (config.r + (len(tables) - 1) * (config.r - config.rule.k))
+    assert padded > _ENTRY_CAP
+    lanes = _lanes(config, real_jobs(config))
+    assert lanes.clamp and lanes.p0.size < _ENTRY_CAP
+    assert_matches_reference(config)
 
 
 @pytest.mark.parametrize("mu,rule", [
@@ -319,6 +369,11 @@ def test_edge_counts_equal_reference_kernel(edge, mu):
     (2, DecisionRule()),
     (5, DecisionRule(k=7, mode="always-apply-h")),
     (2, DecisionRule(k=4, i1=0.2, i2=0.8)),
+    # at mu=2 and k=5 the phase-tracking walk restarts from plus
+    # whatever j0 is, so plus's row after this odd k holds its start
+    # table; mu=1 runs the same rule without that coincidence
+    (1, DecisionRule(k=5, mode="always-apply-h")),
+    (2, DecisionRule(k=5, mode="always-apply-h")),
 ])
 def test_phase_variant_matches_complex_amplitudes(mu, rule):
     config = ExperimentConfig(states=(StateLabel.PLUS, StateLabel.MINUS), trials=2000,
@@ -352,10 +407,18 @@ def test_scalar_trials_match_batch_at_edges(state, mu, r, rule):
 def test_tables_do_not_grow_with_r():
     small = ExperimentConfig(trials=20, r=100, mu=10, master_seed=9)
     large = dataclasses.replace(small, r=10_000)
+    rows = 0
     for state in ALL_STATES:
-        stack = _stack(state, large, phase=False)
-        assert stack.p0.size == _stack(state, small, phase=False).p0.size
-        assert stack.half < 1000
+        tables, _, _ = _walk_rows(state, large, phase=False)
+        assert [t.p0.size for t in tables] == \
+            [t.p0.size for t in _walk_rows(state, small, phase=False)[0]]
+        assert all(t.lo < 1000 and t.hi < 1000 for t in tables)
+        rows += len(tables)
+    # the lane rows are padded out to the reach r, by design
+    lanes = _lanes(large, real_jobs(large))
+    assert not lanes.clamp
+    assert lanes.p0.size <= rows * (2 * large.r + 2)
+    assert lanes.p0.size < _ENTRY_CAP
     for rep in run_experiment(large):
         assert rep.trials == 20
         assert abs(rep.success_given_h + rep.failure_given_h - rep.frac_h_applied) < 1e-12
@@ -442,7 +505,14 @@ def legal_runs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(legal_runs())
 def test_legal_configs_agree_across_paths(run):
-    config, threads, mu_values = run
+    # blocks of at most 7 draws: at up to 40 trials, a block of the
+    # default size would always hold the whole walk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_DRAW_BLOCK", 7)
+        check_paths_agree(*run)
+
+
+def check_paths_agree(config: ExperimentConfig, threads: int, mu_values: list[int]):
     reports = run_experiment(config, threads=threads)
     params = WalkParams(config.mu)
     for state, rep in zip(config.states, reports):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qsdwalk.rng import SplitMix64, batch_uniform, mix64, splitmix64, substream, substream_states
+from qsdwalk.rng import (
+    SplitMix64,
+    batch_uniform,
+    mix64,
+    splitmix64,
+    step_offsets,
+    substream,
+    substream_states,
+)
 
 # reference outputs of the splitmix64 stream seeded with 0
 KNOWN_SEED0 = [
@@ -73,3 +81,15 @@ def test_batch_uniform_advances_state_in_place():
     before = states.copy()
     batch_uniform(states)
     assert not np.array_equal(states, before)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 33])
+def test_block_of_advanced_states_equals_successive_draws(depth):
+    streams = substream_states(987654321, 5, 11)
+    block = streams + step_offsets(depth).reshape(-1, 1)
+    drawn = batch_uniform(block)
+    for row in drawn:
+        assert np.array_equal(row, batch_uniform(streams))
+    # the block's last row has advanced as far as the successive calls
+    assert np.array_equal(block[-1], streams)
+
