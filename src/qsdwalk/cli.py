@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 check failure (oracle-check discrepancy),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -267,8 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

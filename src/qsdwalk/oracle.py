@@ -4,10 +4,11 @@ The full circuit keeps mu + 2 qubits: the unknown qubit psi, mu dummy
 qubits pinned to |1>, and the auxiliary qubit ax. Each round applies one
 controlled-V (V the t-th root of sigma_x) from every control qubit onto
 ax, so a basis pattern with d controls set hits ax with V^d. Measuring
-and resetting ax reproduces
-the walk's collapse exactly, including the relative phase between the
-psi components that the real-amplitude walk discards. This module is
-the independent referee: slow, dense, and obviously correct.
+and resetting ax reproduces the walk's collapse exactly, including the
+relative phase between the psi components that the real-amplitude walk
+discards. This module is the independent referee: dense, gate by gate
+(one controlled-V per control, applied in place to the statevector), and
+obviously correct.
 
 Qubit order is (psi, dummy_1..dummy_mu, ax) with ax least significant,
 so ax marginals are sums over contiguous stride-2 slices.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +70,22 @@ def prepare_register(initial, mu: int) -> RegisterState:
     return RegisterState(amps, mu)
 
 
+@lru_cache(maxsize=_MU_CAP + 1)
+def _control_pairs(n: int) -> tuple[tuple[tuple, tuple], ...]:
+    """Per control qubit c of an n-qubit register: the index tuples of the
+    (c=1, ax=0) and (c=1, ax=1) sub-views. The trailing Ellipsis keeps a
+    view (0-d at n = 2) where all-integer indexing would copy a scalar."""
+    pairs = []
+    for c in range(n - 1):
+        idx = [slice(None)] * n + [Ellipsis]
+        idx[c] = 1
+        idx[n - 1] = 0
+        ax0 = tuple(idx)
+        idx[n - 1] = 1
+        pairs.append((ax0, tuple(idx)))
+    return tuple(pairs)
+
+
 def apply_p(reg: RegisterState, t: int) -> RegisterState:
     """One controlled-v_root(t) from each of the n-1 control qubits onto ax.
 
@@ -77,24 +95,28 @@ def apply_p(reg: RegisterState, t: int) -> RegisterState:
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     v = v_root(t)
+    v00, v01, v10, v11 = v[0, 0], v[0, 1], v[1, 0], v[1, 1]
     view = reg.amps.reshape((2,) * reg.n)
-    for c in range(reg.n - 1):
-        idx = [slice(None)] * reg.n
-        idx[c] = 1
-        sub = view[tuple(idx)]
-        a0 = sub[..., 0].copy()
-        a1 = sub[..., 1].copy()
-        sub[..., 0] = v[0, 0] * a0 + v[0, 1] * a1
-        sub[..., 1] = v[1, 0] * a0 + v[1, 1] * a1
+    for ax0, ax1 in _control_pairs(reg.n):
+        sub0 = view[ax0]
+        sub1 = view[ax1]
+        # contiguous copies: numpy runs the arithmetic faster on them than
+        # on the strided sub-views, and sub1 needs the old ax=0 values
+        a0 = sub0.copy()
+        a1 = sub1.copy()
+        sub0[...] = v00 * a0 + v01 * a1
+        sub1[...] = v10 * a0 + v11 * a1
     return reg
+
+
+def _ax_prob(pairs: np.ndarray, outcome: int) -> float:
+    return float((np.abs(pairs[:, outcome]) ** 2).sum())
 
 
 def ax_marginal(reg: RegisterState) -> tuple[float, float]:
     """(Pr[ax=0], Pr[ax=1]) if ax were measured now."""
     pairs = reg.amps.reshape(-1, 2)
-    p0 = float(np.sum(np.abs(pairs[:, 0]) ** 2))
-    p1 = float(np.sum(np.abs(pairs[:, 1]) ** 2))
-    return p0, p1
+    return _ax_prob(pairs, 0), _ax_prob(pairs, 1)
 
 
 def project_ax(reg: RegisterState, outcome: int) -> RegisterState:
@@ -106,10 +128,10 @@ def project_ax(reg: RegisterState, outcome: int) -> RegisterState:
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    p = ax_marginal(reg)[outcome]
+    pairs = reg.amps.reshape(-1, 2)
+    p = _ax_prob(pairs, outcome)
     if p <= _PROB_FLOOR:
         raise ValueError(f"outcome {outcome} has probability {p:.3e}; cannot project")
-    pairs = reg.amps.reshape(-1, 2)
     if outcome == 1:
         pairs[:, 0] = pairs[:, 1]
     pairs[:, 1] = 0.0
@@ -122,6 +144,25 @@ def _psi_density(reg: RegisterState) -> np.ndarray:
     return m @ m.conj().T
 
 
+def _psi_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy of a 2x2 density matrix. Its eigenvalues are in
+    closed form: the larger from the trace and discriminant, the smaller
+    as det / larger. LAPACK's eigvalsh is the reference in the tests."""
+    (a, b), (_, d) = rho.tolist()
+    a = a.real
+    d = d.real
+    abs_b2 = b.real * b.real + b.imag * b.imag
+    half_diff = (a - d) / 2
+    lam_max = (a + d) / 2 + math.sqrt(half_diff * half_diff + abs_b2)
+    lam_min = (a * d - abs_b2) / lam_max
+    entropy = 0.0
+    for lam in (lam_max, lam_min):
+        lam = min(max(lam, 0.0), 1.0)
+        if lam > 0:
+            entropy -= lam * math.log(lam)
+    return entropy
+
+
 def psi_moduli(reg: RegisterState) -> tuple[float, float]:
     """Moduli (|alpha|, |beta|) of the psi marginal.
 
@@ -130,9 +171,7 @@ def psi_moduli(reg: RegisterState) -> tuple[float, float]:
     (e.g. ax measured without a preceding projection), so it raises.
     """
     rho = _psi_density(reg)
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals.real, 0.0, 1.0)
-    entropy = float(-np.sum(evals[evals > 0] * np.log(evals[evals > 0])))
+    entropy = _psi_entropy(rho)
     if entropy > _ENTROPY_TOL:
         raise ValueError(f"psi is entangled (marginal entropy {entropy:.3e}); "
                          "register is not in a product state")
@@ -149,6 +188,11 @@ def relative_phase(reg: RegisterState) -> float:
     return cmath.phase(m[1, col] * m[0, col].conjugate())
 
 
+def _check_mu_max(mu_max: int) -> None:
+    if not 0 <= mu_max <= _MU_CAP:
+        raise ValueError(f"mu_max must be in 0..{_MU_CAP}, got {mu_max}")
+
+
 def walk_agreement(cases: int, mu_max: int, max_steps: int,
                    master_seed: int) -> tuple[float, float]:
     """Race the analytic walk against the register simulation.
@@ -158,8 +202,7 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
     same outcome path. Returns the worst disagreement seen in
     (ax probabilities, post-measurement amplitude moduli).
     """
-    if mu_max > _MU_CAP:
-        raise ValueError(f"mu_max must be <= {_MU_CAP}, got {mu_max}")
+    _check_mu_max(mu_max)
     if cases < 1 or max_steps < 1:
         raise ValueError("cases and max_steps must be >= 1")
     worst_p = 0.0
@@ -191,6 +234,7 @@ def phase_table(mu_max: int) -> list[tuple[int, float]]:
     Measured by the register itself (from |+>, outcome 0), one row per
     mu in 1..mu_max. This is the phase the real-amplitude walk drops.
     """
+    _check_mu_max(mu_max)
     rows = []
     for mu in range(1, mu_max + 1):
         params = WalkParams(mu)

@@ -208,9 +208,16 @@ class WalkTable:
         self._fixed = [False, False]
         self._lock = threading.Lock()
 
+    @cached_property
+    def _p0_list(self) -> list[float]:
+        # Python floats for the per-step scalar lookup, which would
+        # otherwise box a numpy scalar at every step; built on first use,
+        # as the batch engine reads only the array
+        return self.p0.tolist()
+
     def p0_at(self, n: int) -> float:
         """Probability of outcome 0 at net count n."""
-        return self.p0[min(max(n, -self.lo), self.hi) + self.lo]
+        return self._p0_list[min(max(n, -self.lo), self.hi) + self.lo]
 
     def amplitudes(self, n: int) -> tuple[float, float]:
         """(alpha, beta) at net count n."""

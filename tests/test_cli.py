@@ -194,6 +194,38 @@ def test_oracle_check_rejects_mu_over_cap(capsys):
     assert "20" in err
 
 
+def test_oracle_check_rejects_negative_mu_max(capsys):
+    code, out, err = run_cli(capsys, "oracle-check", "--mu-max", "-1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: mu_max must be in 0..20, got -1\n"
+
+
+ORACLE_CHECK_2024 = """\
+cases: 200 (mu <= 8, walk length <= 20)
+max probability discrepancy: 1.110e-15
+max amplitude-moduli discrepancy: 1.665e-15
+per-step relative phase (register minus analytic walk, which keeps none):
+  mu=1   phase=+0.523599 rad
+  mu=2   phase=+0.314159 rad
+  mu=3   phase=+0.224399 rad
+  mu=4   phase=+0.174533 rad
+  mu=5   phase=+0.142800 rad
+  mu=6   phase=+0.120830 rad
+  mu=7   phase=+0.104720 rad
+  mu=8   phase=+0.092400 rad
+status: ok (tolerance 1e-10)
+"""
+
+
+def test_oracle_check_output_pinned(capsys):
+    code, out, err = run_cli(capsys, "oracle-check", "--cases", "200", "--mu-max", "8",
+                             "--max-steps", "20", "--seed", "2024")
+    assert code == 0
+    assert out == ORACLE_CHECK_2024
+    assert err == ""
+
+
 def test_qsd_seed_env(capsys, monkeypatch):
     monkeypatch.setenv("QSD_SEED", "77")
     _, out_env, _ = run_cli(capsys, "experiment", "--states", "zero", "--trials", "100")
@@ -277,3 +309,30 @@ def test_threads_default_counts_usable_cpus():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1\n"
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    # main parses every call with one parser per process; each call must
+    # print what the same command prints in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    commands = [
+        ["trial", "--state", "plus", "--r", "12", "--seed", "5"],
+        ["experiment", "--trials", "10", "--threads", "0", "--seed", "1"],
+        ["sweep", "--mu", "1,2", "--trials", "40", "--r", "20", "--seed", "3"],
+        ["oracle-check", "--mu-max", "3", "--cases", "20", "--seed", "4"],
+        ["trial", "--state", "one", "--mu", "4", "--r", "9", "--k", "3",
+         "--mode", "always-apply-h", "--seed", "6"],
+    ]
+    codes = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qsdwalk.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 2, 0, 0, 0]

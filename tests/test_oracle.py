@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import qsdwalk.oracle as oracle
 from qsdwalk.discriminate import StateLabel
 from qsdwalk.gates import PhaseRoot
 from qsdwalk.oracle import (
     RegisterState,
+    _psi_density,
+    _psi_entropy,
     apply_p,
     ax_marginal,
     phase_table,
@@ -247,6 +251,58 @@ def test_walk_agreement_validates_args():
         walk_agreement(0, 4, 5, 0)
 
 
+@pytest.mark.parametrize("mu_max", [-1, -7])
+def test_negative_mu_max_is_refused(mu_max):
+    message = f"mu_max must be in 0..20, got {mu_max}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        walk_agreement(10, mu_max, 5, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        phase_table(mu_max)
+
+
+# Worst discrepancies of two fixed runs, as the dense gate-by-gate
+# register has always produced them. Any change to the order or shape of
+# the register arithmetic moves these last bits. The second run draws mu
+# up to 12, so registers of 2..14 qubits take part.
+@pytest.mark.parametrize("config,expected", [
+    ((150, 4, 20, 2718), (7.771561172376096e-16, 1.2212453270876722e-15)),
+    ((150, 12, 20, 8128), (1.5543122344752192e-15, 1.3322676295501878e-15)),
+])
+def test_walk_agreement_pinned(config, expected):
+    assert walk_agreement(*config) == expected
+
+
+def case_steps(cases, max_steps, seed):
+    """Total walk steps of walk_agreement, redrawn the way it draws them."""
+    total = 0
+    for i in range(cases):
+        rng = substream(seed, i)
+        rng.uniform()  # mu
+        total += 1 + int(rng.uniform() * max_steps)
+    return total
+
+
+def test_walk_agreement_calls_each_layer_once_per_step(monkeypatch):
+    # the per-layer benchmark spans wrap these module globals; inlining one
+    # of them, or calling one from another, would change these counts
+    calls = {}
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def shim(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return shim
+
+    names = ("apply_p", "ax_marginal", "project_ax", "psi_moduli")
+    for name in names:
+        monkeypatch.setattr(oracle, name, counting(name))
+    walk_agreement(40, 6, 15, 404)
+    steps = case_steps(40, 15, 404)
+    assert {name: calls.get(name, 0) for name in names} == dict.fromkeys(names, steps)
+
+
 def test_oracle_tracks_one_full_path():
     # single explicit path: analytic and register agree step by step
     params = WalkParams(3)
@@ -269,3 +325,78 @@ def test_phase_table_values():
     assert [mu for mu, _ in rows] == [1, 2, 3, 4]
     for mu, phase in rows:
         assert abs(phase - math.pi / (2 * (2 * mu + 1))) < TOL
+
+
+def lapack_entropy(reg: RegisterState) -> float:
+    """Marginal entropy of psi from LAPACK's eigenvalues: the reference
+    for the closed form psi_moduli uses."""
+    m = reg.amps.reshape(2, -1)
+    evals = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0.0, 1.0)
+    return float(-np.sum(evals[evals > 0] * np.log(evals[evals > 0])))
+
+
+def closed_form_entropy(reg: RegisterState) -> float:
+    return _psi_entropy(_psi_density(reg))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_entropy_passes_product_registers(seed):
+    rng = substream(577, seed)
+    mu = int(rng.uniform() * 9)
+    params = WalkParams(mu)
+    reg = prepare_register(QubitState.from_angle(rng.uniform() * 2 * math.pi), mu)
+    for _ in range(30):
+        apply_p(reg, params.t)
+        p0, _ = ax_marginal(reg)
+        project_ax(reg, 0 if rng.uniform() < p0 else 1)
+        psi_moduli(reg)
+        assert closed_form_entropy(reg) < 1e-9
+        assert lapack_entropy(reg) < 1e-9
+
+
+@pytest.mark.parametrize("label", [StateLabel.PLUS, StateLabel.MINUS])
+@pytest.mark.parametrize("mu", [1, 2, 5])
+def test_closed_form_entropy_flags_unprojected_registers(label, mu):
+    reg = prepare_register(label, mu)
+    apply_p(reg, WalkParams(mu).t)
+    assert lapack_entropy(reg) > 1e-9
+    assert closed_form_entropy(reg) > 1e-9
+    with pytest.raises(ValueError, match="entangled"):
+        psi_moduli(reg)
+
+
+def binary_entropy(eps: float) -> float:
+    return -eps * math.log(eps) - (1 - eps) * math.log(1 - eps)
+
+
+def schmidt_register(eps: float) -> RegisterState:
+    """sqrt(1-eps)|u>|1,0> + sqrt(eps)|u_perp>|1,1> over (psi, dummy, ax):
+    psi's marginal has eigenvalues 1 - eps and eps in a basis that gives
+    its density matrix off-diagonal terms."""
+    u = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
+    u_perp = np.array([-np.conj(u[1]), np.conj(u[0])])
+    amps = np.zeros(8, dtype=complex)
+    for psi_bit in (0, 1):
+        amps[(psi_bit << 2) | 0b010] = math.sqrt(1 - eps) * u[psi_bit]
+        amps[(psi_bit << 2) | 0b011] = math.sqrt(eps) * u_perp[psi_bit]
+    return RegisterState(amps, 1)
+
+
+def eps_for_entropy(target: float) -> float:
+    lo, hi = 1e-20, 1e-3
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if binary_entropy(mid) < target else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("scale,entangled", [(1.02, True), (0.98, False)])
+def test_closed_form_entropy_matches_lapack_at_threshold(scale, entangled):
+    reg = schmidt_register(eps_for_entropy(1e-9 * scale))
+    assert (lapack_entropy(reg) > 1e-9) is entangled
+    assert (closed_form_entropy(reg) > 1e-9) is entangled
+    if entangled:
+        with pytest.raises(ValueError, match="entangled"):
+            psi_moduli(reg)
+    else:
+        psi_moduli(reg)

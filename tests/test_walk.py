@@ -266,3 +266,14 @@ def test_walk_table_length_depends_on_mu_only(mu):
     assert max(table.lo, table.hi) < 40 / math.log(c0 / c1)
     assert table.p0.size == table.lo + table.hi + 1
     assert walk_table(PLUS, WalkParams(mu)) is table
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 10])
+@pytest.mark.parametrize("start", TABLE_STARTS)
+def test_p0_at_reads_the_table_bit_for_bit(start, mu):
+    table = walk_table(start, WalkParams(mu))
+    for n in range(-table.lo - 3, table.hi + 4):
+        value = table.p0_at(n)
+        assert type(value) is float
+        expected = float(table.p0[min(max(n, -table.lo), table.hi) + table.lo])
+        assert value.hex() == expected.hex()
