@@ -5,7 +5,8 @@ stdout or to --out; diagnostics, the classification summary, and the
 auto-drawn seed announcement go to stderr so payloads stay parseable.
 Every command is deterministic under a fixed seed: --seed wins, then
 the QSD_SEED environment variable, then a fresh 64-bit value from
-system entropy (printed as "seed: N" so the run can be replayed).
+system entropy (printed as "seed: N" so the run can be replayed). A
+seed outside 0..2^64-1 is a usage error.
 
 Exit codes: 0 success, 1 check failure (oracle-check discrepancy),
 2 usage error.
@@ -27,17 +28,27 @@ from .rng import substream
 from .walk import WalkParams
 
 _AGREEMENT_TOL = 1e-10
+_SEED_MAX = 2**64 - 1
+
+
+def _seed(value: int, source: str) -> int:
+    """A master seed is a 64-bit unsigned integer; anything else would
+    silently replay another seed."""
+    if not 0 <= value <= _SEED_MAX:
+        raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
+    return value
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _seed(args.seed, "--seed")
     env = os.environ.get("QSD_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValueError(f"QSD_SEED must be an integer, got {env!r}") from None
+        return _seed(seed, "QSD_SEED")
     seed = secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
     return seed

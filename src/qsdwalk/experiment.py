@@ -29,13 +29,20 @@ every trial runs: a start state, a mu, and the real or phase-tracking
 restart after H. run_experiment passes its states, sweep_mu every mu
 times the four states, phase_report every state twice. Since every job
 reads trial i's draws from the same substream, a step draws once per
-trial and broadcasts the draw across the jobs; one batch_uniform call
-draws a block of steps, at most _DRAW_BLOCK draws. The trials are cut
-into contiguous chunks by _chunk_plan, a pure function of (trials,
-jobs, threads): at most max(trials, jobs) lanes are live at once, and
-the chunks fan out to threads only when each holds at least
-_FANOUT_LANES lanes. Smaller runs stay in the calling thread, so
-`threads` is a cap.
+trial and broadcasts the draw across the jobs. The trials are cut into
+contiguous chunks by _chunk_plan, a pure function of (trials, jobs,
+threads): at most max(trials, jobs) lanes are live at once, and the
+chunks fan out to threads only when each holds at least _FANOUT_LANES
+lanes. Smaller runs stay in the calling thread, so `threads` is a cap.
+
+Each worker runs one loop over a contiguous run of chunks (the serial
+path is the same loop, as the only worker). It allocates its lane and
+draw buffers once, for its widest chunk, and every step, the restart
+at step k and the final count work in place in them. Draws come in
+blocks: one batch_uniform call mixes up to _DRAW_BLOCK uniforms, several
+steps of a chunk, into the worker's buffers. So a step is three numpy
+calls and allocates nothing, and two workers rarely wait on each other
+for the interpreter lock, which every numpy call takes and gives back.
 """
 
 from __future__ import annotations
@@ -61,9 +68,12 @@ _FANOUT_LANES = 1 << 15
 # slot well inside _INDEX.
 _ENTRY_CAP = 1 << 20
 # Most uniforms one batch_uniform call draws for a chunk, as a block of
-# steps; on narrow chunks this saves most of the per-call cost.
-_DRAW_BLOCK = 1 << 13
-_INDEX = np.int32  # slots, lane indices and counts
+# steps: a 12 500-trial chunk draws 5 steps a call. Fewer, longer calls
+# cost less per draw and hand the interpreter lock between workers less
+# often. A worker's three draw buffers hold a block each (1.5 MiB), or
+# one step of a chunk wider than the block.
+_DRAW_BLOCK = 1 << 16
+_INDEX = np.int32  # slots and counts in the tables of a pass
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in 0..2^64-1, got {self.master_seed}")
         if self.r < self.rule.k:
             raise ValueError(
                 f"r={self.r} is below the decision iteration k={self.rule.k}")
@@ -232,9 +244,22 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     )
 
 
-def _chunk_counts(lanes: _Lanes, config: ExperimentConfig,
-                  start: int, size: int) -> np.ndarray:
-    """Run trials [start, start+size) of every job in one array pass.
+def _shaped(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols entries of a flat buffer, as a C-contiguous
+    (rows, cols) array that numpy can write into with out=."""
+    return buffer[:rows * cols].reshape(rows, cols)
+
+
+def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
+                   chunks: list[tuple[int, int]]) -> np.ndarray:
+    """Run the trials of every (start, size) chunk, one chunk after another.
+
+    The lane buffers and the draw buffers are allocated once, for the
+    widest chunk, and every chunk runs in views of them: the steps, the
+    restart at step k and the count reduction all work in place. A lane
+    keeps g, and from step k on whether H fired and shift = (its key at
+    step k) - (g after it), which turns g back into its net count at the
+    end.
 
     Draws come in blocks of at most _DRAW_BLOCK (or one step): row b of
     a block is drawn from the chunk's substream states advanced by b
@@ -244,49 +269,92 @@ def _chunk_counts(lanes: _Lanes, config: ExperimentConfig,
     later reduction order-independent.
     """
     k, r = config.rule.k, config.r
-    streams = substream_states(config.master_seed, start, size)
-    depth = max(1, min(r, _DRAW_BLOCK // size))  # steps per block
-    skips = step_offsets(depth).reshape(-1, 1)
-    block = np.empty((depth, size), dtype=np.uint64)
+    jobs = len(lanes.home)
+    steps_per = {size: max(1, min(r, _DRAW_BLOCK // size)) for _, size in chunks}
+    skips = {depth: step_offsets(depth).reshape(-1, 1) for depth in steps_per.values()}
+    lane_room = jobs * max(size for _, size in chunks)
+    draw_room = max(depth * size for size, depth in steps_per.items())
+    # g indexes np.take, which would copy any other integer type to intp
+    # on every step
+    g_buf = np.empty(lane_room, dtype=np.intp)
+    shift_buf = np.empty(lane_room, dtype=_INDEX)
+    out0_buf, h_buf = np.empty(lane_room, dtype=bool), np.empty(lane_room, dtype=bool)
+    block_buf, u_buf = np.empty(draw_room, dtype=np.uint64), np.empty(draw_room)
+    # the looked-up p0 is dead while a block is drawn, so its buffer is
+    # also the mixer's work buffer
+    p0_buf = np.empty(max(lane_room, draw_room))
+
+    # At step k a lane's g is home + j0, so g + key_shift is its key
+    # job * (k + 1) + j0, which indexes the flat per-(job, j0) tables.
+    home_g = lanes.row_home[lanes.home].astype(np.intp)
+    job_base = np.arange(jobs, dtype=np.intp).reshape(-1, 1) * (k + 1)
+    key_shift = job_base - home_g
+    fires = lanes.fires.ravel()
+    j0 = np.arange(k + 1)
+    g_after = np.where(lanes.fires, lanes.row_home[lanes.entry], home_g + j0)
+    shift_of_key = (job_base + j0 - g_after).astype(_INDEX).ravel()
+    n_base = 2 * job_base + r  # n = 2 * (g + shift) - n_base at the end
     slices = tuple(lanes.p0)
     clamp = lanes.clamp
-    row = lanes.home
-    lo, hi = lanes.row_lo[row], lanes.row_hi[row]
-    g = np.repeat(lanes.row_home[row], size, axis=1)
-    offset = -lanes.row_home[row]  # g + offset is the outcome-0 count j0
-    h = np.zeros(g.shape, dtype=bool)
-    pos = np.empty_like(g)
-    p0 = np.empty(g.shape)
-    out0 = np.empty_like(g)
-    for done in range(0, r, depth):
-        steps = min(depth, r - done)
-        np.add(streams, skips[:steps], out=block[:steps])
-        u = batch_uniform(block[:steps])
-        np.copyto(streams, block[steps - 1])
-        for s in range(done, done + steps):
-            view = lanes.lead - (s + 1) // 2
-            if clamp:
-                np.add(g, view, out=pos)
-                np.maximum(pos, lo, out=pos)
-                np.minimum(pos, hi, out=pos)
-                np.take(slices[s & 1], pos, out=p0, mode="clip")
-            else:
-                np.take(slices[s & 1][view:], g, out=p0, mode="clip")
-            np.less(u[s - done], p0, out=out0)
-            g += out0
-            if s + 1 == k:
-                j0 = g + offset
-                h = np.take_along_axis(lanes.fires, j0, axis=1)
-                row = np.take_along_axis(lanes.entry, j0, axis=1)
-                g = np.where(h, lanes.row_home[row], g)
-                offset = j0 - g
-                lo, hi = lanes.row_lo[row], lanes.row_hi[row]
-    n = 2 * (g + offset) - r  # the net count since the start
-    success = (n < 0) == lanes.bit
-    return np.stack([np.count_nonzero(h, axis=1),
-                     np.count_nonzero(h & success, axis=1),
-                     np.count_nonzero(~h & success, axis=1),
-                     np.count_nonzero(n == 0, axis=1)], axis=1)
+    if clamp:
+        pos_buf, lo_buf, hi_buf = (np.empty(lane_room, dtype=np.intp) for _ in range(3))
+        lo_home = lanes.row_lo[lanes.home].astype(np.intp)
+        hi_home = lanes.row_hi[lanes.home].astype(np.intp)
+        lo_of_key = lanes.row_lo[lanes.entry].astype(np.intp).ravel()
+        hi_of_key = lanes.row_hi[lanes.entry].astype(np.intp).ravel()
+
+    counts = np.zeros((jobs, 4), dtype=np.int64)
+    for start, size in chunks:
+        g, shift, p0, out0, h = (_shaped(buf, jobs, size)
+                                 for buf in (g_buf, shift_buf, p0_buf, out0_buf, h_buf))
+        np.copyto(g, home_g)
+        if clamp:
+            pos = _shaped(pos_buf, jobs, size)
+            lo, hi = lo_home, hi_home
+        depth = steps_per[size]
+        block = _shaped(block_buf, depth, size)
+        np.add(substream_states(config.master_seed, start, size), skips[depth], out=block)
+        for done in range(0, r, depth):
+            steps = min(depth, r - done)
+            if done and depth > 1:
+                # each row has drawn once; move it on by the rest of a block
+                block += skips[depth][-1]
+            u = batch_uniform(block[:steps], _shaped(u_buf, steps, size),
+                              _shaped(p0_buf.view(np.uint64), steps, size))
+            for s in range(done, done + steps):
+                view = lanes.lead - (s + 1) // 2
+                if clamp:
+                    np.add(g, view, out=pos)
+                    np.maximum(pos, lo, out=pos)
+                    np.minimum(pos, hi, out=pos)
+                    np.take(slices[s & 1], pos, out=p0, mode="clip")
+                else:
+                    np.take(slices[s & 1][view:], g, out=p0, mode="clip")
+                np.less(u[s - done], p0, out=out0)
+                g += out0
+                if s + 1 == k:
+                    g += key_shift
+                    np.take(fires, g, out=h, mode="clip")
+                    np.take(shift_of_key, g, out=shift, mode="clip")
+                    if clamp:
+                        lo, hi = _shaped(lo_buf, jobs, size), _shaped(hi_buf, jobs, size)
+                        np.take(lo_of_key, g, out=lo, mode="clip")
+                        np.take(hi_of_key, g, out=hi, mode="clip")
+                    g -= shift
+        g += shift
+        g *= 2
+        g -= n_base  # g is now n, the net count since the start
+        counts[:, 0] += np.count_nonzero(h, axis=1)
+        np.equal(g, 0, out=out0)
+        counts[:, 3] += np.count_nonzero(out0, axis=1)
+        np.less(g, 0, out=out0)
+        np.equal(out0, lanes.bit, out=out0)  # success
+        success = np.count_nonzero(out0, axis=1)
+        out0 &= h
+        h_success = np.count_nonzero(out0, axis=1)
+        counts[:, 1] += h_success
+        counts[:, 2] += success - h_success
+    return counts
 
 
 def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[int, int]]]:
@@ -312,17 +380,20 @@ def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[i
 def _job_counts(config: ExperimentConfig, jobs: list[_Job],
                 threads: int) -> list[tuple[int, int, int, int]]:
     """Counts of every job, from one pass over (job, trial) lanes. The
-    tables are stacked once here, before any fan-out."""
+    tables are stacked once here, before any fan-out; each worker then
+    runs a contiguous run of the chunks."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     lanes = _lanes(config, jobs)
     workers, chunks = _chunk_plan(config.trials, len(jobs), threads)
-    run = lambda chunk: _chunk_counts(lanes, config, *chunk)
+    runs = [chunks[len(chunks) * w // workers:len(chunks) * (w + 1) // workers]
+            for w in range(workers)]
+    count = lambda run: _worker_counts(lanes, config, run)
     if workers == 1:
-        parts = [run(chunk) for chunk in chunks]
+        parts = [count(chunks)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
+            parts = list(pool.map(count, runs))
     return [tuple(int(c) for c in row) for row in sum(parts)]
 
 

@@ -15,6 +15,7 @@ drops, which is why both the complex matrix and the moduli are exposed.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,9 +83,15 @@ def v_power(t: int, d: int) -> np.ndarray:
     return np.array([[p, m], [m, p]])
 
 
+@functools.cache
 def v_root(t: int) -> np.ndarray:
-    """V = sigma_x^(1/t) = exp(i*pi/2t) * Rx(pi/t)."""
-    return v_power(t, 1)
+    """V = sigma_x^(1/t) = exp(i*pi/2t) * Rx(pi/t).
+
+    Built once per t and shared by every caller, so it is read-only.
+    """
+    v = v_power(t, 1)
+    v.flags.writeable = False
+    return v
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:

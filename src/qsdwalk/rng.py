@@ -93,17 +93,28 @@ def step_offsets(count: int) -> np.ndarray:
     return np.array([b * _GOLDEN & _MASK64 for b in range(count)], dtype=np.uint64)
 
 
-def batch_uniform(states: np.ndarray) -> np.ndarray:
+def batch_uniform(states: np.ndarray, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """One uniform draw from every stream; advances `states` in place.
 
-    Works on any shape: each entry is one stream's state.
+    Works on any shape: each entry is one stream's state. The draws are
+    mixed in `out` (float64) and `work` (uint64), both of states' shape,
+    and returned in `out`. A caller that passes both gets no new arrays,
+    and whatever the two held is overwritten.
     """
+    if out is None:
+        out = np.empty(states.shape)
+    if work is None:
+        work = np.empty(states.shape, dtype=np.uint64)
+    shifted = out.view(np.uint64)  # out's memory holds the shifts until the end
     states += _U_GOLDEN
-    z = states >> _U30
-    z ^= states
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
-    z >>= _U11
-    return z * _TWO53_INV
+    np.right_shift(states, _U30, out=work)
+    work ^= states
+    work *= _U_MIX1
+    np.right_shift(work, _U27, out=shifted)
+    work ^= shifted
+    work *= _U_MIX2
+    np.right_shift(work, _U31, out=shifted)
+    work ^= shifted
+    work >>= _U11
+    return np.multiply(work, _TWO53_INV, out=out)

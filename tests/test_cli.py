@@ -250,6 +250,39 @@ def test_bad_qsd_seed(capsys, monkeypatch):
     assert "QSD_SEED" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("experiment", "--states", "zero", "--trials", "10"),
+    ("sweep", "--mu", "1", "--trials", "10"),
+    ("trial", "--state", "zero", "--r", "2"),
+    ("oracle-check", "--cases", "1"),
+])
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1", "-18446744073709551615"])
+def test_out_of_range_seed_flag_is_refused(capsys, command, seed):
+    # 2^64 would replay seed 0 and -1 would replay 2^64 - 1
+    code, out, err = run_cli(capsys, *command, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --seed must be in 0..2^64-1, got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-5"])
+def test_out_of_range_qsd_seed_is_refused(capsys, monkeypatch, seed):
+    monkeypatch.setenv("QSD_SEED", seed)
+    code, out, err = run_cli(capsys, "experiment", "--states", "zero", "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: QSD_SEED must be in 0..2^64-1, got {seed}\n"
+
+
+def test_largest_seed_is_accepted(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "experiment", "--states", "zero", "--trials", "10",
+                           "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)[0]["seed"] == 2**64 - 1
+    monkeypatch.setenv("QSD_SEED", str(2**64 - 1))
+    assert run_cli(capsys, "experiment", "--states", "zero", "--trials", "10")[1] == out
+
+
 def test_entropy_seed_is_replayable(capsys):
     code, out, err = run_cli(capsys, "trial", "--state", "one", "--r", "5")
     assert code == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def test_config_validation():
         ExperimentConfig(mu=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(r=1, rule=DecisionRule(k=2))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_out_of_range_master_seed_rejected(seed):
+    # masked to 64 bits, these would replay seeds 2^64 - 1, 0 and 5
+    with pytest.raises(ValueError, match=rf"master_seed must be in 0..2\^64-1, got {seed}$"):
+        ExperimentConfig(master_seed=seed)
+    assert ExperimentConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_determinism():
@@ -481,6 +490,108 @@ def test_fanned_out_pass_equals_serial_and_reference(monkeypatch):
     for threads in (1, 2, 3):
         assert run_experiment(config, threads=threads) == expected
     assert pools == [2, 2]
+
+
+# Unequal chunks, the last one shorter; in each half a chunk other than
+# the first is the widest or draws the largest block. With blocks of 7
+# draws the chunks draw 1, 2, 1 and 3 steps per block at r = 11: blocks
+# end mid-walk and, at 2 steps, exactly at step k = 4.
+UNEQUAL_CHUNKS = {
+    None: [(0, 300), (300, 400), (700, 400), (1100, 37)],
+    7: [(0, 5), (5, 3), (8, 5), (13, 2)],
+}
+
+
+@pytest.mark.parametrize("draw_block", sorted(UNEQUAL_CHUNKS, key=str))
+@pytest.mark.parametrize("cap", [None, 0])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reused_buffers_over_unequal_chunks_equal_reference_kernel(
+        draw_block, cap, threads, monkeypatch):
+    # one worker runs every chunk (threads=1) or two chunks each
+    # (threads=2), in buffers sized for its widest chunk
+    chunks = UNEQUAL_CHUNKS[draw_block]
+    monkeypatch.setattr(experiment, "_chunk_plan", lambda trials, jobs, threads: (threads, chunks))
+    if draw_block is not None:
+        monkeypatch.setattr(experiment, "_DRAW_BLOCK", draw_block)
+    if cap is not None:
+        monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
+    for mode in MODES:
+        config = ExperimentConfig(trials=sum(size for _, size in chunks), r=11, mu=2,
+                                  master_seed=8, rule=DecisionRule(k=4, i1=0.2, i2=0.8,
+                                                                   mode=mode))
+        assert _lanes(config, real_jobs(config)).clamp == (cap == 0)
+        assert_matches_reference(config, threads)
+
+
+def traced_peak(config: ExperimentConfig) -> int:
+    """Peak bytes numpy and Python allocate during one _job_counts call,
+    less the pass's p0 rows; the walk tables are memoized beforehand."""
+    jobs = real_jobs(config)
+    _job_counts(config, jobs, 1)
+    tracemalloc.start()
+    try:
+        _job_counts(config, jobs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - _lanes(config, jobs).p0.nbytes  # the padded rows grow with r
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_pass_memory_is_fixed_buffers(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
+    config = ExperimentConfig(trials=20_000, r=50, master_seed=4)
+    workers, chunks = _chunk_plan(config.trials, 4, 1)
+    size = chunks[0][1]
+    depth = experiment._DRAW_BLOCK // size
+    assert (workers, len(chunks), size, depth) == (1, 4, 5000, 13)
+    # per lane: g (8 bytes), shift (4), the outcome and H flags (1 each)
+    # and, when the lookup clamps, its slot and the row's bounds (8 each);
+    # per draw of a block: the states, the uniforms and the mixer's work
+    # (8 each); per trial of a chunk: substream_states' temporaries; and
+    # numpy's fixed-size cast buffers
+    per_lane = 14 + (24 if cap == 0 else 0)
+    bound = per_lane * 4 * size + 24 * depth * size + 48 * size + (1 << 16)
+    peaks = [traced_peak(dataclasses.replace(config, r=r)) for r in (50, 400)]
+    assert max(peaks) <= bound
+    assert peaks[1] <= peaks[0] + 4096
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_steps_allocate_nothing(cap, monkeypatch):
+    # between two draws of a chunk the lanes take their steps; traced
+    # memory must come back to where it was, and its peak may rise by
+    # numpy's cast buffer (64 KiB) but not by one lane array
+    if cap is not None:
+        monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
+    config = ExperimentConfig(trials=40_000, r=60, master_seed=4)
+    size = _chunk_plan(config.trials, 4, 1)[1][0][1]
+    lanes, depth = 4 * size, experiment._DRAW_BLOCK // size
+    marks = []
+
+    def chunk_start(*args):
+        marks.append(None)
+        return substream_states(*args)
+
+    def draw(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return batch_uniform(*args)
+
+    _job_counts(config, real_jobs(config), 1)
+    monkeypatch.setattr(experiment, "substream_states", chunk_start)
+    monkeypatch.setattr(experiment, "batch_uniform", draw)
+    tracemalloc.start()
+    try:
+        _job_counts(config, real_jobs(config), 1)
+    finally:
+        tracemalloc.stop()
+    blocks = [(a, b) for a, b in zip(marks, marks[1:]) if a and b]
+    assert len(blocks) == 4 * (-(-config.r // depth) - 1)  # chunks * (blocks - 1)
+    for (current, _), (after, peak) in blocks:
+        assert abs(after - current) <= 1024  # a few array views, not arrays
+        assert peak - current <= (1 << 16) + 4096 < 8 * lanes
 
 
 @st.composite

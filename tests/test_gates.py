@@ -69,6 +69,14 @@ def test_v_root_rejects_zero_order():
         v_power(0, 1)
 
 
+def test_v_root_is_built_once_and_read_only():
+    v = v_root(5)
+    assert v_root(5) is v
+    assert np.array_equal(v, v_power(5, 1))
+    with pytest.raises(ValueError):
+        v[0, 0] = 0
+
+
 @pytest.mark.parametrize("t", range(1, 102))
 def test_v_root_identities(t):
     v = v_root(t)

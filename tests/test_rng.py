@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,41 @@ def test_substream_states_offset():
 
 
 def test_batch_uniform_advances_state_in_place():
+    # one draw moves every state on by the golden-ratio increment
     states = substream_states(0, 0, 4)
     before = states.copy()
     batch_uniform(states)
-    assert not np.array_equal(states, before)
+    assert np.array_equal(states, before + step_offsets(2)[1])
+    batch_uniform(states, np.empty(4), np.empty(4, dtype=np.uint64))
+    assert np.array_equal(states, before + step_offsets(3)[2])
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (4, 7)])
+def test_mixing_into_caller_buffers_is_bit_identical(shape):
+    states = substream_states(987654321, 3, int(np.prod(shape))).reshape(shape)
+    alone = states.copy()
+    # whatever the buffers held is overwritten
+    out = np.full(shape, np.nan)
+    work = np.full(shape, 2**64 - 1, dtype=np.uint64)
+    for _ in range(5):
+        expected = batch_uniform(alone)
+        drawn = batch_uniform(states, out, work)
+        assert drawn is out
+        assert np.array_equal(drawn, expected)
+        assert np.array_equal(states, alone)
+
+
+def test_mixing_into_caller_buffers_allocates_no_arrays():
+    # 1e5 draws are 800 kB an array; numpy's cast buffer is 64 kB at most
+    states = substream_states(1, 0, 100_000).reshape(4, -1)
+    out, work = np.empty(states.shape), np.empty(states.shape, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        batch_uniform(states, out, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 16) + 4096
 
 
 @pytest.mark.parametrize("depth", [1, 2, 7, 33])
