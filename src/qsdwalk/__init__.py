@@ -23,7 +23,7 @@ from .experiment import (
 )
 from .gates import PhaseRoot, rx, sigma_x, v_power, v_root
 from .oracle import phase_table, walk_agreement
-from .walk import WalkParams, walk_ensemble
+from .walk import WalkParams
 
 __all__ = [
     "DecisionRule",
@@ -41,7 +41,6 @@ __all__ = [
     "v_power",
     "v_root",
     "walk_agreement",
-    "walk_ensemble",
 ]
 
 __version__ = "0.1.0"

