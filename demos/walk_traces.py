@@ -24,7 +24,7 @@ config = ExperimentConfig(states=(StateLabel.PLUS,), trials=3, r=R,
 for n, outcome in enumerate(collect_traces(config, 3)):
     # print every tenth row; the trace carries all of them
     print(f"  trial {n}: decided {outcome.decided_state} "
-          f"(j0={outcome.counters.j0}, j1={outcome.counters.j1})")
+          f"(j0={outcome.j0}, j1={outcome.j1})")
     for row in outcome.trace[9::10]:
         iteration, out, alpha, beta, approx = row
         print(f"    step {iteration:3d}  outcome {out}  "

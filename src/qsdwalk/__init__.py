@@ -4,8 +4,10 @@ A chain of partial negations (t-th roots of sigma_x) couples the
 unknown qubit to an auxiliary qubit weakly enough that measuring the
 auxiliary only nudges the state. Repeating measure-and-reset drives a
 random walk on the amplitudes whose outcome statistics, plus one
-optional mid-run basis rotation, identify which of the four states was
-prepared far above the 50% single-measurement ceiling.
+optional mid-run basis rotation, name one of the four states. The
+reported success counts a match of the basis bit (zero/plus against
+one/minus), not of the state: no measurement identifies one of four
+equiprobable BB84 states with probability above 1/2.
 
 Layers: gates (2x2 operator algebra), walk (analytic per-step update),
 oracle (dense register simulation used as referee), discriminate (the

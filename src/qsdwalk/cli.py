@@ -111,18 +111,14 @@ def cmd_trial(args) -> int:
 
     lines = ["trial_id,iteration,outcome,alpha,beta,alpha_approx,j0,j1,h_applied"]
     j0 = 0
-    j1 = 0
     for iteration, out, alpha, beta, approx in outcome.trace:
-        if out == 0:
-            j0 += 1
-        else:
-            j1 += 1
+        j0 += out == 0
         h_flag = outcome.h_applied and iteration >= rule.k
         lines.append(f"0,{iteration},{out},{_g(alpha)},{_g(beta)},{_g(approx)},"
-                     f"{j0},{j1},{'true' if h_flag else 'false'}")
+                     f"{j0},{iteration - j0},{'true' if h_flag else 'false'}")
     _emit("\n".join(lines) + "\n", args.out)
-    print(f"classified: {outcome.decided_state} (basis={outcome.decided_basis}, "
-          f"j0={outcome.counters.j0}, j1={outcome.counters.j1}, "
+    print(f"classified: {outcome.decided_state} (basis={outcome.decided_state.basis}, "
+          f"j0={outcome.j0}, j1={outcome.j1}, "
           f"tie={'true' if outcome.tie else 'false'})", file=sys.stderr)
     return 0
 

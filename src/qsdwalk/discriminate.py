@@ -25,7 +25,8 @@ MODES = ("interval", "never-apply-h", "always-apply-h")
 
 class StateLabel(enum.IntEnum):
     """The four promised states. Bit 0 of the code is the basis bit:
-    zero/plus decide bit 0, one/minus decide bit 1."""
+    zero/plus decide bit 0, one/minus decide bit 1. Bit 1 names the
+    basis: 0 computational, 1 Hadamard."""
 
     ZERO = 0
     ONE = 1
@@ -100,16 +101,14 @@ class DecisionRule:
 
 
 @dataclass(frozen=True)
-class WalkCounters:
-    """Outcome tallies; j0 + j1 equals the iterations completed."""
-
-    j0: int
-    j1: int
-
-
-@dataclass(frozen=True)
 class TrialOutcome:
     """Everything one trial produced.
+
+    j0 and j1 count outcomes 0 and 1 over all r iterations. decided_state
+    is StateLabel(2 * h_applied + (j1 > j0)): the basis H chose and the
+    majority side, a tie (flagged) falling on zero/plus. The experiment's
+    success compares only its bit with the prepared state's, so a
+    prepared zero decided as plus counts as a success.
 
     trace holds one row per iteration, in order:
     (iteration, outcome, alpha, beta, alpha_approx), where alpha/beta
@@ -119,19 +118,11 @@ class TrialOutcome:
     """
 
     h_applied: bool
-    decided_basis: str
     decided_state: StateLabel
     tie: bool
-    counters: WalkCounters
+    j0: int
+    j1: int
     trace: tuple[tuple[int, int, float, float, float], ...]
-
-
-def alpha_approx(counters: WalkCounters) -> float:
-    """j0/(j0+j1), the empirical squared-|0> amplitude."""
-    total = counters.j0 + counters.j1
-    if total == 0:
-        raise ValueError("alpha_approx is undefined before any measurement")
-    return counters.j0 / total
 
 
 def apply_hadamard_update(state: QubitState) -> QubitState:
@@ -165,22 +156,6 @@ def table_after_h(table: WalkTable, n: int, k: int, phase: bool = False) -> Walk
     return walk_table(start, table.params)
 
 
-def classify(counters: WalkCounters, h_applied: bool) -> tuple[StateLabel, bool]:
-    """Majority vote in the decided basis.
-
-    j1 > j0 names one/minus, otherwise zero/plus; ties (j0 = j1) fall
-    deterministically on the zero/plus side and are flagged.
-    """
-    if counters.j0 + counters.j1 == 0:
-        raise ValueError("cannot classify with no measurements")
-    tie = counters.j0 == counters.j1
-    if h_applied:
-        label = StateLabel.MINUS if counters.j1 > counters.j0 else StateLabel.PLUS
-    else:
-        label = StateLabel.ONE if counters.j1 > counters.j0 else StateLabel.ZERO
-    return label, tie
-
-
 def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
               r: int, rng) -> TrialOutcome:
     """Run one full discrimination trial of r iterations.
@@ -198,7 +173,6 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     table = walk_table(initial.to_state(), params)
     n = 0
     j0 = 0
-    j1 = 0
     h_applied = False
     trace = []
     for j in range(1, r + 1):
@@ -207,21 +181,19 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             j0 += 1
             n += 1
         else:
-            j1 += 1
             n -= 1
         if j == rule.k and rule.fires(j0):
             table = table_after_h(table, n, rule.k)
             n = 0
             h_applied = True
-        alpha, beta = table.amplitudes(n)
-        trace.append((j, outcome, alpha, beta, j0 / (j0 + j1)))
-    counters = WalkCounters(j0, j1)
-    decided, tie = classify(counters, h_applied)
+        state = table.state(n)
+        trace.append((j, outcome, state.alpha, state.beta, j0 / j))
+    j1 = r - j0
     return TrialOutcome(
         h_applied=h_applied,
-        decided_basis="hadamard" if h_applied else "computational",
-        decided_state=decided,
-        tie=tie,
-        counters=counters,
+        decided_state=StateLabel(2 * h_applied + (j1 > j0)),
+        tie=j0 == j1,
+        j0=j0,
+        j1=j1,
         trace=tuple(trace),
     )

@@ -31,9 +31,10 @@ times the four states, phase_report every state twice. Since every job
 reads trial i's draws from the same substream, a step draws once per
 trial and broadcasts the draw across the jobs. The trials are cut into
 contiguous chunks by _chunk_plan, a pure function of (trials, jobs,
-threads): at most max(trials, jobs) lanes are live at once, and the
-chunks fan out to threads only when each holds at least _FANOUT_LANES
-lanes. Smaller runs stay in the calling thread, so `threads` is a cap.
+threads): at most max(trials, jobs) lanes are live at once, a chunk
+holds at most _CHUNK_LANES lanes (or one trial), and the chunks fan out
+to threads only when each holds at least _FANOUT_LANES lanes. Smaller
+runs stay in the calling thread, so `threads` is a cap.
 
 Each worker runs one loop over a contiguous run of chunks (the serial
 path is the same loop, as the only worker). It allocates its lane and
@@ -63,8 +64,14 @@ _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINU
 # for threads to overlap: they contend for the interpreter lock, and two
 # threads run slower than one.
 _FANOUT_LANES = 1 << 15
+# Most lanes one chunk holds (unless one trial's jobs pass it), so the
+# buffers a worker sizes for its widest chunk do not grow with trials.
+_CHUNK_LANES = 1 << 17
 # Most p0 entries the padded rows of one pass may hold; past it the rows
-# are cut where p0 settles and the lookup clamps.
+# are cut where p0 settles and the lookup clamps. Both branches stay: at
+# a cap of 0 the clamped lookup ran the 4 x 100k-trial table 1.43x and a
+# 10k-trial mu 1..10 sweep 1.41x slower than padded rows (medians of five
+# rounds of 7 passes, 2 threads, 2 cores; rounds ranged 1.1-2.2x).
 _ENTRY_CAP = 1 << 20
 # Most uniforms one batch_uniform call draws for a chunk, as a block of
 # steps: a 12 500-trial chunk draws 5 steps a call. Fewer, longer calls
@@ -92,8 +99,7 @@ class ExperimentConfig:
             raise ValueError("states must not be empty")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
+        WalkParams(self.mu)  # refuses a negative mu
         check_seed(self.master_seed, "master_seed")
         if self.r < self.rule.k:
             raise ValueError(
@@ -367,14 +373,16 @@ def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[i
     """(workers, chunks): contiguous (start, size) chunks of the trials.
 
     At most max(trials, jobs) lanes are live at once, as many as one job
-    alone needs. The chunks fan out to `workers` threads only when every
-    chunk holds at least _FANOUT_LANES lanes; otherwise workers is 1 and
-    they run one after another in the caller.
+    alone needs, and a chunk holds at most _CHUNK_LANES of them (or one
+    trial, where the jobs alone pass the cap). The chunks fan out to
+    `workers` threads only when every chunk holds at least _FANOUT_LANES
+    lanes; otherwise workers is 1 and they run one after another in the
+    caller.
     """
     live = max(trials, jobs)
     workers = max(1, min(threads, live // _FANOUT_LANES))
     while True:
-        per = max(1, live // (workers * jobs))  # most trials in one chunk
+        per = max(1, min(live // workers, _CHUNK_LANES) // jobs)  # most trials in one chunk
         count = -(-trials // per)
         bounds = [trials * c // count for c in range(count + 1)]
         if workers == 1 or (workers * per * jobs <= live

@@ -8,6 +8,11 @@ model. step_arrays mirrors walk.ax_probabilities and
 walk.collapse_update term for term, which keeps every comparison bit
 for bit. Imported by test_walk, test_experiment and acceptance
 criterion 4.
+
+The exact rates below come from branch enumeration at the decision
+point followed by a binomial-mixture recursion over the remaining
+iterations, independent of the engine under test; test_experiment and
+the acceptance criteria hold the Monte Carlo rates to them.
 """
 
 from __future__ import annotations
@@ -19,6 +24,25 @@ from qsdwalk.experiment import ExperimentConfig
 from qsdwalk.gates import SQRT2, PhaseRoot
 from qsdwalk.rng import batch_uniform, substream_states
 from qsdwalk.walk import QubitState, WalkParams, ax_probabilities, collapse_update
+
+# success rates and H-rate under the default rule: mu=2, r=100, k=2,
+# interval (0,1)
+EXACT_TOTAL = {
+    StateLabel.ZERO: 0.7737454492538175,
+    StateLabel.ONE: 0.773218841926252,
+    StateLabel.PLUS: 0.7259927928490499,
+    StateLabel.MINUS: 0.7254661855214846,
+}
+EXACT_P_H = 0.45225424859373686
+# always-apply-h at mu=1 (r=100, k=2). At mu=1, c0^2 = 3/4, c1^2 = 1/4,
+# c1 = s0 and s1 = c0. For |+> the first two outcomes disagree with
+# probability 3/8, which leaves exactly |+>; H maps it to |0> and the
+# vote is right almost surely. Otherwise (5/8) the amplitudes are
+# (3,1)/sqrt10 or (1,3)/sqrt10, after H alpha^2 = 4/5, and since
+# alpha^2 is a martingale the walk ends at the right pole with
+# probability 4/5. Total 3/8 + 5/8 * 4/5 = 7/8, less r-step leakage.
+EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
+                    StateLabel.MINUS: 0.8749998984922417}
 
 
 def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitState]:

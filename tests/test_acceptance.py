@@ -22,34 +22,17 @@ import pytest
 import qsdwalk as q
 from qsdwalk.discriminate import StateLabel
 
-from reference import walk_ensemble
+from reference import EXACT_ALWAYS_MU1, EXACT_P_H, EXACT_TOTAL, walk_ensemble
 
 SEED = 42
 ALL = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
-EXACT_TOTAL = {
-    StateLabel.ZERO: 0.7737454492538175,
-    StateLabel.ONE: 0.773218841926252,
-    StateLabel.PLUS: 0.7259927928490499,
-    StateLabel.MINUS: 0.7254661855214846,
-}
 STATED_TOTAL = {
     StateLabel.ZERO: 0.774,
     StateLabel.ONE: 0.774,
     StateLabel.PLUS: 0.726,
     StateLabel.MINUS: 0.726,
 }
-EXACT_P_H = 0.45225424859373686
-# always-apply-h at mu=1 (r=100, k=2), from the same enumeration; the
-# values equal EXACT_ALWAYS_MU1 in test_experiment. At mu=1, c0^2 = 3/4,
-# c1^2 = 1/4, c1 = s0 and s1 = c0. For |+> the first two outcomes
-# disagree with probability 3/8, which leaves exactly |+>; H maps it to
-# |0> and the vote is right almost surely. Otherwise (5/8) the
-# amplitudes are (3,1)/sqrt10 or (1,3)/sqrt10, after H alpha^2 = 4/5,
-# and since alpha^2 is a martingale the walk ends at the right pole with
-# probability 4/5. Total 3/8 + 5/8 * 4/5 = 7/8, less r-step leakage.
-EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
-                    StateLabel.MINUS: 0.8749998984922417}
 
 
 def _check(name: str, ok: bool, detail: str) -> None:

@@ -1,14 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from qsdwalk.discriminate import (
     DecisionRule,
     StateLabel,
-    WalkCounters,
-    alpha_approx,
     apply_hadamard_update,
-    classify,
     run_trial,
 )
 from qsdwalk.rng import substream
@@ -45,14 +43,6 @@ def test_state_label_parse_and_str():
         StateLabel.parse("up")
 
 
-def test_alpha_approx_examples():
-    assert alpha_approx(WalkCounters(2, 0)) == 1.0
-    assert alpha_approx(WalkCounters(1, 1)) == 0.5
-    assert alpha_approx(WalkCounters(55, 45)) == 0.55
-    with pytest.raises(ValueError):
-        alpha_approx(WalkCounters(0, 0))
-
-
 def test_hadamard_update_examples():
     out = apply_hadamard_update(QubitState(INV_SQRT2, INV_SQRT2))
     assert abs(out.alpha - 1.0) < 1e-12 and abs(out.beta) < 1e-12
@@ -71,12 +61,15 @@ def test_hadamard_update_examples():
     (50, 50, True, StateLabel.PLUS, True),
 ])
 def test_classify_table(j0, j1, h, expected, tie):
-    assert classify(WalkCounters(j0, j1), h) == (expected, tie)
-
-
-def test_classify_rejects_empty_counters():
-    with pytest.raises(ValueError):
-        classify(WalkCounters(0, 0), False)
+    # at mu=2 p0 lies in [cos^2(54deg), cos^2(36deg)], so a draw of 0
+    # gives outcome 0 and a draw of 0.99 outcome 1, from any state
+    draws = iter([0.0] * j0 + [0.99] * j1)
+    rng = SimpleNamespace(uniform=lambda: next(draws))
+    rule = DecisionRule(k=1, mode="always-apply-h" if h else "never-apply-h")
+    out = run_trial(StateLabel.PLUS, WalkParams(2), rule, j0 + j1, rng)
+    assert (out.j0, out.j1, out.h_applied) == (j0, j1, h)
+    assert out.decided_state is expected
+    assert out.tie == tie
 
 
 def test_decision_rule_validation():
@@ -108,7 +101,7 @@ def test_run_trial_validates_iterations():
 def test_run_trial_counter_conservation(state, seed):
     r = 57
     out = run_trial(state, WalkParams(2), DecisionRule(), r, substream(seed, 0))
-    assert out.counters.j0 + out.counters.j1 == r
+    assert out.j0 + out.j1 == r
     assert len(out.trace) == r
     assert [row[0] for row in out.trace] == list(range(1, r + 1))
     # trace alpha_approx is the running ratio
@@ -116,7 +109,7 @@ def test_run_trial_counter_conservation(state, seed):
     for i, row in enumerate(out.trace, start=1):
         j0 += row[1] == 0
         assert row[4] == j0 / i
-    assert out.trace[-1][4] == out.counters.j0 / r
+    assert out.trace[-1][4] == out.j0 / r
 
 
 def test_run_trial_deterministic():
@@ -136,9 +129,10 @@ def test_h_fires_iff_first_two_outcomes_differ(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_decided_basis_matches_h(state, seed):
     out = run_trial(state, WalkParams(2), DecisionRule(), 31, substream(5150, seed))
-    assert out.h_applied == (out.decided_basis == "hadamard")
+    assert out.decided_state.basis == ("hadamard" if out.h_applied else "computational")
     assert out.h_applied == out.decided_state.is_hadamard
-    assert out.tie == (out.counters.j0 == out.counters.j1)
+    assert out.decided_state.bit == (out.j1 > out.j0)
+    assert out.tie == (out.j0 == out.j1)
 
 
 @pytest.mark.parametrize("state", [StateLabel.ZERO, StateLabel.ONE])
@@ -160,7 +154,7 @@ def test_never_mode_skips_rotation():
         out = run_trial(StateLabel.ZERO, WalkParams(1),
                         DecisionRule(mode="never-apply-h"), 100, substream(606, i))
         assert not out.h_applied
-        assert out.decided_basis == "computational"
+        assert out.decided_state.basis == "computational"
         count_zero += out.decided_state is StateLabel.ZERO
     assert count_zero >= 999
 

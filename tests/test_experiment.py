@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import qsdwalk.experiment as experiment
 from qsdwalk.discriminate import MODES, DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
+    _CHUNK_LANES,
     _ENTRY_CAP,
     _FANOUT_LANES,
     ExperimentConfig,
@@ -27,23 +28,15 @@ from qsdwalk.experiment import (
 from qsdwalk.rng import batch_uniform, substream, substream_states
 from qsdwalk.walk import WalkParams
 
-from reference import reference_counts, reference_phase_success
+from reference import (
+    EXACT_ALWAYS_MU1,
+    EXACT_P_H,
+    EXACT_TOTAL,
+    reference_counts,
+    reference_phase_success,
+)
 
 ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
-
-# exact values from branch enumeration at the decision point followed by
-# a binomial-mixture recursion over the remaining iterations
-# (default rule: mu=2, r=100, k=2, interval (0,1))
-EXACT_TOTAL = {
-    StateLabel.ZERO: 0.7737454492538175,
-    StateLabel.ONE: 0.773218841926252,
-    StateLabel.PLUS: 0.7259927928490499,
-    StateLabel.MINUS: 0.7254661855214846,
-}
-EXACT_P_H = 0.45225424859373686
-# always-apply-h at mu=1 settles at 0.875 exactly up to r-step leakage
-EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
-                    StateLabel.MINUS: 0.8749998984922417}
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -431,6 +424,7 @@ def test_threads_below_one_rejected(threads):
     (1, 40, 8, 1),
     (3, 8, 8, 1),
     (2, 70_000, 4, 1),  # more jobs than trials: one trial per chunk, one at a time
+    (16_000_000, 4, 2, 2),  # chunks stop at _CHUNK_LANES, however many trials
 ])
 def test_chunk_plan(trials, jobs, threads, workers):
     got, chunks = _chunk_plan(trials, jobs, threads)
@@ -441,6 +435,8 @@ def test_chunk_plan(trials, jobs, threads, workers):
     assert starts == [sum(sizes[:c]) for c in range(len(chunks))]
     assert sum(sizes) == trials
     assert min(workers, len(chunks)) * max(sizes) * jobs <= max(trials, jobs)
+    if jobs <= _CHUNK_LANES:
+        assert max(sizes) * jobs <= _CHUNK_LANES
     if workers > 1:
         assert len(chunks) >= workers
         assert min(sizes) * jobs >= _FANOUT_LANES

@@ -88,13 +88,6 @@ def test_probabilities_balanced_state(mu):
     assert abs(p1 - 0.5) < TOL
 
 
-def test_probabilities_reject_drifted_state():
-    state = QubitState(1.0, 0.0)
-    object.__setattr__(state, "alpha", 1.1)
-    with pytest.raises(ValueError):
-        ax_probabilities(state, WalkParams(2))
-
-
 def test_collapse_example_plus_mu2():
     out = collapse_update(PLUS, 0, WalkParams(2))
     # cos36 / sin36 after renormalization
