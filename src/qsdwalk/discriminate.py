@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .gates import SQRT2, PhaseRoot
-from .walk import QubitState, WalkParams, WalkTable, walk_table
+from .walk import QubitState, WalkParams, WalkRow, walk_lists
 
 MODES = ("interval", "never-apply-h", "always-apply-h")
 
@@ -146,14 +146,14 @@ def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState
     return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
 
 
-def table_after_h(table: WalkTable, n: int, k: int, phase: bool = False) -> WalkTable:
-    """The table the walk restarts from when H fires at iteration k and
-    net count n of `table`: the real walk, or with phase=True the
-    phase-tracking variant (see _phase_h_start)."""
-    before = table.state(n)
-    start = (_phase_h_start(before, table.params, k) if phase
+def table_after_h(before: QubitState, params: WalkParams, k: int,
+                  phase: bool = False) -> WalkRow:
+    """The row the walk restarts from when H fires at iteration k in state
+    `before`: the real walk, or with phase=True the phase-tracking variant
+    (see _phase_h_start)."""
+    start = (_phase_h_start(before, params, k) if phase
              else apply_hadamard_update(before))
-    return walk_table(start, table.params)
+    return WalkRow.start(start, params)
 
 
 def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
@@ -162,32 +162,34 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
 
     Consumes exactly r uniform draws from rng. The checkpoint test
     (rule.fires) runs at iteration k after that iteration's counter
-    update. p0 and the traced amplitudes come from walk.walk_table,
-    indexed by the net count since the start or since H
-    (table_after_h), as in the batch engine.
+    update. p0 and the traced amplitudes come from the batch engine's
+    closed-form rows (walk.WalkRow), by the net count since the start or
+    since H (table_after_h), evaluated out to k, then to r (r - k after H).
     """
     if r < 1:
         raise ValueError(f"iteration count r must be >= 1, got {r}")
     if rule.k > r:
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
-    table = walk_table(initial.to_state(), params)
+    row = WalkRow.start(initial.to_state(), params)
+    p0, alpha, beta = walk_lists(row, rule.k)
     n = 0
     j0 = 0
     h_applied = False
     trace = []
     for j in range(1, r + 1):
-        outcome = 0 if rng.uniform() < table.p0_at(n) else 1
+        outcome = 0 if rng.uniform() < p0[n] else 1
         if outcome == 0:
             j0 += 1
             n += 1
         else:
             n -= 1
-        if j == rule.k and rule.fires(j0):
-            table = table_after_h(table, n, rule.k)
-            n = 0
-            h_applied = True
-        state = table.state(n)
-        trace.append((j, outcome, state.alpha, state.beta, j0 / j))
+        if j == rule.k:
+            if rule.fires(j0):
+                row = table_after_h(QubitState(alpha[n], beta[n]), params, rule.k)
+                n = 0
+                h_applied = True
+            p0, alpha, beta = walk_lists(row, r - rule.k if h_applied else r)
+        trace.append((j, outcome, alpha[n], beta[n], j0 / j))
     j1 = r - j0
     return TrialOutcome(
         h_applied=h_applied,

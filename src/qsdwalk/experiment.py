@@ -8,21 +8,21 @@ comparisons).
 
 The batch engine below is the throughput path. A trial's walk depends
 only on its net count n = j0 - j1 and on its branch (no H, or H fired
-at a given j0), so the p0 tables of walk.walk_table decide every step.
-Each trial holds one index, g: its row's home plus the count of outcome
-0 since it entered the row. Since n = 2*j0 - s after s steps, each row
-is split into the entries read after an even and after an odd number
-of steps, and the step-s lookup goes through one view shared by every
-trial. A step is a lookup, a compare and an add. Rows are padded with
-their edge values out to the reach r (less k after H) so no index needs
-a clamp; where that padding would pass _ENTRY_CAP entries, the rows are
-cut where p0 settles and the lookup clamps, in the same loop (_Lanes).
+at a given j0), so the closed-form p0 of walk.WalkRow decides every
+step. Each trial holds one index, g: its row's home plus the count of
+outcome 0 since it entered the row. Since n = 2*j0 - s after s steps,
+each row is split into the entries read after an even and after an odd
+number of steps, and the step-s lookup goes through one view shared by
+every trial. A step is a lookup, a compare and an add. Rows hold p0
+out to the reach r (less k after H) so no index needs a clamp; where
+that would pass _ENTRY_CAP entries, the rows end where p0 settles (from
+x0, WalkRow.settled) and the lookup clamps, in the same loop (_Lanes).
 The engine owns no rule of the procedure: whether H fires at step k
 comes from DecisionRule.fires and where the walk restarts after H from
 discriminate.table_after_h, the same calls discriminate.run_trial
-makes, so batch and scalar decisions are bit-identical by construction
-and the scalar path stays the readable reference. The phase-tracking
-variant of phase_report is the same engine with other tables after H.
+makes on the same rows, so batch and scalar decisions are bit-identical
+by construction and the scalar path stays the readable reference. The
+phase-tracking variant of phase_report is the engine with other rows.
 
 Every run is one pass over lanes = (job, trial). A job is one walk that
 every trial runs: a start state, a mu, and the real or phase-tracking
@@ -56,7 +56,7 @@ import numpy as np
 
 from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, table_after_h
 from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
-from .walk import WalkParams, WalkTable, walk_table
+from .walk import QubitState, WalkParams, WalkRow
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -67,10 +67,10 @@ _FANOUT_LANES = 1 << 15
 # Most lanes one chunk holds (unless one trial's jobs pass it), so the
 # buffers a worker sizes for its widest chunk do not grow with trials.
 _CHUNK_LANES = 1 << 17
-# Most p0 entries the padded rows of one pass may hold; past it the rows
-# are cut where p0 settles and the lookup clamps. Both branches stay: at
+# Most p0 entries the full-reach rows of one pass may hold; past it the
+# rows end where p0 settles and the lookup clamps. Both branches stay: at
 # a cap of 0 the clamped lookup ran the 4 x 100k-trial table 1.43x and a
-# 10k-trial mu 1..10 sweep 1.41x slower than padded rows (medians of five
+# 10k-trial mu 1..10 sweep 1.41x slower than full rows (medians of five
 # rounds of 7 passes, 2 threads, 2 cores; rounds ranged 1.1-2.2x).
 _ENTRY_CAP = 1 << 20
 # Most uniforms one batch_uniform call draws for a chunk, as a block of
@@ -79,7 +79,7 @@ _ENTRY_CAP = 1 << 20
 # often. A worker's three draw buffers hold a block each (1.5 MiB), or
 # one step of a chunk wider than the block.
 _DRAW_BLOCK = 1 << 16
-# Slots and counts in the tables of a pass. A lane's home and shift
+# Slots and counts in the rows of a pass. A lane's home and shift
 # grow with r (about r/2) however few the slots, so _lanes refuses a
 # pass whose values would leave this type's range.
 _INDEX = np.int32
@@ -146,25 +146,27 @@ _Job = tuple[StateLabel, int, bool]
 
 
 def _walk_rows(state: StateLabel, config: ExperimentConfig,
-               phase: bool) -> tuple[list[WalkTable], np.ndarray, np.ndarray]:
-    """The walk tables one job reads, and the rule at step k.
+               phase: bool) -> tuple[list[WalkRow], np.ndarray, np.ndarray]:
+    """The walk rows one job reads, and the rule at step k.
 
-    Returns (tables, fires, row_of_j0). tables[0] walks from the start
-    state and the others from the distinct restarts after H. fires[j0]
-    says whether H fires at step k after j0 outcome-0 counts, and
-    row_of_j0[j0] is the table the trial walks in from then on (0 if
-    H does not fire).
+    Returns (rows, fires, row_of_j0). rows[0] walks from the start state
+    and the others from the restarts after H with distinct x0, as p0
+    depends on x0 alone. fires[j0] says whether H fires at step k after
+    j0 outcome-0 counts, and row_of_j0[j0] is the row the trial walks in
+    from then on (0 if H does not fire).
     """
     k = config.rule.k
-    base = walk_table(state.to_state(), WalkParams(config.mu))
+    base = WalkRow.start(state.to_state(), WalkParams(config.mu))
     fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
-    after: dict[WalkTable, int] = {}
+    after: dict[float, tuple[int, WalkRow]] = {}  # x0: (its number, the row)
     row_of_j0 = np.zeros(k + 1, dtype=_INDEX)
-    if config.r > k:  # with no steps left after k, no table after H is read
-        for j0 in np.flatnonzero(fires):
-            table = table_after_h(base, 2 * int(j0) - k, k, phase)
-            row_of_j0[j0] = 1 + after.setdefault(table, len(after))
-    return [base, *after], fires, row_of_j0
+    if config.r > k:  # with no steps left after k, no row after H is read
+        fired = np.flatnonzero(fires)
+        alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
+        for j0, a, b in zip(fired, alpha.tolist(), beta.tolist()):
+            row = table_after_h(QubitState(a, b), base.params, k, phase)
+            row_of_j0[j0] = 1 + after.setdefault(row.x0, (len(after), row))[0]
+    return [base, *(row for _, row in after.values())], fires, row_of_j0
 
 
 def _row_slots(reach: int, entered: int) -> tuple[int, int]:
@@ -190,12 +192,12 @@ class _Lanes:
     Row 0 of a job walks from the start state and keeps net count n at
     nu = n. A row entered by H at step k keeps n at nu = n + k % 2, so
     that what it is read at after s steps also sits in slice s % 2. For
-    odd k it is laid out unlike row 0 even where the tables are equal,
-    so the two are never merged. Rows are padded with their edge values
-    out to the largest |n| they are read at: r - 1 for row 0, r - 1 - k
-    after H. Where that padding would pass _ENTRY_CAP entries in all,
-    the rows end instead where p0 stops changing (clamp is True), and
-    each lookup is clamped into its row's slots row_lo .. row_hi.
+    odd k it is laid out unlike row 0 even where the two rows are equal,
+    so the two are never merged. Rows hold p0 out to the largest |n|
+    they are read at: r - 1 for row 0, r - 1 - k after H. Where that
+    would pass _ENTRY_CAP entries in all, the rows end instead past
+    WalkRow.settled, so their end slots hold the edge p0 (clamp is True),
+    and each lookup is clamped into its row's slots row_lo .. row_hi.
 
     Rows are numbered across the pass. Per-job arrays hold one job per
     line of axis 0, so they broadcast against the (jobs, trials) lane
@@ -219,12 +221,12 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     walks = [_walk_rows(state, dataclasses.replace(config, mu=mu), phase)
              for state, mu, phase in jobs]
     # every row with the steps done when lanes enter it: 0, or k after H
-    rows = [(table, k if i else 0) for tables, _, _ in walks for i, table in enumerate(tables)]
+    rows = [(row, k if i else 0) for job_rows, _, _ in walks for i, row in enumerate(job_rows)]
     reach = [r - 1 - entered for _, entered in rows]
     clamp = 2 * sum(_row_slots(n, entered)[1]
                     for n, (_, entered) in zip(reach, rows)) > _ENTRY_CAP
     if clamp:
-        reach = [min(n, max(table.lo, table.hi) + 1) for n, (table, _) in zip(reach, rows)]
+        reach = [min(n, row.settled + 1) for n, (row, _) in zip(reach, rows)]
     spans = [_row_slots(n, entered) for n, (_, entered) in zip(reach, rows)]
     row_lo = np.cumsum([0] + [count for _, count in spans])
     lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
@@ -234,11 +236,10 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
         raise ValueError(f"r={r} is too large: the walk tables of one pass "
                          f"would leave their {np.dtype(_INDEX).name} indices")
     p0 = np.empty((2, row_lo[-1]))
-    for (table, entered), (first, count), lo in zip(rows, spans, row_lo):
+    for (row, entered), (first, count), lo in zip(rows, spans, row_lo):
         n = np.arange(2 * first, 2 * (first + count)) - entered % 2
-        p0[:, lo:lo + count] = \
-            table.p0[np.clip(n, -table.lo, table.hi) + table.lo].reshape(count, 2).T
-    first_row = np.cumsum([0] + [len(tables) for tables, _, _ in walks[:-1]])
+        p0[:, lo:lo + count] = row.p0(n).reshape(count, 2).T
+    first_row = np.cumsum([0] + [len(job_rows) for job_rows, _, _ in walks[:-1]])
     index = lambda values: np.array(values, dtype=_INDEX)
     return _Lanes(
         p0=p0,
@@ -297,7 +298,7 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     p0_buf = np.empty(max(lane_room, draw_room))
 
     # At step k a lane's g is home + j0, so g + key_shift is its key
-    # job * (k + 1) + j0, which indexes the flat per-(job, j0) tables.
+    # job * (k + 1) + j0, which indexes the flat per-(job, j0) arrays.
     home_g = lanes.row_home[lanes.home].astype(np.intp)
     job_base = np.arange(jobs, dtype=np.intp).reshape(-1, 1) * (k + 1)
     key_shift = job_base - home_g
@@ -394,7 +395,7 @@ def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[i
 def _job_counts(config: ExperimentConfig, jobs: list[_Job],
                 threads: int) -> list[tuple[int, int, int, int]]:
     """Counts of every job, from one pass over (job, trial) lanes. The
-    tables are stacked once here, before any fan-out; each worker then
+    rows are laid out once here, before any fan-out; each worker then
     runs a contiguous run of the chunks."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -13,12 +13,19 @@ Because d0 + d1 = t the two cosine factors are complementary, which
 makes alpha^2 a bounded martingale: the walk drifts towards (1,0) or
 (0,1) at a rate set by mu and never changes E[alpha^2].
 
-The same complementarity makes the walk count-indexed: for mu >= 1,
-after any prefix of outcomes the amplitudes are proportional to
-(alpha * (c0/c1)^n, beta), with n = j0 - j1 the net count, so they
-depend on n alone. walk_table memoizes them, with p0, along n; the
-Monte Carlo engine and the per-trial rule both read it. (At mu = 0 the
-first outcome collapses the state, and the table holds it there.)
+The same complementarity (c1 = s0, s1 = c0) gives the walk a closed
+form. Outcome 0 multiplies alpha/beta by rho = c0/c1 and outcome 1
+divides it by rho, so after any prefix of outcomes with net count
+n = j0 - j1 the amplitudes are proportional to (alpha * rho^n, beta).
+With x0 = ln(alpha^2/beta^2) and the logistic sigma(x) = 1/(1 + e^-x):
+
+    alpha_n^2 = sigma(x0 + 2n ln rho)
+    p0(n) = c1^2 + (c0^2 - c1^2) * sigma(x0 + 2n ln rho)
+
+A WalkRow (x0 and the signs of alpha and beta) evaluates p0 or the state
+over an array of net counts in one numpy expression, just out to the
+counts a caller reaches; the Monte Carlo engine and the per-trial rule
+both read it. At mu = 0 (c1 = 0) the first outcome collapses the state.
 
 The updates here are the real-amplitude walk; the relative phase that a
 full register simulation develops per step is deliberately not tracked
@@ -28,7 +35,6 @@ full register simulation develops per step is deliberately not tracked
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -128,90 +134,78 @@ def collapse_update(state: QubitState, outcome: int, params: WalkParams) -> Qubi
     return QubitState(a / norm, b / norm)
 
 
-def _next_state(state: QubitState, outcome: int, params: WalkParams) -> QubitState | None:
-    """The next state along the chain of `outcome` steps, or None where
-    the chain ends: at a fixed point, or on a branch of vanishing
-    probability (mu = 0 from a basis state)."""
-    try:
-        nxt = collapse_update(state, outcome, params)
-    except ValueError:
-        return None
-    return None if nxt == state else nxt
+# |x| past which p0 is its edge value: there t = e^-|x| < 2^-56, so the
+# major amplitude is exactly 1 and the minor term is below half an ulp
+# of either edge p0 (c0^2 in (1/2, 1), c1^2 in [1/4, 1/2) for mu >= 1)
+_SETTLED_X = 40.0
 
 
-class WalkTable:
-    """The walk from one start state, indexed by the net count n = j0 - j1.
+@dataclass(frozen=True)
+class WalkRow:
+    """The walk from one start state, in closed form over the net count n:
+    x0 = ln(alpha^2 / beta^2) of the start (+-inf for a basis state) and
+    the signs of (alpha, beta). Starts with one x0 share every p0."""
 
-    Entry n is the state after |n| equal outcomes (0 for n > 0, 1 for
-    n < 0), stepped with collapse_update. Any other path to n reaches
-    the same amplitudes up to rounding in the last bits.
+    params: WalkParams
+    x0: float
+    sign_alpha: float
+    sign_beta: float
 
-    p0 holds the outcome-0 probability at n = -lo .. hi. Each chain is
-    cut where p0 stops changing, which depends on mu and not on how long
-    a walk runs; beyond the cut p0 is the edge value. States are stepped
-    and kept only as far as they are asked for.
-    """
+    @classmethod
+    def start(cls, state: QubitState, params: WalkParams) -> "WalkRow":
+        a, b = abs(state.alpha), abs(state.beta)
+        x0 = 2.0 * math.log(a / b) if a and b else math.copysign(math.inf, a - b)
+        return cls(params, x0, math.copysign(1.0, state.alpha), math.copysign(1.0, state.beta))
 
-    def __init__(self, start: QubitState, params: WalkParams):
-        self.params = params
-        # A chain is cut once the amplitude it grows is exactly +-1 and
-        # both outcome probabilities already round to their values with
-        # the other amplitude at zero, its edge values. From there the
-        # grown amplitude stays +-1 (sqrt(x*x) == x in floats), the other
-        # only shrinks, and rounding is monotone, so neither probability
-        # moves again.
-        edges = (ax_probabilities(QubitState(1.0, 0.0), params),
-                 ax_probabilities(QubitState(0.0, 1.0), params))
-        sides = []
-        for outcome in (0, 1):
-            state = start
-            side = []
-            while state is not None:
-                probs = ax_probabilities(state, params)
-                side.append(probs[0])
-                major = state.alpha if outcome == 0 else state.beta
-                if abs(major) == 1.0 and probs == edges[outcome]:
-                    break
-                state = _next_state(state, outcome, params)
-            sides.append(side)
-        pos, neg = sides
-        self.lo = len(neg) - 1
-        self.hi = len(pos) - 1
-        self.p0 = np.array(neg[:0:-1] + pos)
-        self.p0.flags.writeable = False
-        # per chain (indexed by its outcome): the states at |n| = 0, 1, ...
-        self._chains = ([start], [start])
-        self._ended = [False, False]
-        self._lock = threading.Lock()
+    def _x(self, n: np.ndarray) -> np.ndarray:
+        """ln(alpha_n^2 / beta_n^2) at the net counts n."""
+        if self.params.mu:
+            return self.x0 + n * _slope(self.params)
+        # c1 = 0: the first outcome sends x past any finite value, onto
+        # (1,0) or (0,1), unless x0 is the other infinity: a branch of
+        # probability zero keeps the start state
+        return self.x0 + np.sign(n) * np.finfo(float).max
 
-    @cached_property
-    def _p0_list(self) -> list[float]:
-        # Python floats for the per-step scalar lookup, which would
-        # otherwise box a numpy scalar at every step; built on first use,
-        # as the batch engine reads only the array
-        return self.p0.tolist()
+    def amplitudes(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, beta) at the net counts n."""
+        x = self._x(n)
+        # sqrt(sigma) and sqrt(1 - sigma) from t = e^-|x| <= 1, which
+        # neither overflows nor cancels in the tails
+        t = np.exp(-np.abs(x))
+        major = np.sqrt(1.0 / (1.0 + t))
+        minor = np.sqrt(t / (1.0 + t))
+        up = x >= 0
+        return (self.sign_alpha * np.where(up, major, minor),
+                self.sign_beta * np.where(up, minor, major))
 
-    def p0_at(self, n: int) -> float:
-        """Probability of outcome 0 at net count n."""
-        return self._p0_list[min(max(n, -self.lo), self.hi) + self.lo]
+    def p0(self, n: np.ndarray) -> np.ndarray:
+        """Probability of outcome 0 at the net counts n."""
+        c0, c1, _, _ = self.params.factors
+        alpha, beta = self.amplitudes(n)
+        # the product shape of ax_probabilities, so the edges agree bit for bit
+        a0, b0 = alpha * c0, beta * c1
+        return a0 * a0 + b0 * b0
 
-    def state(self, n: int) -> QubitState:
-        """The state at net count n."""
-        outcome = 0 if n >= 0 else 1
-        chain = self._chains[outcome]
-        m = abs(n)
-        if m >= len(chain) and not self._ended[outcome]:
-            with self._lock:
-                while m >= len(chain) and not self._ended[outcome]:
-                    nxt = _next_state(chain[-1], outcome, self.params)
-                    if nxt is None:
-                        self._ended[outcome] = True
-                    else:
-                        chain.append(nxt)
-        return chain[min(m, len(chain) - 1)]
+    @property
+    def settled(self) -> int:
+        """A count m with p0 at its edge value wherever |n| >= m, found
+        from x0: one past the first |n| with |x| >= _SETTLED_X on both sides."""
+        if not self.params.mu or math.isinf(self.x0):
+            return 1
+        # the side walking away from x0's sign is the longer one
+        return 1 + math.ceil((_SETTLED_X + abs(self.x0)) / _slope(self.params))
 
 
-@lru_cache(maxsize=256)
-def walk_table(start: QubitState, params: WalkParams) -> WalkTable:
-    """The memoized WalkTable of (start, params), built on first use."""
-    return WalkTable(start, params)
+def _slope(params: WalkParams) -> float:
+    """2 ln(c0/c1): how far one outcome 0 moves x (mu >= 1)."""
+    return 2.0 * math.log(params.factors[0] / params.factors[1])
+
+
+@lru_cache(maxsize=64)
+def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
+    """p0, alpha and beta of `row` at |n| <= reach, as Python floats for a
+    per-step lookup: list[n] holds count n (negative n from the end)."""
+    n = np.arange(2 * reach + 1)
+    n[reach + 1:] -= 2 * reach + 1
+    alpha, beta = row.amplitudes(n)
+    return row.p0(n).tolist(), alpha.tolist(), beta.tolist()

@@ -1,13 +1,14 @@
-"""Amplitude-level references the count-indexed engine is checked against.
+"""Amplitude-level references the closed-form walk rows are checked against.
 
-The package runs every walk on walk.WalkTable: after any prefix of
-outcomes the amplitudes depend on the net count n = j0 - j1 alone. The
-functions here step the amplitudes themselves instead, one draw per
-trial and step, so the tests can hold the tables to an independent
-model. step_arrays mirrors walk.ax_probabilities and
-walk.collapse_update term for term, which keeps every comparison bit
-for bit. Imported by test_walk, test_experiment and acceptance
-criterion 4.
+The package runs every walk on walk.WalkRow: after any prefix of
+outcomes the amplitudes depend on the net count n = j0 - j1 alone, in
+closed form. The functions here step the amplitudes themselves instead,
+so the tests can hold the rows to an independent model. stepped_chain
+walks one start out along both chains of equal outcomes, one
+collapse_update per count. step_arrays
+mirrors walk.ax_probabilities and walk.collapse_update term for term, one
+draw per trial and step, which keeps every comparison of counts bit for
+bit. Imported by test_walk, test_experiment and acceptance criterion 4.
 
 The exact rates below come from branch enumeration at the decision
 point followed by a binomial-mixture recursion over the remaining
@@ -43,6 +44,25 @@ EXACT_P_H = 0.45225424859373686
 # probability 4/5. Total 3/8 + 5/8 * 4/5 = 7/8, less r-step leakage.
 EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
                     StateLabel.MINUS: 0.8749998984922417}
+
+
+def stepped_chain(start: QubitState, params: WalkParams, reach: int) -> list[QubitState]:
+    """The states at net counts n = -reach .. reach (index reach + n):
+    |n| equal outcomes from start, 0 for n > 0 and 1 for n < 0, each a
+    collapse_update. A step of vanishing probability (mu = 0 from a
+    basis state) keeps the state, as no walk takes that branch."""
+    sides = []
+    for outcome in (0, 1):
+        state, side = start, []
+        for _ in range(reach):
+            try:
+                state = collapse_update(state, outcome, params)
+            except ValueError:
+                pass
+            side.append(state)
+        sides.append(side)
+    pos, neg = sides
+    return neg[::-1] + [start] + pos
 
 
 def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitState]:

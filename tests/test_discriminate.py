@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import qsdwalk.discriminate as discriminate
 from qsdwalk.discriminate import (
     DecisionRule,
     StateLabel,
@@ -110,6 +111,20 @@ def test_run_trial_counter_conservation(state, seed):
         j0 += row[1] == 0
         assert row[4] == j0 / i
     assert out.trace[-1][4] == out.j0 / r
+
+
+@pytest.mark.parametrize("state", [StateLabel.PLUS, StateLabel.ONE])
+def test_short_trial_reads_short_rows_at_any_mu(state, monkeypatch):
+    # a 2-step trial at mu = 100000 evaluates its rows out to |n| <= 2,
+    # not out to where p0 settles (millions of counts at this mu)
+    widths = []
+    walk_lists = discriminate.walk_lists
+    monkeypatch.setattr(discriminate, "walk_lists", lambda row, reach: widths.append(
+        [len(values) for values in walk_lists(row, reach)]) or walk_lists(row, reach))
+    r = 2
+    for seed in range(6):
+        run_trial(state, WalkParams(100_000), DecisionRule(), r, substream(seed, 0))
+    assert widths and max(max(w) for w in widths) <= 2 * r + 1
 
 
 def test_run_trial_deterministic():

@@ -26,7 +26,7 @@ from qsdwalk.experiment import (
     sweep_mu,
 )
 from qsdwalk.rng import batch_uniform, substream, substream_states
-from qsdwalk.walk import WalkParams
+from qsdwalk.walk import QubitState, WalkParams, WalkRow, ax_probabilities
 
 from reference import (
     EXACT_ALWAYS_MU1,
@@ -247,8 +247,8 @@ def test_counts_equal_reference_kernel(mu, mode, seed):
 
 @reference_grid
 def test_capped_counts_equal_reference_kernel(mu, mode, seed, monkeypatch):
-    # with no room for padding, every row is cut where p0 settles and
-    # the lookup clamps
+    # with no room for full-reach rows, every row ends where p0 settles
+    # and the lookup clamps
     monkeypatch.setattr(experiment, "_ENTRY_CAP", 0)
     config = ExperimentConfig(trials=1500, mu=mu, master_seed=seed, rule=DecisionRule(mode=mode))
     assert _lanes(config, real_jobs(config)).clamp
@@ -289,16 +289,45 @@ def test_capped_edge_counts_equal_reference_kernel(edge, mu, monkeypatch):
 
 
 def test_config_past_the_cap_equals_reference_kernel():
-    # always-apply-h from plus restarts from some 300 distinct states,
-    # so padding every row out to its reach would pass the cap
-    config = ExperimentConfig(states=(StateLabel.PLUS,), trials=20, r=3000, mu=6,
+    # always-apply-h from plus at mu=10 restarts from some 240 distinct
+    # x0 (restarts at -n and n share one, as do saturated ones), so
+    # padding every row out to its reach would pass the cap
+    config = ExperimentConfig(states=(StateLabel.PLUS,), trials=20, r=3000, mu=10,
                               master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
-    tables, _, _ = _walk_rows(StateLabel.PLUS, config, phase=False)
-    padded = 2 * (config.r + (len(tables) - 1) * (config.r - config.rule.k))
+    rows, _, _ = _walk_rows(StateLabel.PLUS, config, phase=False)
+    padded = 2 * (config.r + (len(rows) - 1) * (config.r - config.rule.k))
     assert padded > _ENTRY_CAP
     lanes = _lanes(config, real_jobs(config))
     assert lanes.clamp and lanes.p0.size < _ENTRY_CAP
+    # a clamped lookup past a row's end reads its end slot, so both
+    # parities there must hold the row's exact edge p0
+    # parity there must hold the row's exact edge p0: that of (0,1) at
+    # the low end and (1,0) at the high end, or the start's own p0 on a
+    # side a basis start cannot leave
+    params = WalkParams(config.mu)
+    edge_1, edge_0 = (ax_probabilities(QubitState(*edge), params)[0]
+                      for edge in ((0.0, 1.0), (1.0, 0.0)))
+    for row, lo, hi in zip(rows, lanes.row_lo, lanes.row_hi):
+        assert lanes.p0[:, lo].tolist() == [edge_1 if row.x0 < math.inf else edge_0] * 2
+        assert lanes.p0[:, hi].tolist() == [edge_0 if row.x0 > -math.inf else edge_1] * 2
     assert_matches_reference(config)
+
+
+def test_rows_are_built_out_to_their_reach_only(monkeypatch):
+    # a long always-apply-h pass: 501 restarts after H, each read at
+    # |n| <= r - 1 - k, and the start row at |n| <= r - 1
+    config = ExperimentConfig(states=(StateLabel.PLUS,), trials=10, r=1000, mu=40,
+                              master_seed=2, rule=DecisionRule(k=500, mode="always-apply-h"))
+    widths = []
+    p0 = WalkRow.p0
+    monkeypatch.setattr(WalkRow, "p0", lambda row, n: widths.append(n.size) or p0(row, n))
+    lanes = _lanes(config, real_jobs(config))
+    assert not lanes.clamp
+    # a row stored in parity slices holds at most one count past its reach
+    assert widths[0] <= 2 * (config.r - 1) + 2
+    assert max(widths[1:]) <= 2 * (config.r - 1 - config.rule.k) + 2
+    assert len(widths) == len(_walk_rows(StateLabel.PLUS, config, phase=False)[0])
+    assert sum(widths) == lanes.p0.size
 
 
 @pytest.mark.parametrize("mu,rule", [
@@ -383,12 +412,11 @@ def test_tables_do_not_grow_with_r():
     large = dataclasses.replace(small, r=10_000)
     rows = 0
     for state in ALL_STATES:
-        tables, _, _ = _walk_rows(state, large, phase=False)
-        assert [t.p0.size for t in tables] == \
-            [t.p0.size for t in _walk_rows(state, small, phase=False)[0]]
-        assert all(t.lo < 1000 and t.hi < 1000 for t in tables)
-        rows += len(tables)
-    # the lane rows are padded out to the reach r, by design
+        # a row is its start's x0 and signs, whatever the reach
+        job_rows, _, _ = _walk_rows(state, large, phase=False)
+        assert job_rows == _walk_rows(state, small, phase=False)[0]
+        rows += len(job_rows)
+    # the lane rows are built out to the reach r, by design
     lanes = _lanes(large, real_jobs(large))
     assert not lanes.clamp
     assert lanes.p0.size <= rows * (2 * large.r + 2)
@@ -493,7 +521,8 @@ def test_reused_buffers_over_unequal_chunks_equal_reference_kernel(
 
 def traced_peak(config: ExperimentConfig) -> int:
     """Peak bytes numpy and Python allocate during one _job_counts call,
-    less the pass's p0 rows; the walk tables are memoized beforehand."""
+    less the pass's p0 rows; at these r the temporaries that evaluate the
+    rows in closed form are far smaller than the lane buffers."""
     jobs = real_jobs(config)
     _job_counts(config, jobs, 1)
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from qsdwalk.walk import (
     QubitState,
     WalkParams,
     ax_probabilities,
+    WalkRow,
     collapse_update,
-    walk_table,
+    walk_lists,
 )
 
-from reference import step_arrays, walk_ensemble, weak_step
+from reference import step_arrays, stepped_chain, walk_ensemble, weak_step
 
 INV_SQRT2 = 1 / math.sqrt(2)
 PLUS = QubitState(INV_SQRT2, INV_SQRT2)
@@ -220,23 +222,73 @@ def test_single_step_outcome_frequency():
 
 TABLE_STARTS = [PLUS, MINUS, QubitState.from_angle(0.3), QubitState(1.0, 0.0),
                 QubitState(0.0, 1.0)]
+EDGE_0 = QubitState(1.0, 0.0)
+EDGE_1 = QubitState(0.0, 1.0)
+
+
+def chain_reach(row: WalkRow) -> int:
+    # three times the settle point: both tails well past where p0 settles
+    return 3 * max(row.settled, 10)
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2, 5])
 @pytest.mark.parametrize("start", TABLE_STARTS)
 def test_walk_table_is_the_monotone_chain(start, mu):
+    """The closed-form p0 is the stepped chain's p0 to within 4.4e-16
+    (2^-51, four ulps of a p0 in [1/2, 1)).
+
+    A tolerance, not bit equality: the row evaluates sigma(x0 + 2n ln rho)
+    in one go where the chain compounds |n| roundings of collapse_update,
+    so about one entry in ten differs from the chain by an ulp or a few.
+    """
     params = WalkParams(mu)
-    table = walk_table(start, params)
-    for outcome, sign in ((0, 1), (1, -1)):
-        state = start
-        for m in range(3 * max(table.lo, table.hi, 10)):
-            assert table.state(sign * m) == state
-            # past the cut p0 is the edge value, and stepping on agrees
-            assert table.p0_at(sign * m) == ax_probabilities(state, params)[0]
-            try:
-                state = collapse_update(state, outcome, params)
-            except ValueError:
-                pass  # vanishing branch at mu = 0: the table keeps the state
+    row = WalkRow.start(start, params)
+    reach = chain_reach(row)
+    chain = stepped_chain(start, params, reach)
+    p0 = row.p0(np.arange(-reach, reach + 1))
+    expected = np.array([ax_probabilities(state, params)[0] for state in chain])
+    assert np.max(np.abs(p0 - expected)) <= 2.0 ** -51
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 5])
+@pytest.mark.parametrize("start", TABLE_STARTS)
+def test_row_states_follow_the_monotone_chain(start, mu):
+    """The closed-form amplitudes are the stepped chain's within 1e-12
+    relative, component by component.
+
+    A tolerance, not bit equality: the chain's relative error grows by an
+    ulp or so per step. At mu = 0 the chain also keeps, after outcome 0,
+    a minor amplitude of the order of c1 = cos(pi/2) ~ 6e-17, which the
+    closed form (c1 = 0 exactly) collapses to 0, hence the 1e-15 floor.
+    """
+    params = WalkParams(mu)
+    row = WalkRow.start(start, params)
+    reach = chain_reach(row)
+    chain = stepped_chain(start, params, reach)
+    alpha, beta = row.amplitudes(np.arange(-reach, reach + 1))
+    floor = 1e-15 if mu == 0 else 0.0
+    for a, b, state in zip(alpha.tolist(), beta.tolist(), chain):
+        assert math.isclose(a, state.alpha, rel_tol=1e-12, abs_tol=floor)
+        assert math.isclose(b, state.beta, rel_tol=1e-12, abs_tol=floor)
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 5])
+@pytest.mark.parametrize("start", TABLE_STARTS)
+def test_row_far_edges_are_the_basis_p0(start, mu):
+    """Far out p0 is ax_probabilities at (1,0) and at (0,1) bit for bit,
+    the values the stepped chain settles on too; a basis start keeps its
+    own p0 on the side it cannot leave. Both compute the same two products,
+    and out there the major amplitude is exactly +-1 and the minor one far
+    below an ulp of the edge, so no tolerance is needed."""
+    params = WalkParams(mu)
+    row = WalkRow.start(start, params)
+    reach = chain_reach(row)
+    chain = stepped_chain(start, params, reach)
+    high = EDGE_1 if start.alpha == 0.0 else EDGE_0
+    low = EDGE_0 if start.beta == 0.0 else EDGE_1
+    far = row.p0(np.array([-reach, reach])).tolist()
+    assert far == [ax_probabilities(low, params)[0], ax_probabilities(high, params)[0]]
+    assert far == [ax_probabilities(chain[0], params)[0], ax_probabilities(chain[-1], params)[0]]
 
 
 def test_walk_table_keeps_unreachable_states_at_mu0():
@@ -244,28 +296,55 @@ def test_walk_table_keeps_unreachable_states_at_mu0():
     one = QubitState(0.0, 1.0)
     with pytest.raises(ValueError):
         collapse_update(one, 0, params)
-    table = walk_table(one, params)
-    assert table.state(5) == one
-    assert table.p0.size == 1
+    row = WalkRow.start(one, params)
+    p0, alpha, beta = walk_lists(row, 5)
+    assert set(p0) == {ax_probabilities(one, params)[0]}
+    assert set(alpha) == {0.0} and set(beta) == {1.0}
+
+
+@pytest.mark.parametrize("start,high,low", [
+    (QubitState(1.0, 0.0), EDGE_0, EDGE_0),  # outcome 1 has probability 0
+    (QubitState(0.0, 1.0), EDGE_1, EDGE_1),  # outcome 0 has probability 0
+    (PLUS, EDGE_0, EDGE_1),
+])
+def test_mu0_first_outcome_collapses_onto_a_basis_state(start, high, low):
+    params = WalkParams(0)
+    row = WalkRow.start(start, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p0, alpha, beta = walk_lists.__wrapped__(row, 6)  # built here, not cached
+        assert row.settled == 1
+    for n in range(1, 7):
+        for state, m in ((high, n), (low, -n)):
+            assert (alpha[m], beta[m]) == (state.alpha, state.beta)
+            assert p0[m] == ax_probabilities(state, params)[0]
 
 
 @pytest.mark.parametrize("mu", [1, 10, 40])
 def test_walk_table_length_depends_on_mu_only(mu):
-    table = walk_table(PLUS, WalkParams(mu))
-    # p0 settles once beta^2 is below the last bit of alpha^2, about
-    # 37 / ln(c0/c1) steps from the start, whatever length a walk runs
+    # p0 settles once beta^2 is below the last bit of alpha^2, a point
+    # that WalkRow.settled finds from x0 and mu alone, whatever length a
+    # walk runs: about 20 / ln(c0/c1) steps from plus
+    row = WalkRow.start(PLUS, WalkParams(mu))
     c0, c1, _, _ = WalkParams(mu).factors
-    assert max(table.lo, table.hi) < 40 / math.log(c0 / c1)
-    assert table.p0.size == table.lo + table.hi + 1
-    assert walk_table(PLUS, WalkParams(mu)) is table
+    assert row.settled < 40 / math.log(c0 / c1)
+    n = np.arange(row.settled, row.settled + 200)
+    edges = [ax_probabilities(EDGE_0, row.params)[0], ax_probabilities(EDGE_1, row.params)[0]]
+    assert set(row.p0(n).tolist()) == {edges[0]}
+    assert set(row.p0(-n).tolist()) == {edges[1]}
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2, 10])
 @pytest.mark.parametrize("start", TABLE_STARTS)
 def test_p0_at_reads_the_table_bit_for_bit(start, mu):
-    table = walk_table(start, WalkParams(mu))
-    for n in range(-table.lo - 3, table.hi + 4):
-        value = table.p0_at(n)
-        assert type(value) is float
-        expected = float(table.p0[min(max(n, -table.lo), table.hi) + table.lo])
-        assert value.hex() == expected.hex()
+    # the scalar path's lists hold the batch path's values bit for bit,
+    # at every n and whatever reach they are built to
+    row = WalkRow.start(start, WalkParams(mu))
+    short = walk_lists(row, 7)
+    lists = walk_lists(row, 60)
+    n = np.arange(-60, 61)
+    alpha, beta = row.amplitudes(n)
+    for values, inner, expected in zip(lists, short, (row.p0(n), alpha, beta)):
+        assert len(values) == 121 and all(type(value) is float for value in values)
+        assert [values[m].hex() for m in n] == [float(e).hex() for e in expected]
+        assert [values[m] for m in range(-7, 8)] == [inner[m] for m in range(-7, 8)]
