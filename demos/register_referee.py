@@ -2,12 +2,15 @@
 The dense register as referee
 =============================
 
-The analytic walk claims each step multiplies the amplitudes by fixed
-cosines/sines and renormalizes. The register simulation makes no such
-claim: it carries all mu + 2 qubits, applies the controlled-V chain,
-and projects the auxiliary qubit. Racing both down identical outcome
-paths shows they agree to machine precision, and also exposes the one
-thing the walk drops: a relative phase of pi/2t per step.
+The walk claims a closed form: after any outcomes with net count
+n = j0 - j1, the outcome probability and the amplitudes are those of one
+row per start state, a logistic in n (walk.WalkRow), which every walk in
+the package reads. The register simulation makes no such claim: it
+carries all mu + 2 qubits, applies the controlled-V chain, and projects
+the auxiliary qubit. Racing the register down each outcome path while
+the rows are read at its net count shows they agree to machine
+precision, and also exposes the one thing the walk drops: a relative
+phase of pi/2t per step.
 """
 
 import math

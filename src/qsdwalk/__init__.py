@@ -9,10 +9,11 @@ reported success counts a match of the basis bit (zero/plus against
 one/minus), not of the state: no measurement identifies one of four
 equiprobable BB84 states with probability above 1/2.
 
-Layers: gates (2x2 operator algebra), walk (analytic per-step update),
-oracle (dense register simulation used as referee), discriminate (the
-per-trial decision procedure), experiment (seeded Monte Carlo
-aggregation), cli (command-line surface), rng (splitmix64 substreams).
+Layers: gates (2x2 operator algebra), walk (closed-form walk rows over
+the net outcome count), oracle (dense register simulation that referees
+the rows), discriminate (the per-trial decision procedure), experiment
+(seeded Monte Carlo aggregation), cli (command-line surface), rng
+(splitmix64 substreams).
 """
 
 from .discriminate import DecisionRule, StateLabel

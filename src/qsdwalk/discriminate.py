@@ -146,8 +146,8 @@ def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState
     return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
 
 
-def table_after_h(before: QubitState, params: WalkParams, k: int,
-                  phase: bool = False) -> WalkRow:
+def row_after_h(before: QubitState, params: WalkParams, k: int,
+                phase: bool = False) -> WalkRow:
     """The row the walk restarts from when H fires at iteration k in state
     `before`: the real walk, or with phase=True the phase-tracking variant
     (see _phase_h_start)."""
@@ -164,7 +164,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     (rule.fires) runs at iteration k after that iteration's counter
     update. p0 and the traced amplitudes come from the batch engine's
     closed-form rows (walk.WalkRow), by the net count since the start or
-    since H (table_after_h), evaluated out to k, then to r (r - k after H).
+    since H (row_after_h), evaluated out to k, then to r (r - k after H).
     """
     if r < 1:
         raise ValueError(f"iteration count r must be >= 1, got {r}")
@@ -185,7 +185,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             n -= 1
         if j == rule.k:
             if rule.fires(j0):
-                row = table_after_h(QubitState(alpha[n], beta[n]), params, rule.k)
+                row = row_after_h(QubitState(alpha[n], beta[n]), params, rule.k)
                 n = 0
                 h_applied = True
             p0, alpha, beta = walk_lists(row, r - rule.k if h_applied else r)

@@ -19,7 +19,7 @@ that would pass _ENTRY_CAP entries, the rows end where p0 settles (from
 x0, WalkRow.settled) and the lookup clamps, in the same loop (_Lanes).
 The engine owns no rule of the procedure: whether H fires at step k
 comes from DecisionRule.fires and where the walk restarts after H from
-discriminate.table_after_h, the same calls discriminate.run_trial
+discriminate.row_after_h, the same calls discriminate.run_trial
 makes on the same rows, so batch and scalar decisions are bit-identical
 by construction and the scalar path stays the readable reference. The
 phase-tracking variant of phase_report is the engine with other rows.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, table_after_h
+from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, row_after_h
 from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
 from .walk import QubitState, WalkParams, WalkRow
 
@@ -164,7 +164,7 @@ def _walk_rows(state: StateLabel, config: ExperimentConfig,
         fired = np.flatnonzero(fires)
         alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
         for j0, a, b in zip(fired, alpha.tolist(), beta.tolist()):
-            row = table_after_h(QubitState(a, b), base.params, k, phase)
+            row = row_after_h(QubitState(a, b), base.params, k, phase)
             row_of_j0[j0] = 1 + after.setdefault(row.x0, (len(after), row))[0]
     return [base, *(row for _, row in after.values())], fires, row_of_j0
 
@@ -233,7 +233,7 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     # homes lie in -lead .. slots and the shifts of _worker_counts in
     # -slots .. lead + jobs * (k + 1)
     if max(lead + len(jobs) * (k + 1), int(row_lo[-1])) > np.iinfo(_INDEX).max:
-        raise ValueError(f"r={r} is too large: the walk tables of one pass "
+        raise ValueError(f"r={r} is too large: the walk rows of one pass "
                          f"would leave their {np.dtype(_INDEX).name} indices")
     p0 = np.empty((2, row_lo[-1]))
     for (row, entered), (first, count), lo in zip(rows, spans, row_lo):
@@ -490,7 +490,7 @@ def phase_report(config: ExperimentConfig, threads: int = 1) -> list[PhasePoint]
     phase-tracking variant, all as jobs of one pass, so both read
     identical random streams; reports both success rates per state. The
     two differ only in where the walk restarts after H (see
-    discriminate.table_after_h). States that reach the H rotation with a
+    discriminate.row_after_h). States that reach the H rotation with a
     single nonzero component (zero, one) cannot show a relative phase, so
     their two rates are equal.
     """

@@ -1,4 +1,4 @@
-"""Brute-force register simulation used to validate the analytic walk.
+"""Brute-force register simulation used to validate the closed-form walk.
 
 The full circuit keeps mu + 2 qubits: the unknown qubit psi, mu dummy
 qubits pinned to |1>, and the auxiliary qubit ax. Each round applies one
@@ -8,7 +8,8 @@ and resetting ax reproduces the walk's collapse exactly, including the
 relative phase between the psi components that the real-amplitude walk
 discards. This module is the independent referee: dense, gate by gate
 (one controlled-V per control, applied in place to the statevector), and
-obviously correct.
+obviously correct. walk_agreement races it against the closed-form
+rows (walk.WalkRow) that every other path in the package reads.
 
 Qubit order is (psi, dummy_1..dummy_mu, ax) with ax least significant,
 so ax marginals are sums over contiguous stride-2 slices.
@@ -26,7 +27,7 @@ import numpy as np
 from .discriminate import StateLabel
 from .gates import v_root
 from .rng import substream
-from .walk import QubitState, WalkParams, ax_probabilities, collapse_update
+from .walk import QubitState, WalkParams, WalkRow, walk_lists
 
 _MU_CAP = 20
 _NORM_TOL = 1e-10
@@ -195,12 +196,14 @@ def _check_mu_max(mu_max: int) -> None:
 
 def walk_agreement(cases: int, mu_max: int, max_steps: int,
                    master_seed: int) -> tuple[float, float]:
-    """Race the analytic walk against the register simulation.
+    """Race the closed-form walk rows against the register simulation.
 
     Each case draws a random normalized state, mu <= mu_max and a walk
-    of up to max_steps outcomes, then steps both simulations down the
-    same outcome path. Returns the worst disagreement seen in
-    (ax probabilities, post-measurement amplitude moduli).
+    of up to max_steps outcomes. The register steps down that outcome
+    path, drawn from the row's p0, while the net count n = j0 - j1 reads
+    the walk.WalkRow of the start state (the rows every package path
+    shares). Returns the worst disagreement seen in (ax probabilities,
+    post-measurement amplitude moduli).
     """
     _check_mu_max(mu_max)
     if cases < 1 or max_steps < 1:
@@ -213,18 +216,18 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
         steps = 1 + int(rng.uniform() * max_steps)
         state = QubitState.from_angle(rng.uniform() * 2.0 * math.pi)
         params = WalkParams(mu)
+        p0, alpha, beta = walk_lists(WalkRow.start(state, params), steps)
         reg = prepare_register(state, mu)
+        n = 0
         for _ in range(steps):
             apply_p(reg, params.t)
             p0_reg, p1_reg = ax_marginal(reg)
-            p0, p1 = ax_probabilities(state, params)
-            worst_p = max(worst_p, abs(p0_reg - p0), abs(p1_reg - p1))
-            outcome = 0 if rng.uniform() < p0 else 1
-            state = collapse_update(state, outcome, params)
+            worst_p = max(worst_p, abs(p0_reg - p0[n]), abs(p1_reg - (1.0 - p0[n])))
+            outcome = 0 if rng.uniform() < p0[n] else 1
+            n += 1 - 2 * outcome
             project_ax(reg, outcome)
             ma, mb = psi_moduli(reg)
-            worst_m = max(worst_m, abs(ma - abs(state.alpha)),
-                          abs(mb - abs(state.beta)))
+            worst_m = max(worst_m, abs(ma - abs(alpha[n])), abs(mb - abs(beta[n])))
     return worst_p, worst_m
 
 

@@ -24,12 +24,14 @@ With x0 = ln(alpha^2/beta^2) and the logistic sigma(x) = 1/(1 + e^-x):
 
 A WalkRow (x0 and the signs of alpha and beta) evaluates p0 or the state
 over an array of net counts in one numpy expression, just out to the
-counts a caller reaches; the Monte Carlo engine and the per-trial rule
-both read it. At mu = 0 (c1 = 0) the first outcome collapses the state.
+counts a caller reaches; the Monte Carlo engine, the per-trial rule and
+the register oracle all read it. At mu = 0 (c1 = 0) the first outcome
+collapses the state.
 
-The updates here are the real-amplitude walk; the relative phase that a
-full register simulation develops per step is deliberately not tracked
-(the statevector oracle module quantifies it).
+The rows are the real-amplitude walk; the relative phase that a full
+register simulation develops per step is deliberately not tracked. The
+oracle module races the rows against a dense register down the same
+outcome paths, and measures that phase.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import numpy as np
 from .gates import PhaseRoot
 
 _NORM_TOL = 1e-10
-_PROB_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -100,40 +101,6 @@ class WalkParams:
                 root0.offdiag_modulus, root1.offdiag_modulus)
 
 
-def ax_probabilities(state: QubitState, params: WalkParams) -> tuple[float, float]:
-    """Probabilities of auxiliary-qubit outcomes 0 and 1.
-
-    p0 = alpha^2 cos^2(d0 pi/2t) + beta^2 cos^2(d1 pi/2t) and p1 the
-    sine counterpart; p0 + p1 = 1 up to rounding.
-    """
-    c0, c1, s0, s1 = params.factors
-    # the products collapse_update takes; the tests' amplitude-level
-    # reference (step_arrays) repeats this shape, so it agrees bit for bit
-    a0 = state.alpha * c0
-    b0 = state.beta * c1
-    a1 = state.alpha * s0
-    b1 = state.beta * s1
-    return a0 * a0 + b0 * b0, a1 * a1 + b1 * b1
-
-
-def collapse_update(state: QubitState, outcome: int, params: WalkParams) -> QubitState:
-    """Post-measurement amplitudes after observing `outcome` on ax."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    c0, c1, s0, s1 = params.factors
-    if outcome == 0:
-        a = state.alpha * c0
-        b = state.beta * c1
-    else:
-        a = state.alpha * s0
-        b = state.beta * s1
-    n2 = a * a + b * b
-    if n2 < _PROB_FLOOR:
-        raise ValueError(f"outcome {outcome} has vanishing probability {n2:.3e}")
-    norm = math.sqrt(n2)
-    return QubitState(a / norm, b / norm)
-
-
 # |x| past which p0 is its edge value: there t = e^-|x| < 2^-56, so the
 # major amplitude is exactly 1 and the minor term is below half an ulp
 # of either edge p0 (c0^2 in (1/2, 1), c1^2 in [1/4, 1/2) for mu >= 1)
@@ -180,11 +147,7 @@ class WalkRow:
 
     def p0(self, n: np.ndarray) -> np.ndarray:
         """Probability of outcome 0 at the net counts n."""
-        c0, c1, _, _ = self.params.factors
-        alpha, beta = self.amplitudes(n)
-        # the product shape of ax_probabilities, so the edges agree bit for bit
-        a0, b0 = alpha * c0, beta * c1
-        return a0 * a0 + b0 * b0
+        return _p0(self.params, *self.amplitudes(n))
 
     @property
     def settled(self) -> int:
@@ -201,6 +164,14 @@ def _slope(params: WalkParams) -> float:
     return 2.0 * math.log(params.factors[0] / params.factors[1])
 
 
+def _p0(params: WalkParams, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """alpha^2 c0^2 + beta^2 c1^2 as the squares of the products a stepped
+    walk takes, so the edges agree with its p0 bit for bit."""
+    c0, c1, _, _ = params.factors
+    a0, b0 = alpha * c0, beta * c1
+    return a0 * a0 + b0 * b0
+
+
 @lru_cache(maxsize=64)
 def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
     """p0, alpha and beta of `row` at |n| <= reach, as Python floats for a
@@ -208,4 +179,4 @@ def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list
     n = np.arange(2 * reach + 1)
     n[reach + 1:] -= 2 * reach + 1
     alpha, beta = row.amplitudes(n)
-    return row.p0(n).tolist(), alpha.tolist(), beta.tolist()
+    return _p0(row.params, alpha, beta).tolist(), alpha.tolist(), beta.tolist()

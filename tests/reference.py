@@ -3,12 +3,14 @@
 The package runs every walk on walk.WalkRow: after any prefix of
 outcomes the amplitudes depend on the net count n = j0 - j1 alone, in
 closed form. The functions here step the amplitudes themselves instead,
-so the tests can hold the rows to an independent model. stepped_chain
+so the tests can hold the rows to an independent model.
+ax_probabilities and collapse_update are one step of it: the outcome
+probabilities of a state and the state an outcome leaves. stepped_chain
 walks one start out along both chains of equal outcomes, one
-collapse_update per count. step_arrays
-mirrors walk.ax_probabilities and walk.collapse_update term for term, one
-draw per trial and step, which keeps every comparison of counts bit for
-bit. Imported by test_walk, test_experiment and acceptance criterion 4.
+collapse_update per count. step_arrays mirrors ax_probabilities and
+collapse_update term for term, one draw per trial and step, which keeps
+every comparison of counts bit for bit. Imported by test_walk,
+test_oracle, test_experiment and acceptance criterion 4.
 
 The exact rates below come from branch enumeration at the decision
 point followed by a binomial-mixture recursion over the remaining
@@ -18,13 +20,17 @@ the acceptance criteria hold the Monte Carlo rates to them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qsdwalk.discriminate import DecisionRule, StateLabel
 from qsdwalk.experiment import ExperimentConfig
 from qsdwalk.gates import SQRT2, PhaseRoot
 from qsdwalk.rng import batch_uniform, substream_states
-from qsdwalk.walk import QubitState, WalkParams, ax_probabilities, collapse_update
+from qsdwalk.walk import QubitState, WalkParams
+
+_PROB_FLOOR = 1e-15
 
 # success rates and H-rate under the default rule: mu=2, r=100, k=2,
 # interval (0,1)
@@ -44,6 +50,40 @@ EXACT_P_H = 0.45225424859373686
 # probability 4/5. Total 3/8 + 5/8 * 4/5 = 7/8, less r-step leakage.
 EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
                     StateLabel.MINUS: 0.8749998984922417}
+
+
+def ax_probabilities(state: QubitState, params: WalkParams) -> tuple[float, float]:
+    """Probabilities of auxiliary-qubit outcomes 0 and 1.
+
+    p0 = alpha^2 cos^2(d0 pi/2t) + beta^2 cos^2(d1 pi/2t) and p1 the
+    sine counterpart; p0 + p1 = 1 up to rounding.
+    """
+    c0, c1, s0, s1 = params.factors
+    # the products collapse_update takes; step_arrays repeats this shape,
+    # so it agrees bit for bit
+    a0 = state.alpha * c0
+    b0 = state.beta * c1
+    a1 = state.alpha * s0
+    b1 = state.beta * s1
+    return a0 * a0 + b0 * b0, a1 * a1 + b1 * b1
+
+
+def collapse_update(state: QubitState, outcome: int, params: WalkParams) -> QubitState:
+    """Post-measurement amplitudes after observing `outcome` on ax."""
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    c0, c1, s0, s1 = params.factors
+    if outcome == 0:
+        a = state.alpha * c0
+        b = state.beta * c1
+    else:
+        a = state.alpha * s0
+        b = state.beta * s1
+    n2 = a * a + b * b
+    if n2 < _PROB_FLOOR:
+        raise ValueError(f"outcome {outcome} has vanishing probability {n2:.3e}")
+    norm = math.sqrt(n2)
+    return QubitState(a / norm, b / norm)
 
 
 def stepped_chain(start: QubitState, params: WalkParams, reach: int) -> list[QubitState]:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qsdwalk.oracle as oracle
 from qsdwalk.cli import main
 
 JSON_KEYS = {"state", "trials", "frac_h_applied", "success_given_h",
@@ -203,8 +204,8 @@ def test_oracle_check_rejects_negative_mu_max(capsys):
 
 ORACLE_CHECK_2024 = """\
 cases: 200 (mu <= 8, walk length <= 20)
-max probability discrepancy: 1.110e-15
-max amplitude-moduli discrepancy: 1.665e-15
+max probability discrepancy: 1.221e-15
+max amplitude-moduli discrepancy: 9.437e-16
 per-step relative phase (register minus analytic walk, which keeps none):
   mu=1   phase=+0.523599 rad
   mu=2   phase=+0.314159 rad
@@ -223,6 +224,22 @@ def test_oracle_check_output_pinned(capsys):
                              "--max-steps", "20", "--seed", "2024")
     assert code == 0
     assert out == ORACLE_CHECK_2024
+    assert err == ""
+
+
+def test_oracle_check_flags_a_perturbed_row(capsys, monkeypatch):
+    # the check reads the rows every walk path shares: p0 off by 1e-9
+    # relative must fail it
+    lists = oracle.walk_lists
+
+    def perturbed(row, reach):
+        p0, alpha, beta = lists(row, reach)
+        return [p * (1 + 1e-9) for p in p0], alpha, beta
+    monkeypatch.setattr(oracle, "walk_lists", perturbed)
+    code, out, err = run_cli(capsys, "oracle-check", "--cases", "200", "--mu-max", "8",
+                             "--max-steps", "20", "--seed", "2024")
+    assert code == 1
+    assert out.endswith("status: DISCREPANCY (tolerance 1e-10)\n")
     assert err == ""
 
 

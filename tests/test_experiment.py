@@ -26,12 +26,13 @@ from qsdwalk.experiment import (
     sweep_mu,
 )
 from qsdwalk.rng import batch_uniform, substream, substream_states
-from qsdwalk.walk import QubitState, WalkParams, WalkRow, ax_probabilities
+from qsdwalk.walk import QubitState, WalkParams, WalkRow
 
 from reference import (
     EXACT_ALWAYS_MU1,
     EXACT_P_H,
     EXACT_TOTAL,
+    ax_probabilities,
     reference_counts,
     reference_phase_success,
 )

@@ -21,7 +21,9 @@ from qsdwalk.oracle import (
     walk_agreement,
 )
 from qsdwalk.rng import substream
-from qsdwalk.walk import QubitState, WalkParams, ax_probabilities, collapse_update
+from qsdwalk.walk import QubitState, WalkParams
+
+from reference import ax_probabilities, collapse_update
 
 INV_SQRT2 = 1 / math.sqrt(2)
 TOL = 1e-12
@@ -260,16 +262,99 @@ def test_negative_mu_max_is_refused(mu_max):
         phase_table(mu_max)
 
 
-# Worst discrepancies of two fixed runs, as the dense gate-by-gate
-# register has always produced them. Any change to the order or shape of
-# the register arithmetic moves these last bits. The second run draws mu
-# up to 12, so registers of 2..14 qubits take part.
+# Worst discrepancies of two fixed runs between the dense gate-by-gate
+# register and the closed-form rows. Any change to the order or shape of
+# the register arithmetic, or to the rows, moves these last bits. The
+# second run draws mu up to 12, so registers of 2..14 qubits take part.
+@pytest.mark.parametrize("config,expected", [
+    ((150, 4, 20, 2718), (6.661338147750939e-16, 9.43689570931383e-16)),
+    ((150, 12, 20, 8128), (1.4432899320127035e-15, 9.43689570931383e-16)),
+])
+def test_walk_agreement_pinned(config, expected):
+    assert walk_agreement(*config) == expected
+
+
+def race_stepped(state, params, steps, choose):
+    """One case of the race with the stepped reference in place of the
+    rows: the register against ax_probabilities and collapse_update, down
+    the outcomes choose(p0) picks. Returns the worst (probability,
+    moduli) gaps and the outcome path."""
+    reg = prepare_register(state, params.mu)
+    worst_p = worst_m = 0.0
+    path = []
+    for _ in range(steps):
+        apply_p(reg, params.t)
+        p0_reg, p1_reg = ax_marginal(reg)
+        p0, p1 = ax_probabilities(state, params)
+        worst_p = max(worst_p, abs(p0_reg - p0), abs(p1_reg - p1))
+        outcome = choose(p0)
+        path.append(outcome)
+        state = collapse_update(state, outcome, params)
+        project_ax(reg, outcome)
+        ma, mb = psi_moduli(reg)
+        worst_m = max(worst_m, abs(ma - abs(state.alpha)), abs(mb - abs(state.beta)))
+    return worst_p, worst_m, path
+
+
+def stepped_agreement(cases, mu_max, max_steps, seed):
+    """walk_agreement's cases and draws, raced with race_stepped. Returns
+    the worst gaps over all cases and the outcome paths."""
+    worst_p = worst_m = 0.0
+    paths = []
+    for i in range(cases):
+        rng = substream(seed, i)
+        mu = min(mu_max, int(rng.uniform() * (mu_max + 1)))
+        steps = 1 + int(rng.uniform() * max_steps)
+        state = QubitState.from_angle(rng.uniform() * 2.0 * math.pi)
+        gap_p, gap_m, path = race_stepped(state, WalkParams(mu), steps,
+                                          lambda p0: 0 if rng.uniform() < p0 else 1)
+        worst_p, worst_m = max(worst_p, gap_p), max(worst_m, gap_m)
+        paths.append(path)
+    return worst_p, worst_m, paths
+
+
+# The values walk_agreement gave while it raced the register against the
+# stepped model: the register arithmetic still reproduces them bit for bit.
 @pytest.mark.parametrize("config,expected", [
     ((150, 4, 20, 2718), (7.771561172376096e-16, 1.2212453270876722e-15)),
     ((150, 12, 20, 8128), (1.5543122344752192e-15, 1.3322676295501878e-15)),
 ])
-def test_walk_agreement_pinned(config, expected):
-    assert walk_agreement(*config) == expected
+def test_stepped_race_pinned(config, expected):
+    assert stepped_agreement(*config)[:2] == expected
+
+
+@pytest.mark.parametrize("config", [(150, 4, 20, 2718), (150, 12, 20, 8128),
+                                    (200, 8, 20, 2024)])
+def test_walk_agreement_follows_the_stepped_paths(monkeypatch, config):
+    # the rows' p0 and the stepped p0 differ at rounding level, which moves
+    # no draw of these runs across it: both races walk the same paths
+    outcomes = []
+    project = oracle.project_ax
+
+    def recording(reg, outcome):
+        outcomes.append(outcome)
+        return project(reg, outcome)
+    monkeypatch.setattr(oracle, "project_ax", recording)
+    walk_agreement(*config)
+    assert outcomes == [o for path in stepped_agreement(*config)[2] for o in path]
+
+
+def perturbed_lists(which):
+    """oracle.walk_lists with its p0 (which = 0), alpha (1) or beta (2)
+    scaled by 1 + 1e-9."""
+    lists = oracle.walk_lists
+
+    def shim(row, reach):
+        values = list(lists(row, reach))
+        values[which] = [v * (1 + 1e-9) for v in values[which]]
+        return tuple(values)
+    return shim
+
+
+@pytest.mark.parametrize("which,gap", [(0, 0), (1, 1), (2, 1)])
+def test_walk_agreement_sees_a_perturbed_row(monkeypatch, which, gap):
+    monkeypatch.setattr(oracle, "walk_lists", perturbed_lists(which))
+    assert walk_agreement(60, 4, 12, 2718)[gap] > 1e-10
 
 
 def case_steps(cases, max_steps, seed):
@@ -304,20 +389,12 @@ def test_walk_agreement_calls_each_layer_once_per_step(monkeypatch):
 
 
 def test_oracle_tracks_one_full_path():
-    # single explicit path: analytic and register agree step by step
-    params = WalkParams(3)
-    state = QubitState.from_angle(1.05)
-    reg = prepare_register(state, 3)
-    for outcome in (0, 1, 1, 0, 1):
-        apply_p(reg, params.t)
-        p_reg = ax_marginal(reg)
-        p_ana = ax_probabilities(state, params)
-        assert abs(p_reg[0] - p_ana[0]) < 1e-10
-        state = collapse_update(state, outcome, params)
-        project_ax(reg, outcome)
-        ma, mb = psi_moduli(reg)
-        assert abs(ma - abs(state.alpha)) < 1e-10
-        assert abs(mb - abs(state.beta)) < 1e-10
+    # single explicit path: stepped reference and register agree step by step
+    path = iter((0, 1, 1, 0, 1))
+    worst_p, worst_m, _ = race_stepped(QubitState.from_angle(1.05), WalkParams(3), 5,
+                                       lambda p0: next(path))
+    assert worst_p < 1e-10
+    assert worst_m < 1e-10
 
 
 def test_phase_table_values():

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from qsdwalk.rng import substream
-from qsdwalk.walk import (
-    QubitState,
-    WalkParams,
-    ax_probabilities,
-    WalkRow,
-    collapse_update,
-    walk_lists,
-)
+from qsdwalk.walk import QubitState, WalkParams, WalkRow, walk_lists
 
-from reference import step_arrays, stepped_chain, walk_ensemble, weak_step
+from reference import (
+    ax_probabilities,
+    collapse_update,
+    step_arrays,
+    stepped_chain,
+    walk_ensemble,
+    weak_step,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 PLUS = QubitState(INV_SQRT2, INV_SQRT2)
