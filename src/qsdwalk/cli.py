@@ -114,8 +114,9 @@ def cmd_trial(args) -> int:
     for iteration, out, alpha, beta, approx in outcome.trace:
         j0 += out == 0
         h_flag = outcome.h_applied and iteration >= rule.k
-        lines.append(f"0,{iteration},{out},{_g(alpha)},{_g(beta)},{_g(approx)},"
-                     f"{j0},{iteration - j0},{'true' if h_flag else 'false'}")
+        lines.append("0,%d,%d,%.17g,%.17g,%.17g,%d,%d,%s" % (
+            iteration, out, alpha, beta, approx, j0, iteration - j0,
+            "true" if h_flag else "false"))
     _emit("\n".join(lines) + "\n", args.out)
     print(f"classified: {outcome.decided_state} (basis={outcome.decided_state.basis}, "
           f"j0={outcome.j0}, j1={outcome.j1}, "

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .gates import SQRT2, PhaseRoot
-from .walk import QubitState, WalkParams, WalkRow, walk_lists
+from .walk import QubitState, WalkParams, WalkRow, check_index_range, walk_lists
 
 MODES = ("interval", "never-apply-h", "always-apply-h")
 
@@ -170,6 +170,8 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
         raise ValueError(f"iteration count r must be >= 1, got {r}")
     if rule.k > r:
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
+    # the row walked to the end holds the counts -r..r
+    check_index_range(r, 2 * r + 1, "the walk rows of one trial")
     row = WalkRow.start(initial.to_state(), params)
     p0, alpha, beta = walk_lists(row, rule.k)
     n = 0

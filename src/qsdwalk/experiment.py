@@ -56,7 +56,7 @@ import numpy as np
 
 from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, row_after_h
 from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
-from .walk import QubitState, WalkParams, WalkRow
+from .walk import INDEX, QubitState, WalkParams, WalkRow, check_index_range
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -79,10 +79,10 @@ _ENTRY_CAP = 1 << 20
 # often. A worker's three draw buffers hold a block each (1.5 MiB), or
 # one step of a chunk wider than the block.
 _DRAW_BLOCK = 1 << 16
-# Slots and counts in the rows of a pass. A lane's home and shift
-# grow with r (about r/2) however few the slots, so _lanes refuses a
-# pass whose values would leave this type's range.
-_INDEX = np.int32
+# Slots and counts in the rows of a pass, in the package's index type. A
+# lane's home and shift grow with r (about r/2) however few the slots,
+# so _lanes refuses a pass whose values would leave this type's range.
+_INDEX = INDEX
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,8 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
     # homes lie in -lead .. slots and the shifts of _worker_counts in
     # -slots .. lead + jobs * (k + 1)
-    if max(lead + len(jobs) * (k + 1), int(row_lo[-1])) > np.iinfo(_INDEX).max:
-        raise ValueError(f"r={r} is too large: the walk rows of one pass "
-                         f"would leave their {np.dtype(_INDEX).name} indices")
+    check_index_range(r, max(lead + len(jobs) * (k + 1), int(row_lo[-1])),
+                      "the walk rows of one pass", _INDEX)
     p0 = np.empty((2, row_lo[-1]))
     for (row, entered), (first, count), lo in zip(rows, spans, row_lo):
         n = np.arange(2 * first, 2 * (first + count)) - entered % 2

@@ -11,13 +11,18 @@ discards. This module is the independent referee: dense, gate by gate
 obviously correct. walk_agreement races it against the closed-form
 rows (walk.WalkRow) that every other path in the package reads.
 
+A RegisterState holds one register or a stack of them along leading
+axes, and every op acts on each register of the stack alike, bit for
+bit as it would on that register alone. walk_agreement steps a stack of
+cases of one mu at once, so numpy's per-call cost is paid per step of
+the stack rather than per step of each case.
+
 Qubit order is (psi, dummy_1..dummy_mu, ax) with ax least significant,
 so ax marginals are sums over contiguous stride-2 slices.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,18 +32,29 @@ import numpy as np
 from .discriminate import StateLabel
 from .gates import v_root
 from .rng import substream
-from .walk import QubitState, WalkParams, WalkRow, walk_lists
+from .walk import QubitState, WalkParams, WalkRow, row_lists
 
 _MU_CAP = 20
 _NORM_TOL = 1e-10
 _ENTROPY_TOL = 1e-9
 _PHASE_FLOOR = 1e-12
 _PROB_FLOOR = 1e-15
+# Most amplitudes walk_agreement steps in one stack (1 MiB): a stack
+# holds up to 2^16 / 2^(mu + 2) cases, and from mu = 14 on one case.
+_STACK_AMPS = 1 << 16
+
+
+def _first(bad: np.ndarray, *values) -> tuple:
+    """values at the first register of a stack where bad holds."""
+    bad, *values = np.broadcast_arrays(bad, *values)
+    i = np.flatnonzero(bad)[0]
+    return tuple(value.flat[i] for value in values)
 
 
 @dataclass
 class RegisterState:
-    """Dense statevector over mu + 2 qubits; mutated in place by ops."""
+    """Dense statevector over mu + 2 qubits, or a stack of them along the
+    leading axes of amps; mutated in place by ops."""
 
     amps: np.ndarray
     mu: int
@@ -50,39 +66,44 @@ class RegisterState:
     def __post_init__(self):
         if self.n > _MU_CAP + 2:
             raise ValueError(f"register cap is mu <= {_MU_CAP}, got mu = {self.mu}")
-        if self.amps.shape != (2 ** self.n,):
+        if self.amps.shape[-1:] != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {self.amps.shape}")
-        norm_err = abs(float(np.sum(np.abs(self.amps) ** 2)) - 1.0)
-        if norm_err > _NORM_TOL:
-            raise ValueError(f"register not normalized: off by {norm_err:.3e}")
+        norm_err = np.abs(np.sum(np.abs(self.amps) ** 2, axis=-1) - 1.0)
+        bad = norm_err > _NORM_TOL
+        if np.any(bad):
+            raise ValueError("register not normalized: off by {:.3e}".format(*_first(bad, norm_err)))
 
 
 def prepare_register(initial, mu: int) -> RegisterState:
-    """Register |psi> (x) |1>^mu (x) |0> with psi from a label or amplitudes."""
+    """Register |psi> (x) |1>^mu (x) |0> with psi from a label or amplitudes;
+    a list or tuple of them prepares a stack of such registers."""
     if mu < 0 or mu > _MU_CAP:
         raise ValueError(f"mu must be in 0..{_MU_CAP}, got {mu}")
-    state = initial.to_state() if isinstance(initial, StateLabel) else initial
+    stacked = isinstance(initial, (list, tuple))
+    states = [s.to_state() if isinstance(s, StateLabel) else s
+              for s in (initial if stacked else [initial])]
     n = mu + 2
-    amps = np.zeros(2 ** n, dtype=complex)
+    amps = np.zeros((len(states), 2 ** n), dtype=complex)
     # dummy qubits occupy bits 1..mu (ax is bit 0, psi is bit n-1)
     dummies = (2 ** mu - 1) << 1
-    amps[dummies] = state.alpha
-    amps[(1 << (n - 1)) | dummies] = state.beta
-    return RegisterState(amps, mu)
+    amps[:, dummies] = [s.alpha for s in states]
+    amps[:, (1 << (n - 1)) | dummies] = [s.beta for s in states]
+    return RegisterState(amps if stacked else amps[0], mu)
 
 
 @lru_cache(maxsize=_MU_CAP + 1)
 def _control_pairs(n: int) -> tuple[tuple[tuple, tuple], ...]:
     """Per control qubit c of an n-qubit register: the index tuples of the
-    (c=1, ax=0) and (c=1, ax=1) sub-views. The trailing Ellipsis keeps a
-    view (0-d at n = 2) where all-integer indexing would copy a scalar."""
+    (c=1, ax=0) and (c=1, ax=1) sub-views. The leading Ellipsis spans the
+    stack axes, and keeps a view (0-d for one register at n = 2) where
+    all-integer indexing would copy a scalar."""
     pairs = []
     for c in range(n - 1):
-        idx = [slice(None)] * n + [Ellipsis]
-        idx[c] = 1
-        idx[n - 1] = 0
+        idx = [Ellipsis] + [slice(None)] * n
+        idx[1 + c] = 1
+        idx[n] = 0
         ax0 = tuple(idx)
-        idx[n - 1] = 1
+        idx[n] = 1
         pairs.append((ax0, tuple(idx)))
     return tuple(pairs)
 
@@ -97,7 +118,7 @@ def apply_p(reg: RegisterState, t: int) -> RegisterState:
         raise ValueError(f"t must be >= 1, got {t}")
     v = v_root(t)
     v00, v01, v10, v11 = v[0, 0], v[0, 1], v[1, 0], v[1, 1]
-    view = reg.amps.reshape((2,) * reg.n)
+    view = reg.amps.reshape(reg.amps.shape[:-1] + (2,) * reg.n)
     for ax0, ax1 in _control_pairs(reg.n):
         sub0 = view[ax0]
         sub1 = view[ax1]
@@ -110,62 +131,74 @@ def apply_p(reg: RegisterState, t: int) -> RegisterState:
     return reg
 
 
-def _ax_prob(pairs: np.ndarray, outcome: int) -> float:
-    return float((np.abs(pairs[:, outcome]) ** 2).sum())
+def _pairs(reg: RegisterState) -> np.ndarray:
+    """The amplitudes as (..., 2^(n-1), 2): the last axis is ax."""
+    return reg.amps.reshape(reg.amps.shape[:-1] + (-1, 2))
 
 
-def ax_marginal(reg: RegisterState) -> tuple[float, float]:
-    """(Pr[ax=0], Pr[ax=1]) if ax were measured now."""
-    pairs = reg.amps.reshape(-1, 2)
-    return _ax_prob(pairs, 0), _ax_prob(pairs, 1)
+def _ax_prob(amps: np.ndarray) -> np.ndarray:
+    """Total probability of amplitudes laid out (..., 2^(n-1))."""
+    return (np.abs(amps) ** 2).sum(axis=-1)
 
 
-def project_ax(reg: RegisterState, outcome: int) -> RegisterState:
-    """Sharp measurement of ax: project onto `outcome`, renormalize,
-    reset ax to |0>.
+def ax_marginal(reg: RegisterState) -> tuple[np.ndarray, np.ndarray]:
+    """(Pr[ax=0], Pr[ax=1]) if ax were measured now, per register."""
+    pairs = _pairs(reg)
+    return _ax_prob(pairs[..., 0]), _ax_prob(pairs[..., 1])
+
+
+def project_ax(reg: RegisterState, outcome) -> RegisterState:
+    """Sharp measurement of ax: project onto `outcome` (one per register
+    of a stack, or one for all), renormalize, reset ax to |0>.
 
     The reset is a basis relabeling, exact here because ax is always
     measured before reuse. Mutates reg and returns it.
     """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    pairs = reg.amps.reshape(-1, 2)
-    p = _ax_prob(pairs, outcome)
-    if p <= _PROB_FLOOR:
-        raise ValueError(f"outcome {outcome} has probability {p:.3e}; cannot project")
-    if outcome == 1:
-        pairs[:, 0] = pairs[:, 1]
-    pairs[:, 1] = 0.0
-    reg.amps /= math.sqrt(p)
+    outcome = np.asarray(outcome)
+    bad = (outcome != 0) & (outcome != 1)
+    if np.any(bad):
+        raise ValueError("outcome must be 0 or 1, got {}".format(*_first(bad, outcome)))
+    pairs = _pairs(reg)
+    kept = np.where(outcome[..., None] == 1, pairs[..., 1], pairs[..., 0])
+    p = _ax_prob(kept)
+    bad = p <= _PROB_FLOOR
+    if np.any(bad):
+        raise ValueError("outcome {} has probability {:.3e}; cannot project"
+                         .format(*_first(bad, outcome, p)))
+    pairs[..., 0] = kept
+    pairs[..., 1] = 0.0
+    reg.amps /= np.sqrt(p)[..., None]
     return reg
 
 
+def _psi_rows(reg: RegisterState) -> np.ndarray:
+    """The amplitudes as (..., 2, 2^(n-1)): row 0 has psi = 0, row 1 psi = 1."""
+    return reg.amps.reshape(reg.amps.shape[:-1] + (2, -1))
+
+
 def _psi_density(reg: RegisterState) -> np.ndarray:
-    m = reg.amps.reshape(2, -1)
-    return m @ m.conj().T
+    m = _psi_rows(reg)
+    return m @ np.swapaxes(m.conj(), -1, -2)
 
 
-def _psi_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy of a 2x2 density matrix. Its eigenvalues are in
-    closed form: the larger from the trace and discriminant, the smaller
-    as det / larger. LAPACK's eigvalsh is the reference in the tests."""
-    (a, b), (_, d) = rho.tolist()
-    a = a.real
-    d = d.real
+def _psi_entropy(rho: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of 2x2 density matrices (..., 2, 2). Their
+    eigenvalues are in closed form: the larger from the trace and
+    discriminant, the smaller as det / larger. LAPACK's eigvalsh is the
+    reference in the tests."""
+    a = rho[..., 0, 0].real
+    d = rho[..., 1, 1].real
+    b = rho[..., 0, 1]
     abs_b2 = b.real * b.real + b.imag * b.imag
     half_diff = (a - d) / 2
-    lam_max = (a + d) / 2 + math.sqrt(half_diff * half_diff + abs_b2)
+    lam_max = (a + d) / 2 + np.sqrt(half_diff * half_diff + abs_b2)
     lam_min = (a * d - abs_b2) / lam_max
-    entropy = 0.0
-    for lam in (lam_max, lam_min):
-        lam = min(max(lam, 0.0), 1.0)
-        if lam > 0:
-            entropy -= lam * math.log(lam)
-    return entropy
+    lam = np.clip(np.stack((lam_max, lam_min)), 0.0, 1.0)
+    return -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=0)
 
 
-def psi_moduli(reg: RegisterState) -> tuple[float, float]:
-    """Moduli (|alpha|, |beta|) of the psi marginal.
+def psi_moduli(reg: RegisterState) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli (|alpha|, |beta|) of the psi marginal, per register.
 
     Valid only while psi is in a product state with the rest of the
     register; entanglement here means the circuit was driven wrong
@@ -173,25 +206,112 @@ def psi_moduli(reg: RegisterState) -> tuple[float, float]:
     """
     rho = _psi_density(reg)
     entropy = _psi_entropy(rho)
-    if entropy > _ENTROPY_TOL:
-        raise ValueError(f"psi is entangled (marginal entropy {entropy:.3e}); "
-                         "register is not in a product state")
-    return math.sqrt(rho[0, 0].real), math.sqrt(rho[1, 1].real)
+    bad = entropy > _ENTROPY_TOL
+    if np.any(bad):
+        raise ValueError("psi is entangled (marginal entropy {:.3e}); "
+                         "register is not in a product state".format(*_first(bad, entropy)))
+    return np.sqrt(rho[..., 0, 0].real), np.sqrt(rho[..., 1, 1].real)
 
 
-def relative_phase(reg: RegisterState) -> float:
-    """arg(beta) - arg(alpha) of the psi marginal, in (-pi, pi]."""
+def relative_phase(reg: RegisterState) -> np.ndarray:
+    """arg(beta) - arg(alpha) of the psi marginal, in (-pi, pi], per register."""
     ma, mb = psi_moduli(reg)
-    if ma < _PHASE_FLOOR or mb < _PHASE_FLOOR:
-        raise ValueError(f"relative phase undefined: moduli ({ma:.3e}, {mb:.3e})")
-    m = reg.amps.reshape(2, -1)
-    col = int(np.argmax(np.abs(m[0]) ** 2 + np.abs(m[1]) ** 2))
-    return cmath.phase(m[1, col] * m[0, col].conjugate())
+    bad = np.minimum(ma, mb) < _PHASE_FLOOR
+    if np.any(bad):
+        raise ValueError("relative phase undefined: moduli ({:.3e}, {:.3e})"
+                         .format(*_first(bad, ma, mb)))
+    m = _psi_rows(reg)
+    col = np.argmax(np.abs(m[..., 0, :]) ** 2 + np.abs(m[..., 1, :]) ** 2, axis=-1)
+    top = np.take_along_axis(m, col[..., None, None], axis=-1)[..., 0]
+    return np.angle(top[..., 1] * top[..., 0].conj())
 
 
 def _check_mu_max(mu_max: int) -> None:
     if not 0 <= mu_max <= _MU_CAP:
         raise ValueError(f"mu_max must be in 0..{_MU_CAP}, got {mu_max}")
+
+
+@dataclass
+class _Walks:
+    """walk_agreement's cases as their rows walk them, in case order.
+    Per case: mu, the start amplitudes, the index of its first step in
+    the per-step arrays and its step count. Per step: p0 before the
+    draw, the outcome, and the moduli |alpha|, |beta| after it."""
+
+    mu: np.ndarray
+    alpha0: np.ndarray
+    beta0: np.ndarray
+    first: np.ndarray
+    steps: np.ndarray
+    p0: np.ndarray
+    outcome: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+
+def _draw_cases(cases: int, mu_max: int, max_steps: int, master_seed: int) -> _Walks:
+    """Each case's mu, length, start state and outcome path. An outcome
+    path needs only the row and the draws, never the register: the draw
+    at each step is compared with the row's p0. The steps go into typed
+    arrays, 25 bytes a step, where lists of Python floats take 100."""
+    # imported here, not at start-up: no other command needs the module
+    from array import array
+
+    params = [WalkParams(mu) for mu in range(mu_max + 1)]
+    mus, firsts, lengths = array("q"), array("q"), array("q")
+    alpha0, beta0 = array("d"), array("d")
+    p0s, outcomes, alphas, betas = array("d"), array("b"), array("d"), array("d")
+    for i in range(cases):
+        rng = substream(master_seed, i)
+        mu = min(mu_max, int(rng.uniform() * (mu_max + 1)))
+        steps = 1 + int(rng.uniform() * max_steps)
+        state = QubitState.from_angle(rng.uniform() * 2.0 * math.pi)
+        mus.append(mu)
+        alpha0.append(state.alpha)
+        beta0.append(state.beta)
+        firsts.append(len(outcomes))
+        lengths.append(steps)
+        # uncached: each case has its own row, which nothing reads again
+        p0, alpha, beta = row_lists(WalkRow.start(state, params[mu]), steps)
+        n = 0
+        for _ in range(steps):
+            p0s.append(p0[n])
+            outcome = 0 if rng.uniform() < p0[n] else 1
+            n += 1 - 2 * outcome
+            outcomes.append(outcome)
+            alphas.append(abs(alpha[n]))
+            betas.append(abs(beta[n]))
+    return _Walks(*(np.frombuffer(values, dtype=values.typecode) for values in (
+        mus, alpha0, beta0, firsts, lengths, p0s, outcomes, alphas, betas)))
+
+
+def _race_stack(walks: _Walks, stack: np.ndarray, mu: int) -> tuple[float, float]:
+    """Step the cases `stack` of one mu, longest first, down their outcome
+    paths: the cases still walking at a step are a prefix of the stack.
+    Returns the worst (probability, moduli) gaps to their rows."""
+    lengths = walks.steps[stack].tolist()
+    first = walks.first[stack]
+    walking = prepare_register([QubitState(a, b) for a, b in zip(
+        walks.alpha0[stack].tolist(), walks.beta0[stack].tolist())], mu)
+    t = WalkParams(mu).t
+    live = len(lengths)
+    worst_p = worst_m = 0.0
+    for j in range(lengths[0]):
+        if lengths[live - 1] == j:
+            # the cases that ended at step j sit at the end of the stack
+            while lengths[live - 1] == j:
+                live -= 1
+            walking = RegisterState(walking.amps[:live], mu)
+        at = first[:live] + j
+        apply_p(walking, t)
+        p0_reg, p1_reg = ax_marginal(walking)
+        p0 = walks.p0[at]
+        worst_p = max(worst_p, np.abs(p0_reg - p0).max(), np.abs(p1_reg - (1.0 - p0)).max())
+        project_ax(walking, walks.outcome[at])
+        ma, mb = psi_moduli(walking)
+        worst_m = max(worst_m, np.abs(ma - walks.alpha[at]).max(),
+                      np.abs(mb - walks.beta[at]).max())
+    return float(worst_p), float(worst_m)
 
 
 def walk_agreement(cases: int, mu_max: int, max_steps: int,
@@ -202,32 +322,23 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
     of up to max_steps outcomes. The register steps down that outcome
     path, drawn from the row's p0, while the net count n = j0 - j1 reads
     the walk.WalkRow of the start state (the rows every package path
-    shares). Returns the worst disagreement seen in (ax probabilities,
-    post-measurement amplitude moduli).
+    shares). The cases of one mu are stepped together, in stacks of at
+    most _STACK_AMPS amplitudes. Returns the worst disagreement seen in
+    (ax probabilities, post-measurement amplitude moduli).
     """
     _check_mu_max(mu_max)
     if cases < 1 or max_steps < 1:
         raise ValueError("cases and max_steps must be >= 1")
-    worst_p = 0.0
-    worst_m = 0.0
-    for i in range(cases):
-        rng = substream(master_seed, i)
-        mu = min(mu_max, int(rng.uniform() * (mu_max + 1)))
-        steps = 1 + int(rng.uniform() * max_steps)
-        state = QubitState.from_angle(rng.uniform() * 2.0 * math.pi)
-        params = WalkParams(mu)
-        p0, alpha, beta = walk_lists(WalkRow.start(state, params), steps)
-        reg = prepare_register(state, mu)
-        n = 0
-        for _ in range(steps):
-            apply_p(reg, params.t)
-            p0_reg, p1_reg = ax_marginal(reg)
-            worst_p = max(worst_p, abs(p0_reg - p0[n]), abs(p1_reg - (1.0 - p0[n])))
-            outcome = 0 if rng.uniform() < p0[n] else 1
-            n += 1 - 2 * outcome
-            project_ax(reg, outcome)
-            ma, mb = psi_moduli(reg)
-            worst_m = max(worst_m, abs(ma - abs(alpha[n])), abs(mb - abs(beta[n])))
+    walks = _draw_cases(cases, mu_max, max_steps, master_seed)
+    worst_p = worst_m = 0.0
+    for mu in range(mu_max + 1):
+        group = np.flatnonzero(walks.mu == mu)
+        # longest first, so the cases still walking at a step are a prefix
+        group = group[np.argsort(-walks.steps[group], kind="stable")]
+        size = max(1, _STACK_AMPS >> (mu + 2))
+        for lo in range(0, len(group), size):
+            gap_p, gap_m = _race_stack(walks, group[lo:lo + size], mu)
+            worst_p, worst_m = max(worst_p, gap_p), max(worst_m, gap_m)
     return worst_p, worst_m
 
 

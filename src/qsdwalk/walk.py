@@ -45,6 +45,10 @@ import numpy as np
 from .gates import PhaseRoot
 
 _NORM_TOL = 1e-10
+# The type row entries and counts are indexed by. The batch engine's
+# slots and the per-trial rows both grow with r: check_index_range
+# refuses an r whose rows would need an index past this type's range.
+INDEX = np.int32
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,22 @@ def _p0(params: WalkParams, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return a0 * a0 + b0 * b0
 
 
-@lru_cache(maxsize=64)
-def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
+def check_index_range(r: int, extent: int, rows: str, index=INDEX) -> None:
+    """Refuse r when the largest index its rows need, extent, is past the
+    range of the index type."""
+    if extent > np.iinfo(index).max:
+        raise ValueError(f"r={r} is too large: {rows} would leave their "
+                         f"{np.dtype(index).name} indices")
+
+
+def row_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
     """p0, alpha and beta of `row` at |n| <= reach, as Python floats for a
     per-step lookup: list[n] holds count n (negative n from the end)."""
     n = np.arange(2 * reach + 1)
     n[reach + 1:] -= 2 * reach + 1
     alpha, beta = row.amplitudes(n)
     return _p0(row.params, alpha, beta).tolist(), alpha.tolist(), beta.tolist()
+
+
+# row_lists for run_trial, which reads the same few rows trial after trial
+walk_lists = lru_cache(maxsize=64)(row_lists)

@@ -230,12 +230,12 @@ def test_oracle_check_output_pinned(capsys):
 def test_oracle_check_flags_a_perturbed_row(capsys, monkeypatch):
     # the check reads the rows every walk path shares: p0 off by 1e-9
     # relative must fail it
-    lists = oracle.walk_lists
+    lists = oracle.row_lists
 
     def perturbed(row, reach):
         p0, alpha, beta = lists(row, reach)
         return [p * (1 + 1e-9) for p in p0], alpha, beta
-    monkeypatch.setattr(oracle, "walk_lists", perturbed)
+    monkeypatch.setattr(oracle, "row_lists", perturbed)
     code, out, err = run_cli(capsys, "oracle-check", "--cases", "200", "--mu-max", "8",
                              "--max-steps", "20", "--seed", "2024")
     assert code == 1
@@ -307,6 +307,15 @@ def test_r_past_the_index_range_is_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: r=5000000000 is too large")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_trial_r_past_the_index_range_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "trial", "--state", "plus", "--r", "5000000000",
+                             "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: r=5000000000 is too large: the walk rows of one trial "
+                   "would leave their int32 indices\n")
 
 
 def test_entropy_seed_is_replayable(capsys):

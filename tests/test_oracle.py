@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsdwalk.oracle as oracle
 from qsdwalk.discriminate import StateLabel
@@ -21,7 +23,7 @@ from qsdwalk.oracle import (
     walk_agreement,
 )
 from qsdwalk.rng import substream
-from qsdwalk.walk import QubitState, WalkParams
+from qsdwalk.walk import QubitState, WalkParams, walk_lists
 
 from reference import ax_probabilities, collapse_update
 
@@ -325,24 +327,19 @@ def test_stepped_race_pinned(config, expected):
 
 @pytest.mark.parametrize("config", [(150, 4, 20, 2718), (150, 12, 20, 8128),
                                     (200, 8, 20, 2024)])
-def test_walk_agreement_follows_the_stepped_paths(monkeypatch, config):
+def test_walk_agreement_follows_the_stepped_paths(config):
     # the rows' p0 and the stepped p0 differ at rounding level, which moves
     # no draw of these runs across it: both races walk the same paths
-    outcomes = []
-    project = oracle.project_ax
-
-    def recording(reg, outcome):
-        outcomes.append(outcome)
-        return project(reg, outcome)
-    monkeypatch.setattr(oracle, "project_ax", recording)
-    walk_agreement(*config)
-    assert outcomes == [o for path in stepped_agreement(*config)[2] for o in path]
+    walks = oracle._draw_cases(*config)
+    paths = [walks.outcome[first:first + steps].tolist()
+             for first, steps in zip(walks.first, walks.steps)]
+    assert paths == stepped_agreement(*config)[2]
 
 
 def perturbed_lists(which):
-    """oracle.walk_lists with its p0 (which = 0), alpha (1) or beta (2)
+    """oracle.row_lists with its p0 (which = 0), alpha (1) or beta (2)
     scaled by 1 + 1e-9."""
-    lists = oracle.walk_lists
+    lists = oracle.row_lists
 
     def shim(row, reach):
         values = list(lists(row, reach))
@@ -353,23 +350,33 @@ def perturbed_lists(which):
 
 @pytest.mark.parametrize("which,gap", [(0, 0), (1, 1), (2, 1)])
 def test_walk_agreement_sees_a_perturbed_row(monkeypatch, which, gap):
-    monkeypatch.setattr(oracle, "walk_lists", perturbed_lists(which))
+    monkeypatch.setattr(oracle, "row_lists", perturbed_lists(which))
     assert walk_agreement(60, 4, 12, 2718)[gap] > 1e-10
 
 
-def case_steps(cases, max_steps, seed):
-    """Total walk steps of walk_agreement, redrawn the way it draws them."""
-    total = 0
+def test_walk_agreement_leaves_the_trial_row_cache_alone():
+    # each case's row is read once, so the oracle builds it uncached and
+    # evicts none of the rows run_trial keeps in walk_lists
+    before = walk_lists.cache_info()
+    walk_agreement(60, 4, 12, 2718)
+    assert walk_lists.cache_info() == before
+
+
+def case_draws(cases, mu_max, max_steps, seed):
+    """(mu, steps) of each case of walk_agreement, redrawn the way it draws them."""
+    draws = []
     for i in range(cases):
         rng = substream(seed, i)
-        rng.uniform()  # mu
-        total += 1 + int(rng.uniform() * max_steps)
-    return total
+        mu = min(mu_max, int(rng.uniform() * (mu_max + 1)))
+        draws.append((mu, 1 + int(rng.uniform() * max_steps)))
+    return draws
 
 
-def test_walk_agreement_calls_each_layer_once_per_step(monkeypatch):
-    # the per-layer benchmark spans wrap these module globals; inlining one
-    # of them, or calling one from another, would change these counts
+LAYERS = ("apply_p", "ax_marginal", "project_ax", "psi_moduli")
+
+
+def count_layer_calls(monkeypatch):
+    """Count the calls of each register op that walk_agreement makes."""
     calls = {}
 
     def counting(name):
@@ -380,12 +387,168 @@ def test_walk_agreement_calls_each_layer_once_per_step(monkeypatch):
             return original(*args, **kwargs)
         return shim
 
-    names = ("apply_p", "ax_marginal", "project_ax", "psi_moduli")
-    for name in names:
+    for name in LAYERS:
         monkeypatch.setattr(oracle, name, counting(name))
+    return calls
+
+
+def test_walk_agreement_calls_each_layer_once_per_batch(monkeypatch):
+    # the per-layer benchmark spans wrap these module globals; inlining one
+    # of them, or calling one from another, would change these counts. The
+    # cases of one mu fit one stack here, so a layer runs once per step of
+    # the group's longest case
+    calls = count_layer_calls(monkeypatch)
     walk_agreement(40, 6, 15, 404)
-    steps = case_steps(40, 15, 404)
-    assert {name: calls.get(name, 0) for name in names} == dict.fromkeys(names, steps)
+    longest = {}
+    for mu, steps in case_draws(40, 6, 15, 404):
+        longest[mu] = max(longest.get(mu, 0), steps)
+    batches = sum(longest.values())
+    assert batches < sum(steps for _, steps in case_draws(40, 6, 15, 404))
+    assert {name: calls.get(name, 0) for name in LAYERS} == dict.fromkeys(LAYERS, batches)
+
+
+def stack_batches(draws, cap):
+    """Calls of each layer walk_agreement makes with stacks capped at cap
+    amplitudes: one per step of each stack's longest case."""
+    groups = {}
+    for mu, steps in draws:
+        groups.setdefault(mu, []).append(steps)
+    total = 0
+    for mu, lengths in groups.items():
+        lengths.sort(reverse=True)
+        total += sum(lengths[::max(1, cap >> (mu + 2))])
+    return total
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 8])
+@pytest.mark.parametrize("config,expected", [
+    ((150, 4, 20, 2718), (6.661338147750939e-16, 9.43689570931383e-16)),
+    ((150, 12, 20, 8128), (1.4432899320127035e-15, 9.43689570931383e-16)),
+])
+def test_capped_stacks_give_the_pinned_gaps(monkeypatch, cap, config, expected):
+    # a cap of one amplitude steps each case alone, once per step; a cap of
+    # 2^8 splits each group into stacks of 2^(6 - mu) registers (one past
+    # mu = 5)
+    monkeypatch.setattr(oracle, "_STACK_AMPS", cap)
+    calls = count_layer_calls(monkeypatch)
+    assert walk_agreement(*config) == expected
+    draws = case_draws(*config)
+    if cap == 1:
+        assert stack_batches(draws, cap) == sum(steps for _, steps in draws)
+    assert {name: calls.get(name, 0) for name in LAYERS} == dict.fromkeys(
+        LAYERS, stack_batches(draws, cap))
+
+
+def feasible_outcome(u, p0, p1):
+    """0 if u < p0, unless that outcome (or the other) is below the
+    projection floor."""
+    if p0 <= 1e-12:
+        return 1
+    if p1 <= 1e-12:
+        return 0
+    return 0 if u < p0 else 1
+
+
+def exact(value) -> bytes:
+    return np.ascontiguousarray(value).tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 12).flatmap(lambda mu: st.tuples(
+    st.just(mu),
+    st.lists(st.tuples(st.floats(0.0, 2 * math.pi),
+                       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6)),
+             min_size=1, max_size=8))))
+def test_stack_equals_each_register_alone(case):
+    # each case runs alone first, choosing its path from its own
+    # marginals; the stack, longest first, then replays those paths on
+    # the cases still walking and must match every step bit for bit
+    mu, specs = case
+    specs = sorted(specs, key=lambda spec: -len(spec[1]))
+    t = WalkParams(mu).t
+    states = [QubitState.from_angle(angle) for angle, _ in specs]
+    alone = []
+    for state, (_, draws) in zip(states, specs):
+        reg = prepare_register(state, mu)
+        steps = []
+        for u in draws:
+            apply_p(reg, t)
+            after_p = reg.amps.copy()
+            marginal = ax_marginal(reg)
+            outcome = feasible_outcome(u, *marginal)
+            project_ax(reg, outcome)
+            steps.append((after_p, marginal, outcome, reg.amps.copy(), psi_moduli(reg)))
+        alone.append(steps)
+    stack = prepare_register(states, mu)
+    assert stack.amps.shape == (len(states), 2 ** (mu + 2))
+    for j in range(len(specs[0][1])):
+        live = sum(len(draws) > j for _, draws in specs)
+        walking = RegisterState(stack.amps[:live], mu)
+        apply_p(walking, t)
+        after_p = walking.amps.copy()
+        marginal = ax_marginal(walking)
+        project_ax(walking, [alone[c][j][2] for c in range(live)])
+        moduli = psi_moduli(walking)
+        for c in range(live):
+            one_after_p, one_marginal, _, one_after_project, one_moduli = alone[c][j]
+            assert exact(after_p[c]) == exact(one_after_p)
+            assert exact(walking.amps[c]) == exact(one_after_project)
+            for got, want in zip(marginal + moduli, one_marginal + one_moduli):
+                assert exact(got[c]) == exact(want)
+    # the cases that left early were not touched after their last step
+    assert all(exact(stack.amps[c]) == exact(alone[c][-1][3]) for c in range(len(specs)))
+
+
+def stack_of(*regs):
+    """A stack of the given single registers of one mu, in order."""
+    return RegisterState(np.stack([reg.amps for reg in regs]), regs[0].mu)
+
+
+def error_of(call, *args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_stack_raises_the_single_entanglement_frame():
+    regs = [prepare_register(label, 2) for label in (StateLabel.ZERO, StateLabel.MINUS,
+                                                     StateLabel.ONE)]
+    for reg in regs:
+        apply_p(reg, WalkParams(2).t)
+    psi_moduli(regs[0])
+    psi_moduli(regs[2])
+    single = error_of(psi_moduli, regs[1])
+    assert single.startswith("psi is entangled (marginal entropy ")
+    assert error_of(psi_moduli, stack_of(*regs)) == single
+
+
+def test_stack_raises_the_single_zero_probability_frame():
+    regs = [prepare_register(label, 1) for label in (StateLabel.ZERO, StateLabel.PLUS,
+                                                     StateLabel.ONE)]
+    apply_p(regs[0], 3)
+    apply_p(regs[2], 3)
+    single = error_of(project_ax, regs[1], 1)
+    assert single == "outcome 1 has probability 0.000e+00; cannot project"
+    assert error_of(project_ax, stack_of(*regs), [0, 1, 1]) == single
+    assert error_of(project_ax, stack_of(*regs), [0, 0, 2]) == "outcome must be 0 or 1, got 2"
+
+
+def test_stack_raises_the_single_norm_frame():
+    good = prepare_register(StateLabel.PLUS, 1).amps
+    bad = good * 1.5
+    single = error_of(RegisterState, bad, 1)
+    assert single.startswith("register not normalized: off by ")
+    assert error_of(RegisterState, np.stack([good, bad, good]), 1) == single
+
+
+def test_relative_phase_of_a_stack():
+    regs = [prepare_register(label, mu) for label, mu in ((StateLabel.PLUS, 2),
+                                                          (StateLabel.MINUS, 2))]
+    for reg in regs:
+        apply_p(reg, 5)
+        project_ax(reg, 0)
+    phases = relative_phase(stack_of(*regs))
+    assert phases.tolist() == [relative_phase(reg) for reg in regs]
 
 
 def test_oracle_tracks_one_full_path():
@@ -413,7 +576,7 @@ def lapack_entropy(reg: RegisterState) -> float:
 
 
 def closed_form_entropy(reg: RegisterState) -> float:
-    return _psi_entropy(_psi_density(reg))
+    return float(_psi_entropy(_psi_density(reg)))
 
 
 @pytest.mark.parametrize("seed", range(6))
