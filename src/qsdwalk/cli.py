@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import os
-import secrets
 import sys
 
 from .discriminate import MODES, DecisionRule, StateLabel, run_trial
@@ -40,7 +39,9 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise ValueError(f"QSD_SEED must be an integer, got {env!r}") from None
         return check_seed(seed, "QSD_SEED")
-    seed = secrets.randbits(64)
+    # what secrets.randbits(64) returns, without importing secrets, which
+    # loads hmac and libcrypto into every CLI process
+    seed = int.from_bytes(os.urandom(8), "big")
     print(f"seed: {seed}", file=sys.stderr)
     return seed
 

@@ -31,19 +31,25 @@ times the four states, phase_report every state twice. Since every job
 reads trial i's draws from the same substream, a step draws once per
 trial and broadcasts the draw across the jobs. The trials are cut into
 contiguous chunks by _chunk_plan, a pure function of (trials, jobs,
-threads): at most max(trials, jobs) lanes are live at once, a chunk
-holds at most _CHUNK_LANES lanes (or one trial), and the chunks fan out
-to threads only when each holds at least _FANOUT_LANES lanes. Smaller
-runs stay in the calling thread, so `threads` is a cap.
+threads). Workers are counted from all trials * jobs lanes of the pass,
+so a 40-job mu sweep fans out though no one job's lanes would: a chunk
+holds at most _CHUNK_LANES lanes (or one trial), a shared chunk at
+least _FANOUT_LANES, and each worker runs as many chunks. At most
+max(trials, jobs) lanes are live at once, or one chunk of about
+_FANOUT_LANES per worker where that is more. Passes too small to share
+stay in the calling thread, so `threads` is a cap.
 
 Each worker runs one loop over a contiguous run of chunks (the serial
 path is the same loop, as the only worker). It allocates its lane and
 draw buffers once, for its widest chunk, and every step, the restart
 at step k and the final count work in place in them. Draws come in
-blocks: one batch_uniform call mixes up to _DRAW_BLOCK uniforms, several
-steps of a chunk, into the worker's buffers. So a step is three numpy
-calls and allocates nothing, and two workers rarely wait on each other
-for the interpreter lock, which every numpy call takes and gives back.
+blocks: one batch_uniform call mixes several steps of a chunk into the
+worker's buffers, up to _DRAW_BLOCK uniforms and never more steps than
+the pass has jobs, so a block holds no more uniforms than the chunk has
+lanes and a worker's buffers cost at most 38 bytes per live lane (62
+where the lookup clamps). So a step is three numpy calls and allocates
+nothing, and two workers rarely wait on each other for the interpreter
+lock, which every numpy call takes and gives back.
 """
 
 from __future__ import annotations
@@ -60,9 +66,11 @@ from .walk import INDEX, QubitState, WalkParams, WalkRow, check_index_range
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
-# Below this many lanes per chunk, one step's numpy calls are too short
-# for threads to overlap: they contend for the interpreter lock, and two
-# threads run slower than one.
+# Fewest lanes in a chunk that a worker thread runs beside others. Below
+# it one step's numpy calls are too short for threads to overlap: they
+# contend for the interpreter lock, and two threads run slower than one.
+# The lanes of every job count, so a pass of many small jobs still fans
+# out.
 _FANOUT_LANES = 1 << 15
 # Most lanes one chunk holds (unless one trial's jobs pass it), so the
 # buffers a worker sizes for its widest chunk do not grow with trials.
@@ -74,10 +82,13 @@ _CHUNK_LANES = 1 << 17
 # rounds of 7 passes, 2 threads, 2 cores; rounds ranged 1.1-2.2x).
 _ENTRY_CAP = 1 << 20
 # Most uniforms one batch_uniform call draws for a chunk, as a block of
-# steps: a 12 500-trial chunk draws 5 steps a call. Fewer, longer calls
-# cost less per draw and hand the interpreter lock between workers less
-# often. A worker's three draw buffers hold a block each (1.5 MiB), or
-# one step of a chunk wider than the block.
+# steps. Fewer, longer calls cost less per draw and hand the interpreter
+# lock between workers less often. A block also draws no more steps than
+# the pass has jobs, so it never holds more uniforms than the chunk has
+# lanes: a 12 500-trial chunk of 4 jobs draws 4 steps a call, and an
+# 833-trial chunk of a 40-job sweep 40 where the block alone allows 78.
+# A worker's three draw buffers hold a block each, or one step of a chunk
+# wider than the block.
 _DRAW_BLOCK = 1 << 16
 # Slots and counts in the rows of a pass, in the package's index type. A
 # lane's home and shift grow with r (about r/2) however few the slots,
@@ -273,16 +284,17 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     step k) - (g after it), which turns g back into its net count at the
     end.
 
-    Draws come in blocks of at most _DRAW_BLOCK (or one step): row b of
-    a block is drawn from the chunk's substream states advanced by b
-    steps, so one batch_uniform call serves several steps. Every job
-    reads trial i's draw. Returns integer counts per job, (jobs, 4):
+    Draws come in blocks of at most _DRAW_BLOCK uniforms and at most as
+    many steps as there are jobs (or one step): row b of a block is
+    drawn from the chunk's substream states advanced by b steps, so one
+    batch_uniform call serves several steps. Every job reads trial i's
+    draw. Returns integer counts per job, (jobs, 4):
     h_applied, success & h, success & no h, ties; integers keep the
     later reduction order-independent.
     """
     k, r = config.rule.k, config.r
     jobs = len(lanes.home)
-    steps_per = {size: max(1, min(r, _DRAW_BLOCK // size)) for _, size in chunks}
+    steps_per = {size: max(1, min(r, jobs, _DRAW_BLOCK // size)) for _, size in chunks}
     skips = {depth: step_offsets(depth).reshape(-1, 1) for depth in steps_per.values()}
     lane_room = jobs * max(size for _, size in chunks)
     draw_room = max(depth * size for size, depth in steps_per.items())
@@ -372,23 +384,34 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
 def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[int, int]]]:
     """(workers, chunks): contiguous (start, size) chunks of the trials.
 
-    At most max(trials, jobs) lanes are live at once, as many as one job
-    alone needs, and a chunk holds at most _CHUNK_LANES of them (or one
-    trial, where the jobs alone pass the cap). The chunks fan out to
-    `workers` threads only when every chunk holds at least _FANOUT_LANES
-    lanes; otherwise workers is 1 and they run one after another in the
+    Workers come from the pass's trials * jobs lanes: each shared chunk
+    holds at least _FANOUT_LANES lanes and at most _CHUNK_LANES (or one
+    trial, where the jobs alone pass the cap), and the chunk count is a
+    multiple of the workers, so every worker runs as many chunks. At
+    most max(trials, jobs) lanes are live at once, as many as one job
+    alone needs, or, where that is more, `workers` chunks of at most
+    twice the fewest trials that reach _FANOUT_LANES. A pass too small
+    to share runs as one worker, its chunks one after another in the
     caller.
     """
     live = max(trials, jobs)
-    workers = max(1, min(threads, live // _FANOUT_LANES))
-    while True:
-        per = max(1, min(live // workers, _CHUNK_LANES) // jobs)  # most trials in one chunk
-        count = -(-trials // per)
-        bounds = [trials * c // count for c in range(count + 1)]
-        if workers == 1 or (workers * per * jobs <= live
-                            and trials // count * jobs >= _FANOUT_LANES):
-            return workers, [(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    fewest = -(-_FANOUT_LANES // jobs)  # fewest trials in a shared chunk
+    most = max(1, _CHUNK_LANES // jobs)  # most trials in any chunk
+    workers = min(threads, trials, trials * jobs // _FANOUT_LANES)
+    while workers > 1:
+        # as many chunks as the live bound asks, rounded up to the
+        # workers, but no more than leave each one `fewest` trials
+        per = max(1, min(live // workers, _CHUNK_LANES) // jobs)
+        count = min(-(-trials // per // workers) * workers,
+                    trials // fewest // workers * workers)
+        if count >= max(workers, -(-trials // most)):
+            break
         workers -= 1
+    else:
+        workers = 1
+        count = -(-trials // max(1, min(live, _CHUNK_LANES) // jobs))
+    bounds = [trials * c // count for c in range(count + 1)]
+    return workers, [(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _job_counts(config: ExperimentConfig, jobs: list[_Job],

@@ -329,6 +329,17 @@ def test_entropy_seed_is_replayable(capsys):
     assert out == replay
 
 
+def test_cli_import_loads_no_crypto():
+    # secrets pulls in hmac and libcrypto (about 3.7 MiB resident) for a
+    # seed that os.urandom gives alike
+    script = ("import sys\n"
+              "import qsdwalk.cli\n"
+              "print(sorted({'secrets', '_hashlib'} & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_out_redirects_payload(capsys, tmp_path):
     path = tmp_path / "trace.csv"
     code, out, err = run_cli(capsys, "trial", "--state", "plus", "--r", "4",

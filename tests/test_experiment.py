@@ -14,6 +14,7 @@ from qsdwalk.experiment import (
     _ENTRY_CAP,
     _FANOUT_LANES,
     ExperimentConfig,
+    PhasePoint,
     SweepPoint,
     _build_report,
     _chunk_plan,
@@ -442,17 +443,26 @@ def test_threads_below_one_rejected(threads):
 
 
 @pytest.mark.parametrize("trials,jobs,threads,workers", [
-    (10_000, 40, 2, 1),  # a mu sweep: 10k lanes in all, too few to share
+    # a mu sweep: 400k lanes in all, though one job holds 10k; it runs as
+    # 12 chunks of 833 trials, the most that each reach _FANOUT_LANES
+    (10_000, 40, 2, 2),
+    (10_000, 40, 3, 3),
     (100_000, 4, 1, 1),
     (100_000, 4, 2, 2),
-    (100_000, 4, 4, 2),  # three chunks at a time would hold < _FANOUT_LANES each
+    (100_000, 4, 3, 3),
+    # 12 chunks of 8333 trials, 3 a worker; four chunks of 25k lanes
+    # would each hold fewer than _FANOUT_LANES
+    (100_000, 4, 4, 4),
+    (100_000, 1, 4, 3),  # 100k lanes hold three chunks of _FANOUT_LANES, not four
     (65_536, 1, 2, 2),
     (65_535, 1, 2, 1),
     (1_000_000, 40, 8, 8),
-    (200_000, 40, 8, 6),
+    # 8M lanes: 240 chunks of 833 trials, 30 a worker
+    (200_000, 40, 8, 8),
     (1, 40, 8, 1),
     (3, 8, 8, 1),
-    (2, 70_000, 4, 1),  # more jobs than trials: one trial per chunk, one at a time
+    # more jobs than trials: one trial per chunk, each past _FANOUT_LANES
+    (2, 70_000, 4, 2),
     (16_000_000, 4, 2, 2),  # chunks stop at _CHUNK_LANES, however many trials
 ])
 def test_chunk_plan(trials, jobs, threads, workers):
@@ -463,30 +473,77 @@ def test_chunk_plan(trials, jobs, threads, workers):
     assert min(sizes) >= 1
     assert starts == [sum(sizes[:c]) for c in range(len(chunks))]
     assert sum(sizes) == trials
-    assert min(workers, len(chunks)) * max(sizes) * jobs <= max(trials, jobs)
+    # live lanes: as many as one job alone needs, or, where the pass
+    # fans out wider, chunks of at most twice the trials that reach
+    # _FANOUT_LANES
+    live = min(workers, len(chunks)) * max(sizes) * jobs
+    fewest = -(-_FANOUT_LANES // jobs)
+    assert live <= max(trials, jobs) or (workers > 1 and max(sizes) <= 2 * fewest)
     if jobs <= _CHUNK_LANES:
         assert max(sizes) * jobs <= _CHUNK_LANES
+    assert len(chunks) % workers == 0  # every worker runs as many chunks
     if workers > 1:
         assert len(chunks) >= workers
         assert min(sizes) * jobs >= _FANOUT_LANES
 
 
-def test_fanned_out_pass_equals_serial_and_reference(monkeypatch):
-    config = ExperimentConfig(trials=70_000, r=3, master_seed=6,
-                              rule=DecisionRule(k=2, i1=0.2, i2=0.8))
-    assert _chunk_plan(config.trials, len(config.states), 2)[0] == 2
-    pools = []
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The max_workers of every thread pool the engine starts."""
+    sizes = []
 
     class CountingPool(experiment.ThreadPoolExecutor):
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
             super().__init__(max_workers)
 
     monkeypatch.setattr(experiment, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
+def test_fanned_out_pass_equals_serial_and_reference(pool_sizes):
+    config = ExperimentConfig(trials=70_000, r=3, master_seed=6,
+                              rule=DecisionRule(k=2, i1=0.2, i2=0.8))
+    assert _chunk_plan(config.trials, len(config.states), 2)[0] == 2
     expected = [_build_report(s, config, reference_counts(s, config)) for s in config.states]
     for threads in (1, 2, 3):
         assert run_experiment(config, threads=threads) == expected
-    assert pools == [2, 2]
+    # 280k lanes: six chunks of 46 668 at three threads
+    assert pool_sizes == [2, 3]
+
+
+def test_fanned_out_sweep_equals_serial_and_reference(pool_sizes):
+    # 40 jobs of 10k trials: no job alone holds _FANOUT_LANES lanes, but
+    # the pass's 400k lanes fill three chunks of them
+    base = ExperimentConfig(trials=10_000, r=6, master_seed=11,
+                            rule=DecisionRule(k=3, i1=0.2, i2=0.8))
+    mu_values = range(1, 11)
+    expected = []
+    for mu in mu_values:
+        at_mu = dataclasses.replace(base, mu=mu)
+        ts = {s: _build_report(s, at_mu, reference_counts(s, at_mu)).total_success
+              for s in ALL_STATES}
+        expected.append(SweepPoint(mu, (ts[StateLabel.ZERO] + ts[StateLabel.ONE]) / 2,
+                                   (ts[StateLabel.PLUS] + ts[StateLabel.MINUS]) / 2))
+    for threads in (1, 2, 3):
+        assert sweep_mu(base, mu_values, threads=threads) == expected
+    assert pool_sizes == [2, 3]
+
+
+def test_fanned_out_phase_report_equals_serial_and_reference(pool_sizes):
+    # 4 states, each walked twice: 8 jobs of 12 300 trials, enough lanes
+    # for three chunks of _FANOUT_LANES
+    config = ExperimentConfig(trials=12_300, r=7, mu=2, master_seed=12,
+                              rule=DecisionRule(k=3, mode="always-apply-h"))
+    expected = []
+    for state in config.states:
+        real = reference_counts(state, config)
+        ts_real = (real[1] + real[2]) / config.trials
+        ts_cplx = reference_phase_success(state, config)
+        expected.append(PhasePoint(state, ts_real, ts_cplx, abs(ts_real - ts_cplx)))
+    for threads in (1, 2, 3):
+        assert phase_report(config, threads=threads) == expected
+    assert pool_sizes == [2, 3]
 
 
 # Unequal chunks, the last one shorter; in each half a chunk other than
@@ -542,8 +599,10 @@ def test_pass_memory_is_fixed_buffers(cap, monkeypatch):
     config = ExperimentConfig(trials=20_000, r=50, master_seed=4)
     workers, chunks = _chunk_plan(config.trials, 4, 1)
     size = chunks[0][1]
-    depth = experiment._DRAW_BLOCK // size
-    assert (workers, len(chunks), size, depth) == (1, 4, 5000, 13)
+    # a block draws no more steps than the pass has jobs, so no more
+    # uniforms than the chunk has lanes
+    depth = min(config.r, 4, experiment._DRAW_BLOCK // size)
+    assert (workers, len(chunks), size, depth) == (1, 4, 5000, 4)
     # per lane: g (8 bytes), shift (4), the outcome and H flags (1 each)
     # and, when the lookup clamps, its slot and the row's bounds (8 each);
     # per draw of a block: the states, the uniforms and the mixer's work
@@ -565,7 +624,8 @@ def test_steps_allocate_nothing(cap, monkeypatch):
         monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
     config = ExperimentConfig(trials=40_000, r=60, master_seed=4)
     size = _chunk_plan(config.trials, 4, 1)[1][0][1]
-    lanes, depth = 4 * size, experiment._DRAW_BLOCK // size
+    lanes, depth = 4 * size, min(config.r, 4, experiment._DRAW_BLOCK // size)
+    assert depth == 4
     marks = []
 
     def chunk_start(*args):
