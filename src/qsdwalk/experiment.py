@@ -284,20 +284,23 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     step k) - (g after it), which turns g back into its net count at the
     end.
 
-    Draws come in blocks of at most _DRAW_BLOCK uniforms and at most as
-    many steps as there are jobs (or one step): row b of a block is
-    drawn from the chunk's substream states advanced by b steps, so one
-    batch_uniform call serves several steps. Every job reads trial i's
-    draw. Returns integer counts per job, (jobs, 4):
-    h_applied, success & h, success & no h, ties; integers keep the
-    later reduction order-independent.
+    Draws come in blocks of one depth, set by the widest chunk: at most
+    _DRAW_BLOCK uniforms and at most as many steps as there are jobs (or
+    one step). Row b of a block is drawn from the chunk's substream
+    states advanced by b steps, so one batch_uniform call serves several
+    steps. Every job reads trial i's draw. Returns integer counts per
+    job, (jobs, 4): h_applied, success & h, success & no h, ties;
+    integers keep the later reduction order-independent.
     """
     k, r = config.rule.k, config.r
     jobs = len(lanes.home)
-    steps_per = {size: max(1, min(r, jobs, _DRAW_BLOCK // size)) for _, size in chunks}
-    skips = {depth: step_offsets(depth).reshape(-1, 1) for depth in steps_per.values()}
-    lane_room = jobs * max(size for _, size in chunks)
-    draw_room = max(depth * size for size, depth in steps_per.items())
+    # a narrower chunk draws at the widest one's depth: every draw is fixed
+    # by its stream position, so the depth changes no count
+    widest = max(size for _, size in chunks)
+    depth = max(1, min(r, jobs, _DRAW_BLOCK // widest))
+    skips = step_offsets(depth).reshape(-1, 1)
+    lane_room = jobs * widest
+    draw_room = depth * widest
     # g indexes np.take, which would copy any other integer type to intp
     # on every step
     g_buf = np.empty(lane_room, dtype=np.intp)
@@ -335,14 +338,13 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
         if clamp:
             pos = _shaped(pos_buf, jobs, size)
             lo, hi = lo_home, hi_home
-        depth = steps_per[size]
         block = _shaped(block_buf, depth, size)
-        np.add(substream_states(config.master_seed, start, size), skips[depth], out=block)
+        np.add(substream_states(config.master_seed, start, size), skips, out=block)
         for done in range(0, r, depth):
             steps = min(depth, r - done)
             if done and depth > 1:
                 # each row has drawn once; move it on by the rest of a block
-                block += skips[depth][-1]
+                block += skips[-1]
             u = batch_uniform(block[:steps], _shaped(u_buf, steps, size),
                               _shaped(p0_buf.view(np.uint64), steps, size))
             for s in range(done, done + steps):

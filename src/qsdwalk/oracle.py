@@ -15,7 +15,10 @@ A RegisterState holds one register or a stack of them along leading
 axes, and every op acts on each register of the stack alike, bit for
 bit as it would on that register alone. walk_agreement steps a stack of
 cases of one mu at once, so numpy's per-call cost is paid per step of
-the stack rather than per step of each case.
+the stack rather than per step of each case. The stack's rows are one
+WalkRow over arrays of starts, and each step draws every walking case's
+outcome from its own stream as it goes, so each case is walked once and
+a pass holds memory for its cases, not for their steps.
 
 Qubit order is (psi, dummy_1..dummy_mu, ax) with ax least significant,
 so ax marginals are sums over contiguous stride-2 slices.
@@ -31,8 +34,8 @@ import numpy as np
 
 from .discriminate import StateLabel
 from .gates import v_root
-from .rng import substream
-from .walk import QubitState, WalkParams, WalkRow, row_lists
+from .rng import batch_uniform, substream_states
+from .walk import QubitState, WalkParams, WalkRow
 
 _MU_CAP = 20
 _NORM_TOL = 1e-10
@@ -231,69 +234,24 @@ def _check_mu_max(mu_max: int) -> None:
         raise ValueError(f"mu_max must be in 0..{_MU_CAP}, got {mu_max}")
 
 
-@dataclass
-class _Walks:
-    """walk_agreement's cases as their rows walk them, in case order.
-    Per case: mu, the start amplitudes, the index of its first step in
-    the per-step arrays and its step count. Per step: p0 before the
-    draw, the outcome, and the moduli |alpha|, |beta| after it."""
-
-    mu: np.ndarray
-    alpha0: np.ndarray
-    beta0: np.ndarray
-    first: np.ndarray
-    steps: np.ndarray
-    p0: np.ndarray
-    outcome: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
-def _draw_cases(cases: int, mu_max: int, max_steps: int, master_seed: int) -> _Walks:
-    """Each case's mu, length, start state and outcome path. An outcome
-    path needs only the row and the draws, never the register: the draw
-    at each step is compared with the row's p0. The steps go into typed
-    arrays, 25 bytes a step, where lists of Python floats take 100."""
-    # imported here, not at start-up: no other command needs the module
-    from array import array
-
-    params = [WalkParams(mu) for mu in range(mu_max + 1)]
-    mus, firsts, lengths = array("q"), array("q"), array("q")
-    alpha0, beta0 = array("d"), array("d")
-    p0s, outcomes, alphas, betas = array("d"), array("b"), array("d"), array("d")
-    for i in range(cases):
-        rng = substream(master_seed, i)
-        mu = min(mu_max, int(rng.uniform() * (mu_max + 1)))
-        steps = 1 + int(rng.uniform() * max_steps)
-        state = QubitState.from_angle(rng.uniform() * 2.0 * math.pi)
-        mus.append(mu)
-        alpha0.append(state.alpha)
-        beta0.append(state.beta)
-        firsts.append(len(outcomes))
-        lengths.append(steps)
-        # uncached: each case has its own row, which nothing reads again
-        p0, alpha, beta = row_lists(WalkRow.start(state, params[mu]), steps)
-        n = 0
-        for _ in range(steps):
-            p0s.append(p0[n])
-            outcome = 0 if rng.uniform() < p0[n] else 1
-            n += 1 - 2 * outcome
-            outcomes.append(outcome)
-            alphas.append(abs(alpha[n]))
-            betas.append(abs(beta[n]))
-    return _Walks(*(np.frombuffer(values, dtype=values.typecode) for values in (
-        mus, alpha0, beta0, firsts, lengths, p0s, outcomes, alphas, betas)))
-
-
-def _race_stack(walks: _Walks, stack: np.ndarray, mu: int) -> tuple[float, float]:
-    """Step the cases `stack` of one mu, longest first, down their outcome
-    paths: the cases still walking at a step are a prefix of the stack.
-    Returns the worst (probability, moduli) gaps to their rows."""
-    lengths = walks.steps[stack].tolist()
-    first = walks.first[stack]
-    walking = prepare_register([QubitState(a, b) for a, b in zip(
-        walks.alpha0[stack].tolist(), walks.beta0[stack].tolist())], mu)
-    t = WalkParams(mu).t
+def _race_stack(states: np.ndarray, angles: np.ndarray, lengths: np.ndarray,
+                mu: int) -> tuple[float, float]:
+    """Step a stack of cases of one mu, longest first, from the start
+    angles: the cases still walking at a step are a prefix of the stack.
+    Each step draws once from the stream of every case still walking
+    (`states`, advanced in place) and takes outcome 0 where the draw is
+    below the row's p0. Returns the worst (probability, moduli) gaps to
+    the rows."""
+    params = WalkParams(mu)
+    starts = [QubitState.from_angle(angle) for angle in angles.tolist()]
+    # per case: x0 and the signs of its row; a WalkRow over these arrays
+    # evaluates every case of the stack at its own net count n
+    columns = np.array([(row.x0, row.sign_alpha, row.sign_beta)
+                        for row in (WalkRow.start(state, params) for state in starts)])
+    row = WalkRow(params, *columns.T)
+    walking = prepare_register(starts, mu)
+    n = np.zeros(len(starts), dtype=int)
+    lengths = lengths.tolist()
     live = len(lengths)
     worst_p = worst_m = 0.0
     for j in range(lengths[0]):
@@ -302,15 +260,19 @@ def _race_stack(walks: _Walks, stack: np.ndarray, mu: int) -> tuple[float, float
             while lengths[live - 1] == j:
                 live -= 1
             walking = RegisterState(walking.amps[:live], mu)
-        at = first[:live] + j
-        apply_p(walking, t)
+            row = WalkRow(params, *columns[:live].T)
+            states, n = states[:live], n[:live]
+        apply_p(walking, params.t)
         p0_reg, p1_reg = ax_marginal(walking)
-        p0 = walks.p0[at]
+        p0 = row.p0(n)
         worst_p = max(worst_p, np.abs(p0_reg - p0).max(), np.abs(p1_reg - (1.0 - p0)).max())
-        project_ax(walking, walks.outcome[at])
+        outcome = (batch_uniform(states) >= p0).astype(np.int8)
+        n += 1 - 2 * outcome
+        project_ax(walking, outcome)
         ma, mb = psi_moduli(walking)
-        worst_m = max(worst_m, np.abs(ma - walks.alpha[at]).max(),
-                      np.abs(mb - walks.beta[at]).max())
+        alpha, beta = row.amplitudes(n)
+        worst_m = max(worst_m, np.abs(ma - np.abs(alpha)).max(),
+                      np.abs(mb - np.abs(beta)).max())
     return float(worst_p), float(worst_m)
 
 
@@ -318,26 +280,33 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
                    master_seed: int) -> tuple[float, float]:
     """Race the closed-form walk rows against the register simulation.
 
-    Each case draws a random normalized state, mu <= mu_max and a walk
-    of up to max_steps outcomes. The register steps down that outcome
-    path, drawn from the row's p0, while the net count n = j0 - j1 reads
-    the walk.WalkRow of the start state (the rows every package path
-    shares). The cases of one mu are stepped together, in stacks of at
-    most _STACK_AMPS amplitudes. Returns the worst disagreement seen in
-    (ax probabilities, post-measurement amplitude moduli).
+    Case i draws from substream i of master_seed: mu <= mu_max, a walk
+    length of up to max_steps and a random normalized start state, then
+    one draw per step. The cases of one mu are stepped together, in
+    stacks of at most _STACK_AMPS amplitudes; at each step the register
+    of every case walking is compared with the walk.WalkRow of its start
+    state (the rows every package path shares) at its net count
+    n = j0 - j1, and takes the outcome that case's draw picks from the
+    row's p0. Memory grows with the cases, not with their steps.
+    Returns the worst disagreement seen in (ax probabilities,
+    post-measurement amplitude moduli).
     """
     _check_mu_max(mu_max)
     if cases < 1 or max_steps < 1:
         raise ValueError("cases and max_steps must be >= 1")
-    walks = _draw_cases(cases, mu_max, max_steps, master_seed)
+    states = substream_states(master_seed, 0, cases)
+    mus = np.minimum(mu_max, (batch_uniform(states) * (mu_max + 1)).astype(int))
+    lengths = 1 + (batch_uniform(states) * max_steps).astype(int)
+    angles = batch_uniform(states) * 2.0 * math.pi
     worst_p = worst_m = 0.0
     for mu in range(mu_max + 1):
-        group = np.flatnonzero(walks.mu == mu)
+        group = np.flatnonzero(mus == mu)
         # longest first, so the cases still walking at a step are a prefix
-        group = group[np.argsort(-walks.steps[group], kind="stable")]
+        group = group[np.argsort(-lengths[group], kind="stable")]
         size = max(1, _STACK_AMPS >> (mu + 2))
         for lo in range(0, len(group), size):
-            gap_p, gap_m = _race_stack(walks, group[lo:lo + size], mu)
+            stack = group[lo:lo + size]
+            gap_p, gap_m = _race_stack(states[stack], angles[stack], lengths[stack], mu)
             worst_p, worst_m = max(worst_p, gap_p), max(worst_m, gap_m)
     return worst_p, worst_m
 

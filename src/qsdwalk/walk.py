@@ -24,9 +24,10 @@ With x0 = ln(alpha^2/beta^2) and the logistic sigma(x) = 1/(1 + e^-x):
 
 A WalkRow (x0 and the signs of alpha and beta) evaluates p0 or the state
 over an array of net counts in one numpy expression, just out to the
-counts a caller reaches; the Monte Carlo engine, the per-trial rule and
-the register oracle all read it. At mu = 0 (c1 = 0) the first outcome
-collapses the state.
+counts a caller reaches; a WalkRow over arrays of x0 and signs is a
+stack of rows, each read at its own count. The Monte Carlo engine, the
+per-trial rule (through the cached walk_lists) and the register oracle
+all read it. At mu = 0 (c1 = 0) the first outcome collapses the state.
 
 The rows are the real-amplitude walk; the relative phase that a full
 register simulation develops per step is deliberately not tracked. The
@@ -115,7 +116,9 @@ _SETTLED_X = 40.0
 class WalkRow:
     """The walk from one start state, in closed form over the net count n:
     x0 = ln(alpha^2 / beta^2) of the start (+-inf for a basis state) and
-    the signs of (alpha, beta). Starts with one x0 share every p0."""
+    the signs of (alpha, beta). Starts with one x0 share every p0. The
+    three may also be equal-shaped arrays, one entry per start: p0 and
+    amplitudes then broadcast them against the counts n."""
 
     params: WalkParams
     x0: float
@@ -184,14 +187,12 @@ def check_index_range(r: int, extent: int, rows: str, index=INDEX) -> None:
                          f"{np.dtype(index).name} indices")
 
 
-def row_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
-    """p0, alpha and beta of `row` at |n| <= reach, as Python floats for a
-    per-step lookup: list[n] holds count n (negative n from the end)."""
+@lru_cache(maxsize=64)
+def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
+    """p0, alpha and beta of `row` at |n| <= reach, as Python floats for
+    run_trial's per-step lookup, which reads the same few rows trial
+    after trial: list[n] holds count n (negative n from the end)."""
     n = np.arange(2 * reach + 1)
     n[reach + 1:] -= 2 * reach + 1
     alpha, beta = row.amplitudes(n)
     return _p0(row.params, alpha, beta).tolist(), alpha.tolist(), beta.tolist()
-
-
-# row_lists for run_trial, which reads the same few rows trial after trial
-walk_lists = lru_cache(maxsize=64)(row_lists)

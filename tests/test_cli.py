@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-import qsdwalk.oracle as oracle
 from qsdwalk.cli import main
+from qsdwalk.walk import WalkRow
 
 JSON_KEYS = {"state", "trials", "frac_h_applied", "success_given_h",
              "failure_given_h", "success_given_no_h", "failure_given_no_h",
@@ -230,12 +230,8 @@ def test_oracle_check_output_pinned(capsys):
 def test_oracle_check_flags_a_perturbed_row(capsys, monkeypatch):
     # the check reads the rows every walk path shares: p0 off by 1e-9
     # relative must fail it
-    lists = oracle.row_lists
-
-    def perturbed(row, reach):
-        p0, alpha, beta = lists(row, reach)
-        return [p * (1 + 1e-9) for p in p0], alpha, beta
-    monkeypatch.setattr(oracle, "row_lists", perturbed)
+    p0 = WalkRow.p0
+    monkeypatch.setattr(WalkRow, "p0", lambda row, n: p0(row, n) * (1 + 1e-9))
     code, out, err = run_cli(capsys, "oracle-check", "--cases", "200", "--mu-max", "8",
                              "--max-steps", "20", "--seed", "2024")
     assert code == 1

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qsdwalk.oracle import (
     walk_agreement,
 )
 from qsdwalk.rng import substream
-from qsdwalk.walk import QubitState, WalkParams, walk_lists
+from qsdwalk.walk import QubitState, WalkParams, WalkRow, walk_lists
 
 from reference import ax_probabilities, collapse_update
 
@@ -325,41 +326,84 @@ def test_stepped_race_pinned(config, expected):
     assert stepped_agreement(*config)[:2] == expected
 
 
+def walked_paths(monkeypatch, cases, mu_max, max_steps, seed):
+    """The outcome path of each case of walk_agreement, read back from the
+    outcome vectors it passes to project_ax. The stacks step in mu order,
+    each case of a group longest first, and a step's vector holds one
+    outcome per case still walking, in stack order."""
+    vectors = []
+    project = oracle.project_ax
+
+    def recording(reg, outcome):
+        vectors.append(np.array(outcome).tolist())
+        return project(reg, outcome)
+
+    monkeypatch.setattr(oracle, "project_ax", recording)
+    walk_agreement(cases, mu_max, max_steps, seed)
+    draws = case_draws(cases, mu_max, max_steps, seed)
+    paths = [[] for _ in draws]
+    steps = iter(vectors)
+    for mu in range(mu_max + 1):
+        group = sorted((i for i, (m, _) in enumerate(draws) if m == mu),
+                       key=lambda i: -draws[i][1])
+        size = max(1, oracle._STACK_AMPS >> (mu + 2))
+        for lo in range(0, len(group), size):
+            stack = group[lo:lo + size]
+            for _ in range(draws[stack[0]][1]):
+                for i, outcome in zip(stack, next(steps)):
+                    paths[i].append(outcome)
+    assert next(steps, None) is None
+    return paths
+
+
 @pytest.mark.parametrize("config", [(150, 4, 20, 2718), (150, 12, 20, 8128),
                                     (200, 8, 20, 2024)])
-def test_walk_agreement_follows_the_stepped_paths(config):
+def test_walk_agreement_follows_the_stepped_paths(monkeypatch, config):
     # the rows' p0 and the stepped p0 differ at rounding level, which moves
     # no draw of these runs across it: both races walk the same paths
-    walks = oracle._draw_cases(*config)
-    paths = [walks.outcome[first:first + steps].tolist()
-             for first, steps in zip(walks.first, walks.steps)]
-    assert paths == stepped_agreement(*config)[2]
+    assert walked_paths(monkeypatch, *config) == stepped_agreement(*config)[2]
 
 
-def perturbed_lists(which):
-    """oracle.row_lists with its p0 (which = 0), alpha (1) or beta (2)
-    scaled by 1 + 1e-9."""
-    lists = oracle.row_lists
+def perturb_rows(monkeypatch, which):
+    """Scale the p0 (which = 0), alpha (1) or beta (2) that every WalkRow
+    gives by 1 + 1e-9."""
+    if which == 0:
+        p0 = WalkRow.p0
+        monkeypatch.setattr(WalkRow, "p0", lambda row, n: p0(row, n) * (1 + 1e-9))
+        return
+    amplitudes = WalkRow.amplitudes
 
-    def shim(row, reach):
-        values = list(lists(row, reach))
-        values[which] = [v * (1 + 1e-9) for v in values[which]]
+    def shim(row, n):
+        values = list(amplitudes(row, n))
+        values[which - 1] = values[which - 1] * (1 + 1e-9)
         return tuple(values)
-    return shim
+    monkeypatch.setattr(WalkRow, "amplitudes", shim)
 
 
 @pytest.mark.parametrize("which,gap", [(0, 0), (1, 1), (2, 1)])
 def test_walk_agreement_sees_a_perturbed_row(monkeypatch, which, gap):
-    monkeypatch.setattr(oracle, "row_lists", perturbed_lists(which))
+    perturb_rows(monkeypatch, which)
     assert walk_agreement(60, 4, 12, 2718)[gap] > 1e-10
 
 
 def test_walk_agreement_leaves_the_trial_row_cache_alone():
-    # each case's row is read once, so the oracle builds it uncached and
-    # evicts none of the rows run_trial keeps in walk_lists
+    # the oracle evaluates its stacks' rows directly, so it evicts none of
+    # the rows run_trial keeps in walk_lists
     before = walk_lists.cache_info()
     walk_agreement(60, 4, 12, 2718)
     assert walk_lists.cache_info() == before
+
+
+def test_walk_agreement_memory_grows_with_cases_not_steps():
+    # about 400k case-steps: 25 bytes each would be 10 MB. The registers,
+    # streams and counts of 2000 cases at mu <= 1 take well under 1 MiB
+    tracemalloc.start()
+    try:
+        walk_agreement(2000, 1, 400, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def case_draws(cases, mu_max, max_steps, seed):
