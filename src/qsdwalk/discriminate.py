@@ -164,7 +164,9 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     (rule.fires) runs at iteration k after that iteration's counter
     update. p0 and the traced amplitudes come from the batch engine's
     closed-form rows (walk.WalkRow), by the net count since the start or
-    since H (row_after_h), evaluated out to k, then to r (r - k after H).
+    since H (row_after_h), evaluated out to k, then to r (r - k after H),
+    but never past the row's frozen count: further out every value
+    equals the one there, so the lookup clamps the count to it.
     """
     if r < 1:
         raise ValueError(f"iteration count r must be >= 1, got {r}")
@@ -173,25 +175,30 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     # the row walked to the end holds the counts -r..r
     check_index_range(r, 2 * r + 1, "the walk rows of one trial")
     row = WalkRow.start(initial.to_state(), params)
-    p0, alpha, beta = walk_lists(row, rule.k)
-    n = 0
+    edge = min(rule.k, row.frozen)
+    p0, alpha, beta = walk_lists(row, edge)
+    n = at = 0  # the net count, and where the lists hold it
     j0 = 0
     h_applied = False
     trace = []
     for j in range(1, r + 1):
-        outcome = 0 if rng.uniform() < p0[n] else 1
+        outcome = 0 if rng.uniform() < p0[at] else 1
         if outcome == 0:
             j0 += 1
             n += 1
         else:
             n -= 1
+        at = min(max(n, -edge), edge)
         if j == rule.k:
             if rule.fires(j0):
-                row = row_after_h(QubitState(alpha[n], beta[n]), params, rule.k)
-                n = 0
+                row = row_after_h(QubitState(alpha[at], beta[at]), params, rule.k)
+                n = at = 0
                 h_applied = True
-            p0, alpha, beta = walk_lists(row, r - rule.k if h_applied else r)
-        trace.append((j, outcome, alpha[n], beta[n], j0 / j))
+            # a row kept past k reads at the same `at`: its edge grows
+            # only where it was below the frozen count, and then |n| <= k
+            edge = min(r - rule.k if h_applied else r, row.frozen)
+            p0, alpha, beta = walk_lists(row, edge)
+        trace.append((j, outcome, alpha[at], beta[at], j0 / j))
     j1 = r - j0
     return TrialOutcome(
         h_applied=h_applied,

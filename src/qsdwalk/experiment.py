@@ -35,21 +35,22 @@ threads). Workers are counted from all trials * jobs lanes of the pass,
 so a 40-job mu sweep fans out though no one job's lanes would: a chunk
 holds at most _CHUNK_LANES lanes (or one trial), a shared chunk at
 least _FANOUT_LANES, and each worker runs as many chunks. At most
-max(trials, jobs) lanes are live at once, or one chunk of about
-_FANOUT_LANES per worker where that is more. Passes too small to share
+max(trials, jobs, _FANOUT_LANES) lanes are live at once, or one chunk
+of about _FANOUT_LANES per worker where that is more, so a pass of up
+to _FANOUT_LANES lanes runs as one chunk. Passes too small to share
 stay in the calling thread, so `threads` is a cap.
 
-Each worker runs one loop over a contiguous run of chunks (the serial
-path is the same loop, as the only worker). It allocates its lane and
-draw buffers once, for its widest chunk, and every step, the restart
-at step k and the final count work in place in them. Draws come in
-blocks: one batch_uniform call mixes several steps of a chunk into the
-worker's buffers, up to _DRAW_BLOCK uniforms and never more steps than
-the pass has jobs, so a block holds no more uniforms than the chunk has
-lanes and a worker's buffers cost at most 38 bytes per live lane (62
-where the lookup clamps). So a step is three numpy calls and allocates
-nothing, and two workers rarely wait on each other for the interpreter
-lock, which every numpy call takes and gives back.
+_lanes lays out every table a pass steps with, once, before any
+fan-out. Each worker runs one loop over a contiguous run of chunks (the
+serial path is the same loop, as the only worker). It allocates its
+lane and draw buffers once, for its widest chunk, and every step, the
+restart at step k and the final count work in place in them. Draws come
+in blocks: one batch_uniform call mixes min(r, jobs) steps of a chunk
+into the worker's buffers, so a block holds no more uniforms than the
+chunk has lanes and a worker's buffers cost at most 38 bytes per live
+lane (62 where the lookup clamps). So a step is three numpy calls and
+allocates nothing, and two workers rarely wait on each other for the
+interpreter lock, which every numpy call takes and gives back.
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ _CHUNK_LANES = 1 << 17
 # 10k-trial mu 1..10 sweep 1.41x slower than full rows (medians of five
 # rounds of 7 passes, 2 threads, 2 cores; rounds ranged 1.1-2.2x).
 _ENTRY_CAP = 1 << 20
-# Most uniforms one batch_uniform call draws for a chunk, as a block of
-# steps. Fewer, longer calls cost less per draw and hand the interpreter
-# lock between workers less often. A block also draws no more steps than
-# the pass has jobs, so it never holds more uniforms than the chunk has
-# lanes: a 12 500-trial chunk of 4 jobs draws 4 steps a call, and an
-# 833-trial chunk of a 40-job sweep 40 where the block alone allows 78.
-# A worker's three draw buffers hold a block each, or one step of a chunk
-# wider than the block.
-_DRAW_BLOCK = 1 << 16
-# Slots and counts in the rows of a pass, in the package's index type. A
-# lane's home and shift grow with r (about r/2) however few the slots,
-# so _lanes refuses a pass whose values would leave this type's range.
-_INDEX = INDEX
 
 
 @dataclass(frozen=True)
@@ -170,7 +158,7 @@ def _walk_rows(state: StateLabel, config: ExperimentConfig,
     base = WalkRow.start(state.to_state(), WalkParams(config.mu))
     fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
     after: dict[float, tuple[int, WalkRow]] = {}  # x0: (its number, the row)
-    row_of_j0 = np.zeros(k + 1, dtype=_INDEX)
+    row_of_j0 = np.zeros(k + 1, dtype=np.intp)
     if config.r > k:  # with no steps left after k, no row after H is read
         fired = np.flatnonzero(fires)
         alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
@@ -191,12 +179,12 @@ def _row_slots(reach: int, entered: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Lanes:
-    """The p0 rows of every job of a pass, laid out for a three-op step.
+    """Every table a pass steps with, laid out once for a three-op step.
 
     A lane holds g: its row's home plus its outcome-0 count since it
     entered the row. Each row is stored as two parity slices, in the
-    same slots of p0[0] and p0[1]. After s steps, a lane reads
-    p0[s % 2][lead - ceil(s/2) + g]: a lookup through one view that
+    same slots of slices[0] and slices[1]. After s steps, a lane reads
+    slices[s % 2][lead - ceil(s/2) + g]: a lookup through one view that
     every lane shares, then a compare with the draw, then g += 1 on
     outcome 0.
 
@@ -207,24 +195,28 @@ class _Lanes:
     so the two are never merged. Rows hold p0 out to the largest |n|
     they are read at: r - 1 for row 0, r - 1 - k after H. Where that
     would pass _ENTRY_CAP entries in all, the rows end instead past
-    WalkRow.settled, so their end slots hold the edge p0 (clamp is True),
-    and each lookup is clamped into its row's slots row_lo .. row_hi.
+    WalkRow.settled, so their end slots hold the edge p0, and each lookup
+    is clamped into its row's slots (bounds is not None).
 
-    Rows are numbered across the pass. Per-job arrays hold one job per
-    line of axis 0, so they broadcast against the (jobs, trials) lane
-    arrays.
+    At step k a lane's g is start + j0, so g + key_shift is its key
+    job * (k + 1) + j0, which indexes the per-key tables. Per-job tables
+    hold one job per line of axis 0, so they broadcast against the
+    (jobs, trials) lane arrays. The index tables are intp, the type
+    np.take indexes with, except shift_of_key, which fills a lane buffer.
     """
 
-    p0: np.ndarray  # (2, slots): the even and the odd parity slice
+    slices: tuple[np.ndarray, np.ndarray]  # the even and the odd parity slice
     lead: int  # the view start before step 1
-    clamp: bool
-    row_home: np.ndarray  # (rows,): g of a lane entering the row
-    row_lo: np.ndarray  # (rows,): the row's first slot
-    row_hi: np.ndarray  # (rows,): the row's last slot
-    home: np.ndarray  # (jobs, 1): row 0 of each job
-    fires: np.ndarray  # (jobs, k + 1): whether H fires at step k, by j0
-    entry: np.ndarray  # (jobs, k + 1): the row walked after step k, by j0
+    start: np.ndarray  # (jobs, 1): g of a lane entering row 0
+    key_shift: np.ndarray  # (jobs, 1): key - g at step k
+    n_base: np.ndarray  # (jobs, 1): n = 2 * (g + shift) - n_base at the end
     bit: np.ndarray  # (jobs, 1): the prepared state's bit
+    fires: np.ndarray  # (keys,): whether H fires at step k
+    # (keys,): key - g after step k, which turns g back into the key
+    shift_of_key: np.ndarray
+    # the first and last slot of row 0 per job, (jobs, 1), and of the row
+    # walked after step k per key, (keys,); None where rows hold their reach
+    bounds: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
@@ -239,31 +231,41 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     if clamp:
         reach = [min(n, row.settled + 1) for n, (row, _) in zip(reach, rows)]
     spans = [_row_slots(n, entered) for n, (_, entered) in zip(reach, rows)]
-    row_lo = np.cumsum([0] + [count for _, count in spans])
+    row_lo = np.cumsum([0] + [count for _, count in spans], dtype=np.intp)
     lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
-    # homes lie in -lead .. slots and the shifts of _worker_counts in
+    # homes lie in -lead .. slots and the shifts of a key in
     # -slots .. lead + jobs * (k + 1)
     check_index_range(r, max(lead + len(jobs) * (k + 1), int(row_lo[-1])),
-                      "the walk rows of one pass", _INDEX)
+                      "the walk rows of one pass", INDEX)
     p0 = np.empty((2, row_lo[-1]))
     for (row, entered), (first, count), lo in zip(rows, spans, row_lo):
         n = np.arange(2 * first, 2 * (first + count)) - entered % 2
         p0[:, lo:lo + count] = row.p0(n).reshape(count, 2).T
-    first_row = np.cumsum([0] + [len(job_rows) for job_rows, _, _ in walks[:-1]])
-    index = lambda values: np.array(values, dtype=_INDEX)
+    # slot lead - ceil(s/2) + g is then nu = n + entered % 2, as above
+    row_home = np.array([lo - first - lead + (entered + 1) // 2
+                         for (_, entered), (first, _), lo in zip(rows, spans, row_lo)])
+    home = np.cumsum([0] + [len(job_rows) for job_rows, _, _ in walks[:-1]],
+                     dtype=np.intp).reshape(-1, 1)  # row 0 of each job
+    entry = home + np.stack([row_of_j0 for _, _, row_of_j0 in walks])  # (jobs, k + 1)
+    fires = np.stack([fires for _, fires, _ in walks])
+    start = row_home[home]
+    key = np.arange(len(jobs), dtype=np.intp).reshape(-1, 1) * (k + 1)  # the key of j0 = 0
+    j0 = np.arange(k + 1, dtype=np.intp)
+    g_after = np.where(fires, row_home[entry], start + j0)
+    bounds = None
+    if clamp:
+        lo, hi = row_lo[:-1], row_lo[1:] - 1
+        bounds = lo[home], hi[home], lo[entry].ravel(), hi[entry].ravel()
     return _Lanes(
-        p0=p0,
+        slices=(p0[0], p0[1]),
         lead=lead,
-        clamp=clamp,
-        # slot lead - ceil(s/2) + g is then nu = n + entered % 2, as above
-        row_home=index([lo - first - lead + (entered + 1) // 2
-                        for (_, entered), (first, _), lo in zip(rows, spans, row_lo)]),
-        row_lo=index(row_lo[:-1]),
-        row_hi=index(row_lo[1:] - 1),
-        home=index(first_row).reshape(-1, 1),
-        fires=np.stack([fires for _, fires, _ in walks]),
-        entry=index([f + row_of_j0 for f, (_, _, row_of_j0) in zip(first_row, walks)]),
+        start=start,
+        key_shift=key - start,
+        n_base=2 * key + r,
         bit=np.array([bool(state.bit) for state, _, _ in jobs]).reshape(-1, 1),
+        fires=fires.ravel(),
+        shift_of_key=(key + j0 - g_after).astype(INDEX).ravel(),
+        bounds=bounds,
     )
 
 
@@ -284,60 +286,42 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     step k) - (g after it), which turns g back into its net count at the
     end.
 
-    Draws come in blocks of one depth, set by the widest chunk: at most
-    _DRAW_BLOCK uniforms and at most as many steps as there are jobs (or
-    one step). Row b of a block is drawn from the chunk's substream
-    states advanced by b steps, so one batch_uniform call serves several
-    steps. Every job reads trial i's draw. Returns integer counts per
-    job, (jobs, 4): h_applied, success & h, success & no h, ties;
-    integers keep the later reduction order-independent.
+    Draws come in blocks of min(r, jobs) steps, so a block holds no more
+    uniforms than a chunk has lanes. Row b of a block is drawn from the
+    chunk's substream states advanced by b steps, so one batch_uniform
+    call serves several steps. Every job reads trial i's draw. Returns
+    integer counts per job, (jobs, 4): h_applied, success & h,
+    success & no h, ties; integers keep the later reduction
+    order-independent.
     """
     k, r = config.rule.k, config.r
-    jobs = len(lanes.home)
-    # a narrower chunk draws at the widest one's depth: every draw is fixed
-    # by its stream position, so the depth changes no count
-    widest = max(size for _, size in chunks)
-    depth = max(1, min(r, jobs, _DRAW_BLOCK // widest))
+    jobs = len(lanes.start)
+    depth = min(r, jobs)
     skips = step_offsets(depth).reshape(-1, 1)
-    lane_room = jobs * widest
-    draw_room = depth * widest
+    widest = max(size for _, size in chunks)
+    lane_room, draw_room = jobs * widest, depth * widest
     # g indexes np.take, which would copy any other integer type to intp
     # on every step
     g_buf = np.empty(lane_room, dtype=np.intp)
-    shift_buf = np.empty(lane_room, dtype=_INDEX)
+    shift_buf = np.empty(lane_room, dtype=INDEX)
     out0_buf, h_buf = np.empty(lane_room, dtype=bool), np.empty(lane_room, dtype=bool)
     block_buf, u_buf = np.empty(draw_room, dtype=np.uint64), np.empty(draw_room)
     # the looked-up p0 is dead while a block is drawn, so its buffer is
     # also the mixer's work buffer
-    p0_buf = np.empty(max(lane_room, draw_room))
-
-    # At step k a lane's g is home + j0, so g + key_shift is its key
-    # job * (k + 1) + j0, which indexes the flat per-(job, j0) arrays.
-    home_g = lanes.row_home[lanes.home].astype(np.intp)
-    job_base = np.arange(jobs, dtype=np.intp).reshape(-1, 1) * (k + 1)
-    key_shift = job_base - home_g
-    fires = lanes.fires.ravel()
-    j0 = np.arange(k + 1)
-    g_after = np.where(lanes.fires, lanes.row_home[lanes.entry], home_g + j0)
-    shift_of_key = (job_base + j0 - g_after).astype(_INDEX).ravel()
-    n_base = 2 * job_base + r  # n = 2 * (g + shift) - n_base at the end
-    slices = tuple(lanes.p0)
-    clamp = lanes.clamp
-    if clamp:
+    p0_buf = np.empty(lane_room)
+    bounds = lanes.bounds
+    if bounds:
         pos_buf, lo_buf, hi_buf = (np.empty(lane_room, dtype=np.intp) for _ in range(3))
-        lo_home = lanes.row_lo[lanes.home].astype(np.intp)
-        hi_home = lanes.row_hi[lanes.home].astype(np.intp)
-        lo_of_key = lanes.row_lo[lanes.entry].astype(np.intp).ravel()
-        hi_of_key = lanes.row_hi[lanes.entry].astype(np.intp).ravel()
+        lo_start, hi_start, lo_of_key, hi_of_key = bounds
 
     counts = np.zeros((jobs, 4), dtype=np.int64)
     for start, size in chunks:
         g, shift, p0, out0, h = (_shaped(buf, jobs, size)
                                  for buf in (g_buf, shift_buf, p0_buf, out0_buf, h_buf))
-        np.copyto(g, home_g)
-        if clamp:
+        np.copyto(g, lanes.start)
+        if bounds:
             pos = _shaped(pos_buf, jobs, size)
-            lo, hi = lo_home, hi_home
+            lo, hi = lo_start, hi_start
         block = _shaped(block_buf, depth, size)
         np.add(substream_states(config.master_seed, start, size), skips, out=block)
         for done in range(0, r, depth):
@@ -349,27 +333,27 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
                               _shaped(p0_buf.view(np.uint64), steps, size))
             for s in range(done, done + steps):
                 view = lanes.lead - (s + 1) // 2
-                if clamp:
+                if bounds:
                     np.add(g, view, out=pos)
                     np.maximum(pos, lo, out=pos)
                     np.minimum(pos, hi, out=pos)
-                    np.take(slices[s & 1], pos, out=p0, mode="clip")
+                    np.take(lanes.slices[s & 1], pos, out=p0, mode="clip")
                 else:
-                    np.take(slices[s & 1][view:], g, out=p0, mode="clip")
+                    np.take(lanes.slices[s & 1][view:], g, out=p0, mode="clip")
                 np.less(u[s - done], p0, out=out0)
                 g += out0
                 if s + 1 == k:
-                    g += key_shift
-                    np.take(fires, g, out=h, mode="clip")
-                    np.take(shift_of_key, g, out=shift, mode="clip")
-                    if clamp:
+                    g += lanes.key_shift
+                    np.take(lanes.fires, g, out=h, mode="clip")
+                    np.take(lanes.shift_of_key, g, out=shift, mode="clip")
+                    if bounds:
                         lo, hi = _shaped(lo_buf, jobs, size), _shaped(hi_buf, jobs, size)
                         np.take(lo_of_key, g, out=lo, mode="clip")
                         np.take(hi_of_key, g, out=hi, mode="clip")
                     g -= shift
         g += shift
         g *= 2
-        g -= n_base  # g is now n, the net count since the start
+        g -= lanes.n_base  # g is now n, the net count since the start
         counts[:, 0] += np.count_nonzero(h, axis=1)
         np.equal(g, 0, out=out0)
         counts[:, 3] += np.count_nonzero(out0, axis=1)
@@ -390,13 +374,13 @@ def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[i
     holds at least _FANOUT_LANES lanes and at most _CHUNK_LANES (or one
     trial, where the jobs alone pass the cap), and the chunk count is a
     multiple of the workers, so every worker runs as many chunks. At
-    most max(trials, jobs) lanes are live at once, as many as one job
-    alone needs, or, where that is more, `workers` chunks of at most
-    twice the fewest trials that reach _FANOUT_LANES. A pass too small
-    to share runs as one worker, its chunks one after another in the
-    caller.
+    most max(trials, jobs, _FANOUT_LANES) lanes are live at once, as
+    many as one job alone needs or a pass too small to share, or, where
+    that is more, `workers` chunks of at most twice the fewest trials
+    that reach _FANOUT_LANES. A pass too small to share runs as one
+    worker, its chunks one after another in the caller.
     """
-    live = max(trials, jobs)
+    live = max(trials, jobs, _FANOUT_LANES)
     fewest = -(-_FANOUT_LANES // jobs)  # fewest trials in a shared chunk
     most = max(1, _CHUNK_LANES // jobs)  # most trials in any chunk
     workers = min(threads, trials, trials * jobs // _FANOUT_LANES)

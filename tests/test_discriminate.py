@@ -11,7 +11,7 @@ from qsdwalk.discriminate import (
     run_trial,
 )
 from qsdwalk.rng import substream
-from qsdwalk.walk import QubitState, WalkParams, check_index_range
+from qsdwalk.walk import QubitState, WalkParams, WalkRow, check_index_range
 
 INV_SQRT2 = 1 / math.sqrt(2)
 ALL_STATES = [StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS]
@@ -134,6 +134,34 @@ def test_short_trial_reads_short_rows_at_any_mu(state, monkeypatch):
     for seed in range(6):
         run_trial(state, WalkParams(100_000), DecisionRule(), r, substream(seed, 0))
     assert widths and max(max(w) for w in widths) <= 2 * r + 1
+
+
+def test_long_trial_rows_stop_at_the_frozen_count(monkeypatch):
+    # past WalkRow.frozen p0 and the amplitudes are constant, so a
+    # 200k-step trial keeps rows of at most 2 * 1169 + 1 entries at
+    # mu = 2 from plus, not 2 * 200k + 1
+    reaches = []
+    walk_lists = discriminate.walk_lists
+    monkeypatch.setattr(discriminate, "walk_lists", lambda row, reach: reaches.append(
+        (row, reach)) or walk_lists(row, reach))
+    run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), 200_000, substream(1, 0))
+    assert WalkRow.start(StateLabel.PLUS.to_state(), WalkParams(2)).frozen == 1169
+    assert reaches and all(reach <= row.frozen for row, reach in reaches)
+
+
+@pytest.mark.parametrize("rule", [DecisionRule(mode="never-apply-h"),
+                                  DecisionRule(k=3, mode="always-apply-h")])
+def test_rows_cut_at_the_frozen_count_give_the_uncut_trace(rule, monkeypatch):
+    # at mu = 1 the walk drifts about half a count a step, far past the
+    # 681 counts where a row from plus freezes
+    params = WalkParams(1)
+    cut = [run_trial(StateLabel.PLUS, params, rule, 4000, substream(seed, 0))
+           for seed in range(3)]
+    n = [sum(1 - 2 * step[1] for step in out.trace[rule.k:]) for out in cut]
+    assert max(map(abs, n)) > WalkRow.start(StateLabel.PLUS.to_state(), params).frozen
+    monkeypatch.setattr(WalkRow, "frozen", property(lambda row: 10**9))
+    assert cut == [run_trial(StateLabel.PLUS, params, rule, 4000, substream(seed, 0))
+                   for seed in range(3)]
 
 
 def test_run_trial_deterministic():

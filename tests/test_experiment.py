@@ -234,6 +234,11 @@ def real_jobs(config: ExperimentConfig) -> list:
     return [(s, config.mu, False) for s in config.states]
 
 
+def row_entries(lanes) -> int:
+    """p0 entries in both parity slices of a pass's rows."""
+    return sum(p0.size for p0 in lanes.slices)
+
+
 def reference_grid(test):
     """The (mu, mode, seed) grid of the reference-kernel comparison."""
     test = pytest.mark.parametrize("mu", [0, 1, 2, 5, 10])(test)
@@ -253,7 +258,7 @@ def test_capped_counts_equal_reference_kernel(mu, mode, seed, monkeypatch):
     # and the lookup clamps
     monkeypatch.setattr(experiment, "_ENTRY_CAP", 0)
     config = ExperimentConfig(trials=1500, mu=mu, master_seed=seed, rule=DecisionRule(mode=mode))
-    assert _lanes(config, real_jobs(config)).clamp
+    assert _lanes(config, real_jobs(config)).bounds is not None
     assert_matches_reference(config)
 
 
@@ -286,7 +291,7 @@ def test_edge_counts_equal_reference_kernel(edge, mu):
 def test_capped_edge_counts_equal_reference_kernel(edge, mu, monkeypatch):
     monkeypatch.setattr(experiment, "_ENTRY_CAP", 0)
     config = ExperimentConfig(trials=1000, mu=mu, master_seed=3, **EDGE_CONFIGS[edge])
-    assert _lanes(config, real_jobs(config)).clamp
+    assert _lanes(config, real_jobs(config)).bounds is not None
     assert_matches_reference(config)
 
 
@@ -296,22 +301,27 @@ def test_config_past_the_cap_equals_reference_kernel():
     # padding every row out to its reach would pass the cap
     config = ExperimentConfig(states=(StateLabel.PLUS,), trials=20, r=3000, mu=10,
                               master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
-    rows, _, _ = _walk_rows(StateLabel.PLUS, config, phase=False)
+    rows, fires, row_of_j0 = _walk_rows(StateLabel.PLUS, config, phase=False)
     padded = 2 * (config.r + (len(rows) - 1) * (config.r - config.rule.k))
     assert padded > _ENTRY_CAP
     lanes = _lanes(config, real_jobs(config))
-    assert lanes.clamp and lanes.p0.size < _ENTRY_CAP
+    assert lanes.bounds is not None and row_entries(lanes) < _ENTRY_CAP
     # a clamped lookup past a row's end reads its end slot, so both
-    # parities there must hold the row's exact edge p0
-    # parity there must hold the row's exact edge p0: that of (0,1) at
+    # parities there must hold the row's exact edge p0: that of (0,1) at
     # the low end and (1,0) at the high end, or the start's own p0 on a
-    # side a basis start cannot leave
+    # side a basis start cannot leave. The bound tables name those slots:
+    # row 0's per job, and the row walked after step k per key (j0 here)
     params = WalkParams(config.mu)
     edge_1, edge_0 = (ax_probabilities(QubitState(*edge), params)[0]
                       for edge in ((0.0, 1.0), (1.0, 0.0)))
-    for row, lo, hi in zip(rows, lanes.row_lo, lanes.row_hi):
-        assert lanes.p0[:, lo].tolist() == [edge_1 if row.x0 < math.inf else edge_0] * 2
-        assert lanes.p0[:, hi].tolist() == [edge_0 if row.x0 > -math.inf else edge_1] * 2
+    lo_start, hi_start, lo_of_key, hi_of_key = lanes.bounds
+    assert fires.all()
+    ends = [(rows[0], lo_start[0, 0], hi_start[0, 0])]
+    ends += [(rows[i], lo, hi) for i, lo, hi in zip(row_of_j0, lo_of_key, hi_of_key)]
+    assert {id(row) for row, _, _ in ends} == {id(row) for row in rows}
+    for row, lo, hi in ends:
+        assert [p0[lo] for p0 in lanes.slices] == [edge_1 if row.x0 < math.inf else edge_0] * 2
+        assert [p0[hi] for p0 in lanes.slices] == [edge_0 if row.x0 > -math.inf else edge_1] * 2
     assert_matches_reference(config)
 
 
@@ -324,12 +334,12 @@ def test_rows_are_built_out_to_their_reach_only(monkeypatch):
     p0 = WalkRow.p0
     monkeypatch.setattr(WalkRow, "p0", lambda row, n: widths.append(n.size) or p0(row, n))
     lanes = _lanes(config, real_jobs(config))
-    assert not lanes.clamp
+    assert lanes.bounds is None
     # a row stored in parity slices holds at most one count past its reach
     assert widths[0] <= 2 * (config.r - 1) + 2
     assert max(widths[1:]) <= 2 * (config.r - 1 - config.rule.k) + 2
     assert len(widths) == len(_walk_rows(StateLabel.PLUS, config, phase=False)[0])
-    assert sum(widths) == lanes.p0.size
+    assert sum(widths) == row_entries(lanes)
 
 
 @pytest.mark.parametrize("mu,rule", [
@@ -392,7 +402,7 @@ def test_r_past_the_index_range_is_refused_before_any_step(monkeypatch):
 def test_largest_r_in_the_index_range_equals_reference_kernel(monkeypatch, mu, rule, cap):
     # with int8 indices the range ends at small r: the largest r taken
     # runs with no value wrapped, and the next one is refused
-    monkeypatch.setattr(experiment, "_INDEX", np.int8)
+    monkeypatch.setattr(experiment, "INDEX", np.int8)
     if cap is not None:
         monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
     config = ExperimentConfig(trials=500, mu=mu, rule=rule, master_seed=13)
@@ -420,9 +430,9 @@ def test_tables_do_not_grow_with_r():
         rows += len(job_rows)
     # the lane rows are built out to the reach r, by design
     lanes = _lanes(large, real_jobs(large))
-    assert not lanes.clamp
-    assert lanes.p0.size <= rows * (2 * large.r + 2)
-    assert lanes.p0.size < _ENTRY_CAP
+    assert lanes.bounds is None
+    assert row_entries(lanes) <= rows * (2 * large.r + 2)
+    assert row_entries(lanes) < _ENTRY_CAP
     for rep in run_experiment(large):
         assert rep.trials == 20
         assert abs(rep.success_given_h + rep.failure_given_h - rep.frac_h_applied) < 1e-12
@@ -464,6 +474,9 @@ def test_threads_below_one_rejected(threads):
     # more jobs than trials: one trial per chunk, each past _FANOUT_LANES
     (2, 70_000, 4, 2),
     (16_000_000, 4, 2, 2),  # chunks stop at _CHUNK_LANES, however many trials
+    # passes of fewer than _FANOUT_LANES lanes run as one chunk
+    (10, 40, 1, 1),
+    (1000, 4, 2, 1),
 ])
 def test_chunk_plan(trials, jobs, threads, workers):
     got, chunks = _chunk_plan(trials, jobs, threads)
@@ -473,12 +486,15 @@ def test_chunk_plan(trials, jobs, threads, workers):
     assert min(sizes) >= 1
     assert starts == [sum(sizes[:c]) for c in range(len(chunks))]
     assert sum(sizes) == trials
-    # live lanes: as many as one job alone needs, or, where the pass
-    # fans out wider, chunks of at most twice the trials that reach
-    # _FANOUT_LANES
+    # live lanes: as many as one job alone needs or a pass too small to
+    # share, or, where the pass fans out wider, chunks of at most twice
+    # the trials that reach _FANOUT_LANES
     live = min(workers, len(chunks)) * max(sizes) * jobs
     fewest = -(-_FANOUT_LANES // jobs)
-    assert live <= max(trials, jobs) or (workers > 1 and max(sizes) <= 2 * fewest)
+    assert (live <= max(trials, jobs, _FANOUT_LANES)
+            or (workers > 1 and max(sizes) <= 2 * fewest))
+    if trials * jobs <= _FANOUT_LANES:
+        assert chunks == [(0, trials)]
     if jobs <= _CHUNK_LANES:
         assert max(sizes) * jobs <= _CHUNK_LANES
     assert len(chunks) % workers == 0  # every worker runs as many chunks
@@ -546,35 +562,35 @@ def test_fanned_out_phase_report_equals_serial_and_reference(pool_sizes):
     assert pool_sizes == [2, 3]
 
 
-# Unequal chunks, the last one shorter; in each half a chunk other than
-# the first is the widest or draws the largest block. With blocks of 7
-# draws the chunks draw 1, 2, 1 and 3 steps per block at r = 11: blocks
-# end mid-walk and, at 2 steps, exactly at step k = 4.
+# Unequal chunks, keyed by the widest: in each half the second chunk is
+# the widest, so a worker's buffers are sized by a chunk it runs later.
 UNEQUAL_CHUNKS = {
-    None: [(0, 300), (300, 400), (700, 400), (1100, 37)],
-    7: [(0, 5), (5, 3), (8, 5), (13, 2)],
+    400: [(0, 300), (300, 400), (700, 37), (737, 300)],
+    7: [(0, 5), (5, 7), (12, 3), (15, 7)],
 }
 
 
-@pytest.mark.parametrize("draw_block", sorted(UNEQUAL_CHUNKS, key=str))
+@pytest.mark.parametrize("widest", sorted(UNEQUAL_CHUNKS))
 @pytest.mark.parametrize("cap", [None, 0])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_reused_buffers_over_unequal_chunks_equal_reference_kernel(
-        draw_block, cap, threads, monkeypatch):
+        widest, cap, threads, monkeypatch):
     # one worker runs every chunk (threads=1) or two chunks each
     # (threads=2), in buffers sized for its widest chunk
-    chunks = UNEQUAL_CHUNKS[draw_block]
+    chunks = UNEQUAL_CHUNKS[widest]
     monkeypatch.setattr(experiment, "_chunk_plan", lambda trials, jobs, threads: (threads, chunks))
-    if draw_block is not None:
-        monkeypatch.setattr(experiment, "_DRAW_BLOCK", draw_block)
     if cap is not None:
         monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
-    for mode in MODES:
-        config = ExperimentConfig(trials=sum(size for _, size in chunks), r=11, mu=2,
-                                  master_seed=8, rule=DecisionRule(k=4, i1=0.2, i2=0.8,
-                                                                   mode=mode))
-        assert _lanes(config, real_jobs(config)).clamp == (cap == 0)
-        assert_matches_reference(config, threads)
+    # a block draws min(r, jobs) steps, so one to three states draw 1, 2
+    # and 3 steps per block at r = 11: blocks end mid-walk and, at 2
+    # steps, exactly at step k = 4
+    for states in (ALL_STATES[:1], ALL_STATES[1:3], ALL_STATES[1:]):
+        for mode in MODES:
+            config = ExperimentConfig(states=states, trials=sum(size for _, size in chunks),
+                                      r=11, mu=2, master_seed=8,
+                                      rule=DecisionRule(k=4, i1=0.2, i2=0.8, mode=mode))
+            assert (_lanes(config, real_jobs(config)).bounds is not None) == (cap == 0)
+            assert_matches_reference(config, threads)
 
 
 def traced_peak(config: ExperimentConfig) -> int:
@@ -589,7 +605,7 @@ def traced_peak(config: ExperimentConfig) -> int:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - _lanes(config, jobs).p0.nbytes  # the padded rows grow with r
+    return peak - sum(p0.nbytes for p0 in _lanes(config, jobs).slices)  # they grow with r
 
 
 @pytest.mark.parametrize("cap", [None, 0])
@@ -599,17 +615,19 @@ def test_pass_memory_is_fixed_buffers(cap, monkeypatch):
     config = ExperimentConfig(trials=20_000, r=50, master_seed=4)
     workers, chunks = _chunk_plan(config.trials, 4, 1)
     size = chunks[0][1]
-    # a block draws no more steps than the pass has jobs, so no more
-    # uniforms than the chunk has lanes
-    depth = min(config.r, 4, experiment._DRAW_BLOCK // size)
-    assert (workers, len(chunks), size, depth) == (1, 4, 5000, 4)
-    # per lane: g (8 bytes), shift (4), the outcome and H flags (1 each)
-    # and, when the lookup clamps, its slot and the row's bounds (8 each);
-    # per draw of a block: the states, the uniforms and the mixer's work
-    # (8 each); per trial of a chunk: substream_states' temporaries; and
-    # numpy's fixed-size cast buffers
-    per_lane = 14 + (24 if cap == 0 else 0)
-    bound = per_lane * 4 * size + 24 * depth * size + 48 * size + (1 << 16)
+    # a block draws min(r, jobs) steps, so no more uniforms than the
+    # chunk has lanes
+    depth = min(config.r, 4)
+    # 80k lanes: as many live as _FANOUT_LANES allows, 3 chunks
+    assert (workers, len(chunks), size) == (1, 3, 6666)
+    # per lane: g (8 bytes), shift (4), the outcome and H flags (1 each),
+    # the looked-up p0, which is also the mixer's work (8), and, when the
+    # lookup clamps, its slot and the row's bounds (8 each); per draw of
+    # a block: the states and the uniforms (8 each); per trial of a
+    # chunk: substream_states' temporaries; and numpy's fixed-size cast
+    # buffers
+    per_lane = 22 + (24 if cap == 0 else 0)
+    bound = per_lane * 4 * size + 16 * depth * size + 48 * size + (1 << 16)
     peaks = [traced_peak(dataclasses.replace(config, r=r)) for r in (50, 400)]
     assert max(peaks) <= bound
     assert peaks[1] <= peaks[0] + 4096
@@ -624,8 +642,7 @@ def test_steps_allocate_nothing(cap, monkeypatch):
         monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
     config = ExperimentConfig(trials=40_000, r=60, master_seed=4)
     size = _chunk_plan(config.trials, 4, 1)[1][0][1]
-    lanes, depth = 4 * size, min(config.r, 4, experiment._DRAW_BLOCK // size)
-    assert depth == 4
+    lanes, depth = 4 * size, min(config.r, 4)
     marks = []
 
     def chunk_start(*args):
@@ -674,11 +691,9 @@ def legal_runs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(legal_runs())
 def test_legal_configs_agree_across_paths(run):
-    # blocks of at most 7 draws: at up to 40 trials, a block of the
-    # default size would always hold the whole walk
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment, "_DRAW_BLOCK", 7)
-        check_paths_agree(*run)
+    # a block draws min(r, jobs) steps: one to six for the states of
+    # run_experiment, so blocks end mid-walk at r up to 60
+    check_paths_agree(*run)
 
 
 def check_paths_agree(config: ExperimentConfig, threads: int, mu_values: list[int]):
