@@ -69,22 +69,23 @@ class SplitMix64:
 
 
 def substream(master_seed: int, index: int) -> SplitMix64:
-    """Independent stream number `index` under a master seed.
-
-    The substream seed is splitmix64(master_seed XOR index), so streams
-    depend only on the pair (master_seed, index).
-    """
-    return SplitMix64(splitmix64((master_seed ^ index) & _MASK64))
+    """Independent stream number `index` under a master seed: the stream
+    of entry 0 of substream_states(master_seed, index, 1)."""
+    return SplitMix64(int(substream_states(master_seed, index, 1)[0]))
 
 
 def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     """uint64 state vector for substreams start .. start+count-1.
 
-    Entry i matches substream(master_seed, start + i); advance the whole
-    batch one draw at a time with batch_uniform.
+    Stream i is seeded splitmix64(splitmix64(master_seed) XOR i), so
+    streams depend only on the pair (master_seed, i). The index is XORed
+    into the mixed seed, not the seed itself: two seeds that differ in
+    their low bits would otherwise hand the same streams to other trial
+    indices, and every report, a sum over trials, would be the same.
+    Advance the whole batch one draw at a time with batch_uniform.
     """
     idx = np.arange(start, start + count, dtype=np.uint64)
-    s = np.uint64(master_seed & _MASK64) ^ idx
+    s = np.uint64(splitmix64(master_seed & _MASK64)) ^ idx
     s = s + _U_GOLDEN
     z = (s ^ (s >> _U30)) * _U_MIX1
     z = (z ^ (z >> _U27)) * _U_MIX2

@@ -41,10 +41,19 @@ def test_mix64_stays_in_range():
 
 @pytest.mark.parametrize("master,index", [(0, 0), (0, 1), (42, 0), (42, 7), (2**63, 12345)])
 def test_substream_definition(master, index):
-    # substream state is splitmix64(master ^ index)
+    # substream state is splitmix64(splitmix64(master) ^ index)
     gen = substream(master, index)
-    ref = SplitMix64(splitmix64(master ^ index))
+    ref = SplitMix64(splitmix64(splitmix64(master) ^ index))
     assert [gen.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seeds", [(1, 2), (5, 17), (0, 1023), (3, 12)])
+def test_seeds_differing_in_low_bits_share_no_streams(seeds):
+    # with the index XORed into the raw seed, two seeds d = s ^ s' apart
+    # hand trial i's stream to trial i ^ d, so at 1024 trials seeds below
+    # 1024 would all walk one set of streams
+    a, b = (set(substream_states(seed, 0, 1024).tolist()) for seed in seeds)
+    assert not a & b
 
 
 def test_substream_seed_masked_to_64_bits():
