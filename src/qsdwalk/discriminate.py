@@ -188,7 +188,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             n += 1
         else:
             n -= 1
-        at = min(max(n, -edge), edge)
+        at = n if -edge <= n <= edge else edge if n > 0 else -edge
         if j == rule.k:
             if rule.fires(j0):
                 row = row_after_h(QubitState(alpha[at], beta[at]), params, rule.k)

@@ -316,8 +316,8 @@ def stepped_agreement(cases, mu_max, max_steps, seed):
     return worst_p, worst_m, paths
 
 
-# The values walk_agreement gave while it raced the register against the
-# stepped model: the register arithmetic still reproduces them bit for bit.
+# The same two runs raced against the stepped model instead of the rows:
+# a change to the register arithmetic moves these last bits too.
 @pytest.mark.parametrize("config,expected", [
     ((150, 4, 20, 2718), (7.771561172376096e-16, 8.881784197001252e-16)),
     ((150, 12, 20, 8128), (1.7763568394002505e-15, 1.5543122344752192e-15)),
