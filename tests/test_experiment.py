@@ -474,7 +474,7 @@ def test_threads_below_one_rejected(threads):
     # more jobs than trials: one trial per chunk, each past _FANOUT_LANES
     (2, 70_000, 4, 2),
     (16_000_000, 4, 2, 2),  # chunks stop at _CHUNK_LANES, however many trials
-    # passes of fewer than _FANOUT_LANES lanes run as one chunk
+    # passes of at most _FANOUT_LANES lanes run as one chunk
     (10, 40, 1, 1),
     (1000, 4, 2, 1),
 ])
