@@ -18,9 +18,12 @@ import enum
 from dataclasses import dataclass
 
 from .gates import SQRT2, PhaseRoot
-from .walk import QubitState, WalkParams, WalkRow, check_index_range, walk_lists
+from .walk import QubitState, WalkParams, WalkRow, walk_lists
 
 MODES = ("interval", "never-apply-h", "always-apply-h")
+# The most steps a trial takes: within it every index the batch engine
+# computes (row slots, lane homes, keys up to jobs * 2^30) fits intp.
+MAX_STEPS = 2**30 - 1
 
 
 class StateLabel(enum.IntEnum):
@@ -156,6 +159,14 @@ def row_after_h(before: QubitState, params: WalkParams, k: int,
     return WalkRow.start(start, params)
 
 
+def check_steps(r: int, rule: DecisionRule) -> None:
+    """Refuse r unless k <= r <= MAX_STEPS, for a trial and a run alike."""
+    if rule.k > r:
+        raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
+    if r > MAX_STEPS:
+        raise ValueError(f"r={r} is too large: a trial takes at most {MAX_STEPS} steps")
+
+
 def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
               r: int, rng) -> TrialOutcome:
     """Run one full discrimination trial of r iterations.
@@ -164,18 +175,13 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     (rule.fires) runs at iteration k after that iteration's counter
     update. p0 and the traced amplitudes come from the batch engine's
     closed-form rows (walk.WalkRow), by the net count since the start or
-    since H (row_after_h), evaluated out to k, then to r (r - k after H),
-    but never past the row's frozen count: further out every value
-    equals the one there, so the lookup clamps the count to it.
+    since H (row_after_h), each evaluated once out to r (r - k after H),
+    but never past its frozen count: further out every value equals the
+    one there, so the lookup clamps the count to it.
     """
-    if r < 1:
-        raise ValueError(f"iteration count r must be >= 1, got {r}")
-    if rule.k > r:
-        raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
-    # the row walked to the end holds the counts -r..r
-    check_index_range(r, 2 * r + 1, "the walk rows of one trial")
+    check_steps(r, rule)
     row = WalkRow.start(initial.to_state(), params)
-    edge = min(rule.k, row.frozen)
+    edge = min(r, row.frozen)
     p0, alpha, beta = walk_lists(row, edge)
     n = at = 0  # the net count, and where the lists hold it
     j0 = 0
@@ -189,14 +195,11 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
         else:
             n -= 1
         at = n if -edge <= n <= edge else edge if n > 0 else -edge
-        if j == rule.k:
-            if rule.fires(j0):
-                row = row_after_h(QubitState(alpha[at], beta[at]), params, rule.k)
-                n = at = 0
-                h_applied = True
-            # a row kept past k reads at the same `at`: its edge grows
-            # only where it was below the frozen count, and then |n| <= k
-            edge = min(r - rule.k if h_applied else r, row.frozen)
+        if j == rule.k and rule.fires(j0):
+            row = row_after_h(QubitState(alpha[at], beta[at]), params, rule.k)
+            n = at = 0
+            h_applied = True
+            edge = min(r - rule.k, row.frozen)
             p0, alpha, beta = walk_lists(row, edge)
         trace.append((j, outcome, alpha[at], beta[at], j0 / j))
     j1 = r - j0

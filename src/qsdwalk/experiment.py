@@ -47,8 +47,8 @@ lane and draw buffers once, for its widest chunk, and every step, the
 restart at step k and the final count work in place in them. Draws come
 in blocks: one batch_uniform call mixes min(r, jobs) steps of a chunk
 into the worker's buffers, so a block holds no more uniforms than the
-chunk has lanes and a worker's buffers cost at most 38 bytes per live
-lane (62 where the lookup clamps). So a step is three numpy calls and
+chunk has lanes and a worker's buffers cost at most 42 bytes per live
+lane (66 where the lookup clamps). So a step is three numpy calls and
 allocates nothing, and two workers rarely wait on each other for the
 interpreter lock, which every numpy call takes and gives back.
 """
@@ -61,9 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import DecisionRule, StateLabel, TrialOutcome, run_trial, row_after_h
+from .discriminate import (DecisionRule, StateLabel, TrialOutcome, check_steps, row_after_h,
+                           run_trial)
 from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
-from .walk import INDEX, QubitState, WalkParams, WalkRow, check_index_range
+from .walk import QubitState, WalkParams, WalkRow
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
@@ -78,9 +79,9 @@ _FANOUT_LANES = 1 << 15
 _CHUNK_LANES = 1 << 17
 # Most p0 entries the full-reach rows of one pass may hold; past it the
 # rows end where p0 settles and the lookup clamps. Both branches stay: at
-# a cap of 0 the clamped lookup ran the 4 x 100k-trial table 1.43x and a
-# 10k-trial mu 1..10 sweep 1.41x slower than full rows (medians of five
-# rounds of 7 passes, 2 threads, 2 cores; rounds ranged 1.1-2.2x).
+# a cap of 0 the clamped lookup ran the 4 x 100k-trial table 1.49x and a
+# 10k-trial mu 1..10 sweep 1.47x slower than full rows (in-process medians
+# of 5 rounds of 7 interleaved passes, 2 threads, 2 cores; rounds 1.33-1.57x).
 _ENTRY_CAP = 1 << 20
 
 
@@ -100,9 +101,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         WalkParams(self.mu)  # refuses a negative mu
         check_seed(self.master_seed, "master_seed")
-        if self.r < self.rule.k:
-            raise ValueError(
-                f"r={self.r} is below the decision iteration k={self.rule.k}")
+        check_steps(self.r, self.rule)
 
 
 @dataclass(frozen=True)
@@ -201,8 +200,8 @@ class _Lanes:
     At step k a lane's g is start + j0, so g + key_shift is its key
     job * (k + 1) + j0, which indexes the per-key tables. Per-job tables
     hold one job per line of axis 0, so they broadcast against the
-    (jobs, trials) lane arrays. The index tables are intp, the type
-    np.take indexes with, except shift_of_key, which fills a lane buffer.
+    (jobs, trials) lane arrays. Every index table is intp, the type
+    np.take indexes with.
     """
 
     slices: tuple[np.ndarray, np.ndarray]  # the even and the odd parity slice
@@ -233,10 +232,6 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     spans = [_row_slots(n, entered) for n, (_, entered) in zip(reach, rows)]
     row_lo = np.cumsum([0] + [count for _, count in spans], dtype=np.intp)
     lead = r // 2  # ceil((r - 1) / 2), so no view starts below slot 0
-    # homes lie in -lead .. slots and the shifts of a key in
-    # -slots .. lead + jobs * (k + 1)
-    check_index_range(r, max(lead + len(jobs) * (k + 1), int(row_lo[-1])),
-                      "the walk rows of one pass", INDEX)
     p0 = np.empty((2, row_lo[-1]))
     for (row, entered), (first, count), lo in zip(rows, spans, row_lo):
         n = np.arange(2 * first, 2 * (first + count)) - entered % 2
@@ -264,7 +259,7 @@ def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
         n_base=2 * key + r,
         bit=np.array([bool(state.bit) for state, _, _ in jobs]).reshape(-1, 1),
         fires=fires.ravel(),
-        shift_of_key=(key + j0 - g_after).astype(INDEX).ravel(),
+        shift_of_key=(key + j0 - g_after).ravel(),
         bounds=bounds,
     )
 
@@ -302,8 +297,7 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     lane_room, draw_room = jobs * widest, depth * widest
     # g indexes np.take, which would copy any other integer type to intp
     # on every step
-    g_buf = np.empty(lane_room, dtype=np.intp)
-    shift_buf = np.empty(lane_room, dtype=INDEX)
+    g_buf, shift_buf = (np.empty(lane_room, dtype=np.intp) for _ in range(2))
     out0_buf, h_buf = np.empty(lane_room, dtype=bool), np.empty(lane_room, dtype=bool)
     block_buf, u_buf = np.empty(draw_room, dtype=np.uint64), np.empty(draw_room)
     # the looked-up p0 is dead while a block is drawn, so its buffer is

@@ -46,10 +46,6 @@ import numpy as np
 from .gates import PhaseRoot
 
 _NORM_TOL = 1e-10
-# The type row entries and counts are indexed by. The batch engine's
-# slots and the per-trial rows both grow with r: check_index_range
-# refuses an r whose rows would need an index past this type's range.
-INDEX = np.int32
 
 
 @dataclass(frozen=True)
@@ -190,14 +186,6 @@ def _p0(params: WalkParams, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     c0, c1, _, _ = params.factors
     a0, b0 = alpha * c0, beta * c1
     return a0 * a0 + b0 * b0
-
-
-def check_index_range(r: int, extent: int, rows: str, index=INDEX) -> None:
-    """Refuse r when the largest index its rows need, extent, is past the
-    range of the index type."""
-    if extent > np.iinfo(index).max:
-        raise ValueError(f"r={r} is too large: {rows} would leave their "
-                         f"{np.dtype(index).name} indices")
 
 
 @lru_cache(maxsize=64)

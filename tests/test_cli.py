@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qsdwalk.experiment as experiment
 from qsdwalk.cli import main
 from qsdwalk.walk import WalkRow
 
@@ -314,8 +315,7 @@ def test_r_past_the_index_range_is_a_usage_error(capsys):
                              "--seed", "1")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: r=5000000000 is too large")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err == "error: r=5000000000 is too large: a trial takes at most 1073741823 steps\n"
 
 
 def test_trial_r_past_the_index_range_is_a_usage_error(capsys):
@@ -323,8 +323,22 @@ def test_trial_r_past_the_index_range_is_a_usage_error(capsys):
                              "--seed", "1")
     assert code == 2
     assert out == ""
-    assert err == ("error: r=5000000000 is too large: the walk rows of one trial "
-                   "would leave their int32 indices\n")
+    assert err == "error: r=5000000000 is too large: a trial takes at most 1073741823 steps\n"
+
+
+def test_experiment_r_past_the_trial_bound_exits_before_any_draw(capsys, monkeypatch):
+    # a trial refuses this r, and so does the run: a draw fails the test at
+    # once instead of stepping for hours
+    def draw(*args):
+        raise AssertionError("drew past the bound")
+
+    monkeypatch.setattr(experiment, "substream_states", draw)
+    monkeypatch.setattr(experiment, "batch_uniform", draw)
+    code, out, err = run_cli(capsys, "experiment", "--r", "2000000000", "--trials", "1",
+                             "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: r=2000000000 is too large: a trial takes at most 1073741823 steps\n"
 
 
 def test_entropy_seed_is_replayable(capsys):

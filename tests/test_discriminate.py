@@ -11,7 +11,7 @@ from qsdwalk.discriminate import (
     run_trial,
 )
 from qsdwalk.rng import substream
-from qsdwalk.walk import QubitState, WalkParams, WalkRow, check_index_range
+from qsdwalk.walk import QubitState, WalkParams, WalkRow
 
 INV_SQRT2 = 1 / math.sqrt(2)
 ALL_STATES = [StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS]
@@ -98,12 +98,11 @@ def test_run_trial_validates_iterations():
 
 
 def test_run_trial_refuses_r_past_the_index_range():
-    # a row to r holds 2r + 1 counts: 2^30 - 1 is the largest r int32 takes,
-    # and the refusal comes before any row is built
-    check_index_range(2**30 - 1, 2 * (2**30 - 1) + 1, "rows")
-    message = "r=1073741824 is too large: the walk rows of one trial would leave their int32 indices"
+    # 2^30 - 1 is the largest r, and the refusal comes before any draw
+    rng = SimpleNamespace(uniform=lambda: pytest.fail("drew past the bound"))
+    message = "r=1073741824 is too large: a trial takes at most 1073741823 steps"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), 2**30, substream(0, 0))
+        run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), 2**30, rng)
 
 
 @pytest.mark.parametrize("state", ALL_STATES)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdwalk.experiment as experiment
-from qsdwalk.discriminate import MODES, DecisionRule, StateLabel, run_trial
+from qsdwalk.discriminate import MAX_STEPS, MODES, DecisionRule, StateLabel, run_trial
 from qsdwalk.experiment import (
     _CHUNK_LANES,
     _ENTRY_CAP,
@@ -382,15 +383,34 @@ def test_scalar_trials_match_batch_at_edges(state, mu, r, rule):
     assert rep.tie_count == sum(o.tie for o in outs)
 
 
-def test_r_past_the_index_range_is_refused_before_any_step(monkeypatch):
-    # a lane's home would sit near -r/2, outside int32
-    draws = []
-    monkeypatch.setattr(experiment, "substream_states", lambda *args: draws.append(args))
-    monkeypatch.setattr(experiment, "batch_uniform", lambda *args: draws.append(args))
-    config = ExperimentConfig(trials=1, r=5_000_000_000, master_seed=1)
-    with pytest.raises(ValueError, match=r"^r=5000000000 is too large: .* int32 indices$"):
-        run_experiment(config)
-    assert draws == []
+def test_r_past_the_index_range_is_refused_before_any_step():
+    # the config itself refuses, so no pass is laid out or stepped
+    message = "r=5000000000 is too large: a trial takes at most 1073741823 steps"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(trials=1, r=5_000_000_000, master_seed=1)
+
+
+def test_trial_and_experiment_share_one_range_of_r():
+    params = WalkParams(2)
+    for r, rule in [(2**30, DecisionRule()), (100, DecisionRule(k=200))]:
+        with pytest.raises(ValueError) as trial:
+            run_trial(StateLabel.PLUS, params, rule, r, None)
+        with pytest.raises(ValueError) as run:
+            ExperimentConfig(r=r, rule=rule)
+        assert str(run.value) == str(trial.value)
+    assert str(trial.value) == "decision iteration k=200 exceeds r=100; need k <= r"
+    # both take the largest r: the trial runs up to its first draw
+    ExperimentConfig(r=2**30 - 1)
+
+    class FirstDraw(Exception):
+        pass
+
+    def uniform():
+        raise FirstDraw
+
+    with pytest.raises(FirstDraw):
+        run_trial(StateLabel.PLUS, params, DecisionRule(), 2**30 - 1,
+                  SimpleNamespace(uniform=uniform))
 
 
 @pytest.mark.parametrize("mu,rule,cap", [
@@ -400,23 +420,20 @@ def test_r_past_the_index_range_is_refused_before_any_step(monkeypatch):
     (2, DecisionRule(k=5, i1=0.2, i2=0.8), 0),
 ])
 def test_largest_r_in_the_index_range_equals_reference_kernel(monkeypatch, mu, rule, cap):
-    # with int8 indices the range ends at small r: the largest r taken
-    # runs with no value wrapped, and the next one is refused
-    monkeypatch.setattr(experiment, "INDEX", np.int8)
+    # the largest r lays out its pass from rows that end where p0
+    # settles, and each lane's first lookup reads its start's p0; the
+    # same config then runs against the reference kernel at a small r
     if cap is not None:
         monkeypatch.setattr(experiment, "_ENTRY_CAP", cap)
-    config = ExperimentConfig(trials=500, mu=mu, rule=rule, master_seed=13)
-    r = rule.k
-    while True:
-        config = dataclasses.replace(config, r=r + 1)
-        try:
-            _lanes(config, real_jobs(config))
-        except ValueError:
-            break
-        r += 1
-    with pytest.raises(ValueError, match=rf"^r={r + 1} is too large: .* int8 indices$"):
-        run_experiment(config)
-    assert_matches_reference(dataclasses.replace(config, r=r))
+    config = ExperimentConfig(trials=500, r=MAX_STEPS, mu=mu, rule=rule, master_seed=13)
+    lanes = _lanes(config, real_jobs(config))
+    assert lanes.bounds is not None
+    first = lanes.lead + lanes.start
+    lo, hi = lanes.bounds[:2]
+    assert (lo <= first).all() and (first <= hi).all()
+    starts = [WalkRow.start(state.to_state(), WalkParams(mu)) for state in config.states]
+    assert lanes.slices[0][first].ravel().tolist() == [row.p0(0) for row in starts]
+    assert_matches_reference(dataclasses.replace(config, r=23))
 
 
 def test_tables_do_not_grow_with_r():
@@ -620,13 +637,13 @@ def test_pass_memory_is_fixed_buffers(cap, monkeypatch):
     depth = min(config.r, 4)
     # 80k lanes: as many live as _FANOUT_LANES allows, 3 chunks
     assert (workers, len(chunks), size) == (1, 3, 6666)
-    # per lane: g (8 bytes), shift (4), the outcome and H flags (1 each),
+    # per lane: g and shift (8 bytes each), the outcome and H flags (1 each),
     # the looked-up p0, which is also the mixer's work (8), and, when the
     # lookup clamps, its slot and the row's bounds (8 each); per draw of
     # a block: the states and the uniforms (8 each); per trial of a
     # chunk: substream_states' temporaries; and numpy's fixed-size cast
     # buffers
-    per_lane = 22 + (24 if cap == 0 else 0)
+    per_lane = 26 + (24 if cap == 0 else 0)
     bound = per_lane * 4 * size + 16 * depth * size + 48 * size + (1 << 16)
     peaks = [traced_peak(dataclasses.replace(config, r=r)) for r in (50, 400)]
     assert max(peaks) <= bound
