@@ -47,15 +47,14 @@ lane and draw buffers once, for its widest chunk, and every step, the
 restart at step k and the final count work in place in them. Draws come
 in blocks: one batch_uniform call mixes min(r, jobs) steps of a chunk
 into the worker's buffers, so a block holds no more uniforms than the
-chunk has lanes and a worker's buffers cost at most 42 bytes per live
-lane (66 where the lookup clamps). So a step is three numpy calls and
+chunk has lanes and a worker's buffers cost at most 34 bytes per live
+lane (58 where the lookup clamps). So a step is three numpy calls and
 allocates nothing, and two workers rarely wait on each other for the
 interpreter lock, which every numpy call takes and gives back.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,7 +62,7 @@ import numpy as np
 
 from .discriminate import (DecisionRule, StateLabel, TrialOutcome, check_steps, row_after_h,
                            run_trial)
-from .rng import batch_uniform, check_seed, step_offsets, substream, substream_states
+from .rng import batch_uniform, check_seed, substream, substream_states
 from .walk import QubitState, WalkParams, WalkRow
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
@@ -143,7 +142,7 @@ class PhasePoint:
 _Job = tuple[StateLabel, int, bool]
 
 
-def _walk_rows(state: StateLabel, config: ExperimentConfig,
+def _walk_rows(state: StateLabel, params: WalkParams, rule: DecisionRule, r: int,
                phase: bool) -> tuple[list[WalkRow], np.ndarray, np.ndarray]:
     """The walk rows one job reads, and the rule at step k.
 
@@ -153,12 +152,12 @@ def _walk_rows(state: StateLabel, config: ExperimentConfig,
     j0 outcome-0 counts, and row_of_j0[j0] is the row the trial walks in
     from then on (0 if H does not fire).
     """
-    k = config.rule.k
-    base = WalkRow.start(state.to_state(), WalkParams(config.mu))
-    fires = np.array([config.rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
+    k = rule.k
+    base = WalkRow.start(state.to_state(), params)
+    fires = np.array([rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
     after: dict[float, tuple[int, WalkRow]] = {}  # x0: (its number, the row)
     row_of_j0 = np.zeros(k + 1, dtype=np.intp)
-    if config.r > k:  # with no steps left after k, no row after H is read
+    if r > k:  # with no steps left after k, no row after H is read
         fired = np.flatnonzero(fires)
         alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
         for j0, a, b in zip(fired, alpha.tolist(), beta.tolist()):
@@ -220,7 +219,7 @@ class _Lanes:
 
 def _lanes(config: ExperimentConfig, jobs: list[_Job]) -> _Lanes:
     k, r = config.rule.k, config.r
-    walks = [_walk_rows(state, dataclasses.replace(config, mu=mu), phase)
+    walks = [_walk_rows(state, WalkParams(mu), config.rule, r, phase)
              for state, mu, phase in jobs]
     # every row with the steps done when lanes enter it: 0, or k after H
     rows = [(row, k if i else 0) for job_rows, _, _ in walks for i, row in enumerate(job_rows)]
@@ -282,9 +281,10 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     end.
 
     Draws come in blocks of min(r, jobs) steps, so a block holds no more
-    uniforms than a chunk has lanes. Row b of a block is drawn from the
-    chunk's substream states advanced by b steps, so one batch_uniform
-    call serves several steps. Every job reads trial i's draw. Returns
+    uniforms than a chunk has lanes. A chunk holds one substream state
+    per trial, and row b of a block is drawn from those states advanced
+    by b steps, so one batch_uniform call serves several steps and moves
+    the states on past them. Every job reads trial i's draw. Returns
     integer counts per job, (jobs, 4): h_applied, success & h,
     success & no h, ties; integers keep the later reduction
     order-independent.
@@ -292,14 +292,13 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
     k, r = config.rule.k, config.r
     jobs = len(lanes.start)
     depth = min(r, jobs)
-    skips = step_offsets(depth).reshape(-1, 1)
     widest = max(size for _, size in chunks)
     lane_room, draw_room = jobs * widest, depth * widest
     # g indexes np.take, which would copy any other integer type to intp
     # on every step
     g_buf, shift_buf = (np.empty(lane_room, dtype=np.intp) for _ in range(2))
     out0_buf, h_buf = np.empty(lane_room, dtype=bool), np.empty(lane_room, dtype=bool)
-    block_buf, u_buf = np.empty(draw_room, dtype=np.uint64), np.empty(draw_room)
+    u_buf = np.empty(draw_room)
     # the looked-up p0 is dead while a block is drawn, so its buffer is
     # also the mixer's work buffer
     p0_buf = np.empty(lane_room)
@@ -316,14 +315,10 @@ def _worker_counts(lanes: _Lanes, config: ExperimentConfig,
         if bounds:
             pos = _shaped(pos_buf, jobs, size)
             lo, hi = lo_start, hi_start
-        block = _shaped(block_buf, depth, size)
-        np.add(substream_states(config.master_seed, start, size), skips, out=block)
+        states = substream_states(config.master_seed, start, size)
         for done in range(0, r, depth):
             steps = min(depth, r - done)
-            if done and depth > 1:
-                # each row has drawn once; move it on by the rest of a block
-                block += skips[-1]
-            u = batch_uniform(block[:steps], _shaped(u_buf, steps, size),
+            u = batch_uniform(states, _shaped(u_buf, steps, size),
                               _shaped(p0_buf.view(np.uint64), steps, size))
             for s in range(done, done + steps):
                 view = lanes.lead - (s + 1) // 2
@@ -376,20 +371,16 @@ def _chunk_plan(trials: int, jobs: int, threads: int) -> tuple[int, list[tuple[i
     """
     live = max(trials, jobs, _FANOUT_LANES)
     fewest = -(-_FANOUT_LANES // jobs)  # fewest trials in a shared chunk
-    most = max(1, _CHUNK_LANES // jobs)  # most trials in any chunk
-    workers = min(threads, trials, trials * jobs // _FANOUT_LANES)
-    while workers > 1:
-        # as many chunks as the live bound asks, rounded up to the
-        # workers, but no more than leave each one `fewest` trials
-        per = max(1, min(live // workers, _CHUNK_LANES) // jobs)
-        count = min(-(-trials // per // workers) * workers,
-                    trials // fewest // workers * workers)
-        if count >= max(workers, -(-trials // most)):
-            break
-        workers -= 1
-    else:
-        workers = 1
-        count = -(-trials // max(1, min(live, _CHUNK_LANES) // jobs))
+    workers = max(1, min(threads, trials // fewest))
+    if jobs > _CHUNK_LANES // 2:
+        # a chunk holds one trial, so the workers must divide the trials
+        while trials % workers:
+            workers -= 1
+    # as many chunks as the live bound asks, rounded up to the workers,
+    # but no more than leave each one `fewest` trials
+    count = -(-trials // max(1, min(live // workers, _CHUNK_LANES) // jobs))
+    if workers > 1:
+        count = min(-(-count // workers), trials // fewest // workers) * workers
     bounds = [trials * c // count for c in range(count + 1)]
     return workers, [(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -4,6 +4,8 @@ Every trial owns an independent substream derived from a 64-bit master
 seed, so experiments are reproducible bit for bit and trials can run in
 any order (or in parallel) without changing results. Uniform draws map
 the top 53 bits of each 64-bit output onto the double grid in [0, 1).
+A draw steps a stream's state by the golden-ratio increment, and only
+this module steps it: batch_uniform draws one step or a block of steps.
 """
 
 from __future__ import annotations
@@ -82,49 +84,48 @@ def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     into the mixed seed, not the seed itself: two seeds that differ in
     their low bits would otherwise hand the same streams to other trial
     indices, and every report, a sum over trials, would be the same.
-    Advance the whole batch one draw at a time with batch_uniform.
+    Draw from the whole batch with batch_uniform.
     """
     idx = np.arange(start, start + count, dtype=np.uint64)
-    s = np.uint64(splitmix64(master_seed & _MASK64)) ^ idx
-    s = s + _U_GOLDEN
-    z = (s ^ (s >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
+    z = np.uint64(splitmix64(master_seed & _MASK64)) ^ idx
+    z += _U_GOLDEN
+    _mix(z, idx)  # the indices are spent, so their memory holds the shifts
+    return z
 
 
-def step_offsets(count: int) -> np.ndarray:
-    """uint64 offsets b * golden (mod 2^64) for b = 0 .. count-1.
-
-    A splitmix64 state advances by adding the golden-ratio increment,
-    so states + offset b are those streams b draws further on: adding
-    step_offsets(B)[:, None] to a state vector gives a (B, count) block
-    whose row b, passed to batch_uniform, yields each stream's draw b+1.
-    """
-    return np.array([b * _GOLDEN & _MASK64 for b in range(count)], dtype=np.uint64)
+def _mix(z: np.ndarray, shifted: np.ndarray) -> None:
+    """mix64 on every entry of the uint64 array z, in place; `shifted`,
+    a uint64 array of z's shape, is overwritten."""
+    np.right_shift(z, _U30, out=shifted)
+    z ^= shifted
+    z *= _U_MIX1
+    np.right_shift(z, _U27, out=shifted)
+    z ^= shifted
+    z *= _U_MIX2
+    np.right_shift(z, _U31, out=shifted)
+    z ^= shifted
 
 
 def batch_uniform(states: np.ndarray, out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
-    """One uniform draw from every stream; advances `states` in place.
+    """Uniform draws from every stream; advances `states` in place.
 
-    Works on any shape: each entry is one stream's state. The draws are
-    mixed in `out` (float64) and `work` (uint64), both of states' shape,
-    and returned in `out`. A caller that passes both gets no new arrays,
-    and whatever the two held is overwritten.
+    Works on any shape: each entry of `states` is one stream's state.
+    `out` (float64) has states' shape for one draw per stream, or one
+    more leading axis of B steps: then row b holds each stream's draw
+    b + 1, and `states` moves on by B draws. The draws are mixed in
+    `out` and `work` (uint64, of out's shape) and returned in `out`. A
+    caller that passes both gets no new arrays but a B-entry one, and
+    whatever the two held is overwritten.
     """
     if out is None:
         out = np.empty(states.shape)
     if work is None:
-        work = np.empty(states.shape, dtype=np.uint64)
-    shifted = out.view(np.uint64)  # out's memory holds the shifts until the end
-    states += _U_GOLDEN
-    np.right_shift(states, _U30, out=work)
-    work ^= states
-    work *= _U_MIX1
-    np.right_shift(work, _U27, out=shifted)
-    work ^= shifted
-    work *= _U_MIX2
-    np.right_shift(work, _U31, out=shifted)
-    work ^= shifted
+        work = np.empty(out.shape, dtype=np.uint64)
+    steps = out.shape[:out.ndim - states.ndim]  # () or (B,)
+    ahead = np.arange(1, 1 + (steps[0] if steps else 1), dtype=np.uint64) * _U_GOLDEN
+    np.add(states, ahead.reshape(steps + (1,) * states.ndim), out=work)
+    _mix(work, out.view(np.uint64))  # out's memory holds the shifts until the end
+    states += ahead[-1]
     work >>= _U11
     return np.multiply(work, _TWO53_INV, out=out)

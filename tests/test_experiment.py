@@ -302,7 +302,8 @@ def test_config_past_the_cap_equals_reference_kernel():
     # padding every row out to its reach would pass the cap
     config = ExperimentConfig(states=(StateLabel.PLUS,), trials=20, r=3000, mu=10,
                               master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
-    rows, fires, row_of_j0 = _walk_rows(StateLabel.PLUS, config, phase=False)
+    rows, fires, row_of_j0 = _walk_rows(StateLabel.PLUS, WalkParams(config.mu), config.rule,
+                                        config.r, phase=False)
     padded = 2 * (config.r + (len(rows) - 1) * (config.r - config.rule.k))
     assert padded > _ENTRY_CAP
     lanes = _lanes(config, real_jobs(config))
@@ -339,7 +340,8 @@ def test_rows_are_built_out_to_their_reach_only(monkeypatch):
     # a row stored in parity slices holds at most one count past its reach
     assert widths[0] <= 2 * (config.r - 1) + 2
     assert max(widths[1:]) <= 2 * (config.r - 1 - config.rule.k) + 2
-    assert len(widths) == len(_walk_rows(StateLabel.PLUS, config, phase=False)[0])
+    rows = _walk_rows(StateLabel.PLUS, WalkParams(config.mu), config.rule, config.r, phase=False)[0]
+    assert len(widths) == len(rows)
     assert sum(widths) == row_entries(lanes)
 
 
@@ -442,8 +444,9 @@ def test_tables_do_not_grow_with_r():
     rows = 0
     for state in ALL_STATES:
         # a row is its start's x0 and signs, whatever the reach
-        job_rows, _, _ = _walk_rows(state, large, phase=False)
-        assert job_rows == _walk_rows(state, small, phase=False)[0]
+        params = WalkParams(small.mu)
+        job_rows, _, _ = _walk_rows(state, params, large.rule, large.r, phase=False)
+        assert job_rows == _walk_rows(state, params, small.rule, small.r, phase=False)[0]
         rows += len(job_rows)
     # the lane rows are built out to the reach r, by design
     lanes = _lanes(large, real_jobs(large))
@@ -490,6 +493,9 @@ def test_threads_below_one_rejected(threads):
     (3, 8, 8, 1),
     # more jobs than trials: one trial per chunk, each past _FANOUT_LANES
     (2, 70_000, 4, 2),
+    # ... as many a worker, so 6 trials share out to 3 workers, and 5 to 1
+    (6, 70_000, 4, 3),
+    (5, 70_000, 4, 1),
     (16_000_000, 4, 2, 2),  # chunks stop at _CHUNK_LANES, however many trials
     # passes of at most _FANOUT_LANES lanes run as one chunk
     (10, 40, 1, 1),
@@ -640,11 +646,11 @@ def test_pass_memory_is_fixed_buffers(cap, monkeypatch):
     # per lane: g and shift (8 bytes each), the outcome and H flags (1 each),
     # the looked-up p0, which is also the mixer's work (8), and, when the
     # lookup clamps, its slot and the row's bounds (8 each); per draw of
-    # a block: the states and the uniforms (8 each); per trial of a
-    # chunk: substream_states' temporaries; and numpy's fixed-size cast
-    # buffers
+    # a block: the uniforms (8); per trial of a chunk: its substream
+    # states and substream_states' temporaries; and numpy's fixed-size
+    # cast buffers
     per_lane = 26 + (24 if cap == 0 else 0)
-    bound = per_lane * 4 * size + 16 * depth * size + 48 * size + (1 << 16)
+    bound = per_lane * 4 * size + 8 * depth * size + 48 * size + (1 << 16)
     peaks = [traced_peak(dataclasses.replace(config, r=r)) for r in (50, 400)]
     assert max(peaks) <= bound
     assert peaks[1] <= peaks[0] + 4096

@@ -8,7 +8,6 @@ from qsdwalk.rng import (
     batch_uniform,
     mix64,
     splitmix64,
-    step_offsets,
     substream,
     substream_states,
 )
@@ -88,13 +87,19 @@ def test_substream_states_offset():
 
 
 def test_batch_uniform_advances_state_in_place():
-    # one draw moves every state on by the golden-ratio increment
+    # a draw moves every state on by the golden-ratio increment, and a
+    # block of B draws by B increments
     states = substream_states(0, 0, 4)
     before = states.copy()
+    ahead = lambda draws: before + np.uint64(draws * 0x9E3779B97F4A7C15 % 2**64)
     batch_uniform(states)
-    assert np.array_equal(states, before + step_offsets(2)[1])
+    assert np.array_equal(states, ahead(1))
     batch_uniform(states, np.empty(4), np.empty(4, dtype=np.uint64))
-    assert np.array_equal(states, before + step_offsets(3)[2])
+    assert np.array_equal(states, ahead(2))
+    batch_uniform(states, np.empty((5, 4)), np.empty((5, 4), dtype=np.uint64))
+    assert np.array_equal(states, ahead(7))
+    # the steps come from out's extra axis, so a block from no streams is empty
+    assert batch_uniform(states[:0], np.empty((5, 0))).shape == (5, 0)
 
 
 @pytest.mark.parametrize("shape", [(1,), (9,), (4, 7)])
@@ -115,23 +120,31 @@ def test_mixing_into_caller_buffers_is_bit_identical(shape):
 def test_mixing_into_caller_buffers_allocates_no_arrays():
     # 1e5 draws are 800 kB an array; numpy's cast buffer is 64 kB at most
     states = substream_states(1, 0, 100_000).reshape(4, -1)
-    out, work = np.empty(states.shape), np.empty(states.shape, dtype=np.uint64)
-    tracemalloc.start()
-    try:
-        batch_uniform(states, out, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (1 << 16) + 4096
+    for shape in (states.shape, (3, *states.shape)):  # one draw, a block
+        out, work = np.empty(shape), np.empty(shape, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            batch_uniform(states, out, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 16) + 4096
 
 
 @pytest.mark.parametrize("depth", [1, 2, 7, 33])
 def test_block_of_advanced_states_equals_successive_draws(depth):
-    streams = substream_states(987654321, 5, 11)
-    block = streams + step_offsets(depth).reshape(-1, 1)
-    drawn = batch_uniform(block)
-    for row in drawn:
-        assert np.array_equal(row, batch_uniform(streams))
-    # the block's last row has advanced as far as the successive calls
-    assert np.array_equal(block[-1], streams)
-
+    # a (depth, n) and a (depth, a, b) block: row b holds every stream's
+    # draw b + 1, as from the scalar stream
+    for shape in ((11,), (3, 5)):
+        count = int(np.prod(shape))
+        streams = substream_states(987654321, 5, count).reshape(shape)
+        single = streams.copy()
+        block = (depth, *shape)
+        drawn = batch_uniform(streams, np.empty(block), np.empty(block, dtype=np.uint64))
+        for row in drawn:
+            assert np.array_equal(row, batch_uniform(single))
+        # the block moves the streams on as far as the successive draws
+        assert np.array_equal(streams, single)
+        scalars = [substream(987654321, 5 + i) for i in range(count)]
+        expected = [[gen.uniform() for gen in scalars] for _ in range(depth)]
+        assert np.array_equal(drawn.reshape(depth, count), expected)
