@@ -2,27 +2,24 @@
 
 Every trial owns an independent substream derived from a 64-bit master
 seed, so experiments are reproducible bit for bit and trials can run in
-any order (or in parallel) without changing results. Uniform draws map
-the top 53 bits of each 64-bit output onto the double grid in [0, 1).
-A draw steps a stream's state by the golden-ratio increment, and only
-this module steps it: batch_uniform draws one step or a block of steps.
+any order (or in parallel) without changing results. One finaliser,
+_mix, and one stream rule: a draw steps a state by the golden-ratio
+increment, mixes it, and maps the top 53 bits onto the double grid in
+[0, 1). Only batch_uniform steps states, by one step or a block of
+steps; a Substream's scalar draws come from it in blocks of _BLOCK.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
 _TWO53_INV = 2.0 ** -53
+_BLOCK = 128  # a Substream's draws per batch_uniform call: a trial at r = 100
 
-# numpy copies of the constants; uint64 array arithmetic wraps mod 2^64
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
+# uint64 array arithmetic wraps mod 2^64
+_U_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX2 = np.uint64(0x94D049BB133111EB)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
@@ -30,72 +27,65 @@ _U11 = np.uint64(11)
 
 
 def check_seed(value: int, source: str) -> int:
-    """`value` if it is a master seed, a 64-bit unsigned integer; else a
-    ValueError naming `source`, since masking would silently replay
-    another seed."""
-    if not 0 <= value <= _MASK64:
+    """`value` if it is a master seed, a 64-bit unsigned integer (numpy
+    integers too); else a ValueError naming `source`, since masking or
+    truncating would silently replay another seed."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{source} must be an integer, got {value!r}")
+    if not 0 <= value < 2**64:
         raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
     return value
 
 
-def mix64(z: int) -> int:
-    """splitmix64 output function (finalizer) on a 64-bit integer."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+class Substream:
+    """One stream, drawn one uniform at a time. uniform() returns its
+    draws in order, but batch_uniform makes them _BLOCK at a time, so the
+    state may have stepped past the last draw returned."""
 
+    __slots__ = ("_states", "_draws")
 
-def splitmix64(state: int) -> int:
-    """First output of a splitmix64 generator started at `state`."""
-    return mix64((state + _GOLDEN) & _MASK64)
-
-
-class SplitMix64:
-    """Sequential splitmix64 stream.
-
-    next_u64 advances the state by the golden-ratio increment and mixes;
-    uniform() returns (output >> 11) / 2^53.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
+    def __init__(self, states: np.ndarray):
+        self._states = states  # one entry, as from substream_states
+        self._draws = iter(())
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * _TWO53_INV
+        u = next(self._draws, None)
+        if u is None:
+            block = batch_uniform(self._states, np.empty((_BLOCK, 1)))
+            self._draws = iter(block[:, 0].tolist())
+            u = next(self._draws)
+        return u
 
 
-def substream(master_seed: int, index: int) -> SplitMix64:
-    """Independent stream number `index` under a master seed: the stream
+def substream(master_seed: int, index: int) -> Substream:
+    """Independent stream number `index` under a master seed: the draws
     of entry 0 of substream_states(master_seed, index, 1)."""
-    return SplitMix64(int(substream_states(master_seed, index, 1)[0]))
+    return Substream(substream_states(master_seed, index, 1))
 
 
 def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     """uint64 state vector for substreams start .. start+count-1.
 
-    Stream i is seeded splitmix64(splitmix64(master_seed) XOR i), so
-    streams depend only on the pair (master_seed, i). The index is XORed
+    With key the first splitmix64 output from state master_seed, stream
+    i starts at the first output from state key XOR i, so streams
+    depend only on the pair (master_seed, i). The index is XORed
     into the mixed seed, not the seed itself: two seeds that differ in
     their low bits would otherwise hand the same streams to other trial
     indices, and every report, a sum over trials, would be the same.
     Draw from the whole batch with batch_uniform.
     """
+    key = np.array([check_seed(master_seed, "master_seed")], dtype=np.uint64) + _U_GOLDEN
+    _mix(key, np.empty_like(key))
     idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(splitmix64(master_seed & _MASK64)) ^ idx
+    z = key ^ idx
     z += _U_GOLDEN
     _mix(z, idx)  # the indices are spent, so their memory holds the shifts
     return z
 
 
 def _mix(z: np.ndarray, shifted: np.ndarray) -> None:
-    """mix64 on every entry of the uint64 array z, in place; `shifted`,
-    a uint64 array of z's shape, is overwritten."""
+    """The splitmix64 finaliser on every entry of the uint64 array z, in
+    place; `shifted`, a uint64 array of z's shape, is overwritten."""
     np.right_shift(z, _U30, out=shifted)
     z ^= shifted
     z *= _U_MIX1

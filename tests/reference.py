@@ -10,7 +10,9 @@ walks one start out along both chains of equal outcomes, one
 collapse_update per count. step_arrays mirrors ax_probabilities and
 collapse_update term for term, one draw per trial and step, which keeps
 every comparison of counts bit for bit. Imported by test_walk,
-test_oracle, test_experiment and acceptance criterion 4.
+test_oracle, test_experiment and acceptance criterion 4. splitmix64 is
+the generator in Python ints, the independent reference that
+test_rng holds the package's numpy streams to.
 
 The exact rates below come from branch enumeration at the decision
 point followed by a binomial-mixture recursion over the remaining
@@ -50,6 +52,17 @@ EXACT_P_H = 0.45225424859373686
 # probability 4/5. Total 3/8 + 5/8 * 4/5 = 7/8, less r-step leakage.
 EXACT_ALWAYS_MU1 = {StateLabel.PLUS: 0.8749999832256395,
                     StateLabel.MINUS: 0.8749998984922417}
+
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The first `count` 64-bit outputs of a splitmix64 generator at `state`."""
+    outputs = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        outputs.append(z ^ (z >> 31))
+    return outputs
 
 
 def ax_probabilities(state: QubitState, params: WalkParams) -> tuple[float, float]:

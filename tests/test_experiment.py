@@ -373,6 +373,7 @@ def test_more_threads_than_trials_equal_reference_kernel(trials, threads):
     (0, 100, DecisionRule()),
     (2, 25, DecisionRule(k=25)),
     (1, 25, DecisionRule(k=25, mode="always-apply-h")),
+    (2, 300, DecisionRule(k=150)),  # a scalar trial draws 3 blocks, H fires in the second
 ])
 def test_scalar_trials_match_batch_at_edges(state, mu, r, rule):
     trials = 300

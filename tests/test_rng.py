@@ -1,16 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from qsdwalk.rng import (
-    SplitMix64,
-    batch_uniform,
-    mix64,
-    splitmix64,
-    substream,
-    substream_states,
-)
+from qsdwalk.experiment import ExperimentConfig
+from qsdwalk.oracle import walk_agreement
+from qsdwalk.rng import _BLOCK, _U_GOLDEN, _mix, batch_uniform, substream, substream_states
+from reference import splitmix64
 
 # reference outputs of the splitmix64 stream seeded with 0
 KNOWN_SEED0 = [
@@ -23,27 +20,43 @@ KNOWN_SEED0 = [
 
 
 def test_known_answer_seed0():
-    gen = SplitMix64(0)
-    assert [gen.next_u64() for _ in KNOWN_SEED0] == KNOWN_SEED0
+    # state 0's first five steps, through the package's finaliser and the
+    # pure-Python reference
+    steps = np.arange(1, 6, dtype=np.uint64) * _U_GOLDEN
+    _mix(steps, np.empty_like(steps))
+    assert steps.tolist() == KNOWN_SEED0
+    assert splitmix64(0, 5) == KNOWN_SEED0
 
 
 def test_splitmix64_is_one_generator_step():
-    assert splitmix64(0) == KNOWN_SEED0[0]
-    assert splitmix64(0x9E3779B97F4A7C15) == KNOWN_SEED0[1]
-
-
-def test_mix64_stays_in_range():
-    for z in [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]:
-        out = mix64(z)
-        assert 0 <= out < 2**64
+    # one batch_uniform draw is the top 53 bits of the next output
+    states = np.array([0, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    assert batch_uniform(states).tolist() == [(z >> 11) * 2.0**-53 for z in KNOWN_SEED0[:2]]
 
 
 @pytest.mark.parametrize("master,index", [(0, 0), (0, 1), (42, 0), (42, 7), (2**63, 12345)])
 def test_substream_definition(master, index):
     # substream state is splitmix64(splitmix64(master) ^ index)
     gen = substream(master, index)
-    ref = SplitMix64(splitmix64(splitmix64(master) ^ index))
-    assert [gen.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+    state = splitmix64(splitmix64(master, 1)[0] ^ index, 1)[0]
+    expected = [(z >> 11) * 2.0**-53 for z in splitmix64(state, _BLOCK + 4)]
+    assert [gen.uniform() for _ in expected] == expected
+
+
+def test_substream_draws_are_successive_batch_draws():
+    # the blocks a substream fills join up: draw j is the j-th one-step draw
+    gen = substream(31337, 5)
+    states = substream_states(31337, 5, 1)
+    for _ in range(3 * _BLOCK + 1):
+        assert gen.uniform() == batch_uniform(states)[0]
+
+
+def test_numpy_seed_equals_int_seed():
+    # the seed is mixed in a uint64 array, which wraps without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = substream_states(np.uint64(2**63 + 5), 0, 4)
+    assert np.array_equal(drawn, substream_states(2**63 + 5, 0, 4))
 
 
 @pytest.mark.parametrize("seeds", [(1, 2), (5, 17), (0, 1023), (3, 12)])
@@ -55,14 +68,21 @@ def test_seeds_differing_in_low_bits_share_no_streams(seeds):
     assert not a & b
 
 
-def test_substream_seed_masked_to_64_bits():
-    a = substream(2**64 + 5, 0)
-    b = substream(5, 0)
-    assert [a.next_u64() for _ in range(3)] == [b.next_u64() for _ in range(3)]
+def test_seeds_outside_64_bits_refused():
+    # masked to 64 bits, -1 and 2^64 would replay seeds 2^64 - 1 and 0
+    for seed in (-1, 2**64):
+        message = rf"^master_seed must be in 0..2\^64-1, got {seed}$"
+        for draw in (lambda: substream(seed, 0), lambda: substream_states(seed, 0, 4),
+                     lambda: walk_agreement(50, 2, 10, seed)):
+            with pytest.raises(ValueError, match=message):
+                draw()
+    # a float passed the range check, then failed at the first draw
+    with pytest.raises(ValueError, match=r"^master_seed must be an integer, got 1.5$"):
+        ExperimentConfig(master_seed=1.5)
 
 
 def test_uniform_range_and_resolution():
-    gen = SplitMix64(1234)
+    gen = substream(1234, 0)
     draws = [gen.uniform() for _ in range(1000)]
     assert all(0.0 <= u < 1.0 for u in draws)
     # 53-bit mantissa: u * 2^53 must be an integer
