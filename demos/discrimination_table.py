@@ -15,7 +15,7 @@ TRIALS = 100_000
 SEED = 2026
 
 config = ExperimentConfig(trials=TRIALS, master_seed=SEED)
-reports = run_experiment(config, threads=4)
+reports = run_experiment(config)
 
 print(f"{TRIALS} trials per state, mu={config.mu}, r={config.r}, "
       f"k={config.rule.k}, interval ({config.rule.i1:g}, {config.rule.i2:g})")

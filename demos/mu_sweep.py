@@ -15,7 +15,7 @@ SEED = 2026
 MU_VALUES = list(range(1, 11))
 
 base = ExperimentConfig(trials=10_000, master_seed=SEED)
-points = sweep_mu(base, MU_VALUES, threads=4)
+points = sweep_mu(base, MU_VALUES)
 
 print(f"{base.trials} trials per state per point")
 print(f"{'mu':>3s} {'zero/one':>9s} {'plus/minus':>11s}")

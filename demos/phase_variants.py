@@ -16,7 +16,7 @@ SEED = 2026
 TRIALS = 50_000
 
 config = ExperimentConfig(trials=TRIALS, master_seed=SEED)
-points = phase_report(config, threads=4)
+points = phase_report(config)
 
 print(f"{TRIALS} paired trials per state, mu={config.mu}")
 print(f"{'state':8s} {'real':>8s} {'complex':>9s} {'|diff|':>8s}")

@@ -94,7 +94,8 @@ def _available_cpus() -> int:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_thread_count, default=_available_cpus(),
-                   help="most worker threads (default: available CPUs)")
+                   help="ignored: every run is one serial pass; still checked to be "
+                        ">= 1, so scripts that pass it keep working")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -109,20 +110,33 @@ def cmd_trial(args) -> int:
     seed = _resolve_seed(args)
     # substream 0 so this trial equals trial 0 of an experiment run with the same seed
     outcome = run_trial(state, params, rule, args.r, substream(seed, 0))
-
-    lines = ["trial_id,iteration,outcome,alpha,beta,alpha_approx,j0,j1,h_applied"]
-    j0 = 0
-    for iteration, out, alpha, beta, approx in outcome.trace:
-        j0 += out == 0
-        h_flag = outcome.h_applied and iteration >= rule.k
-        lines.append("0,%d,%d,%.17g,%.17g,%.17g,%d,%d,%s" % (
-            iteration, out, alpha, beta, approx, j0, iteration - j0,
-            "true" if h_flag else "false"))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_trace_csv(outcome, rule.k), args.out)
     print(f"classified: {outcome.decided_state} (basis={outcome.decided_state.basis}, "
           f"j0={outcome.j0}, j1={outcome.j1}, "
           f"tie={'true' if outcome.tie else 'false'})", file=sys.stderr)
     return 0
+
+
+def _trace_csv(outcome, k: int) -> str:
+    """The trace of one trial as CSV, every float at full precision."""
+    # a trial's amplitudes are the same few float objects, step after
+    # step: format each once a call, keyed by identity, which also keeps
+    # -0.0 apart from 0.0
+    text = {}
+    lines = ["trial_id,iteration,outcome,alpha,beta,alpha_approx,j0,j1,h_applied"]
+    j0 = 0
+    for iteration, out, alpha, beta, approx in outcome.trace:
+        j0 += out == 0
+        a = text.get(id(alpha))
+        if a is None:
+            a = text[id(alpha)] = "%.17g" % alpha
+        b = text.get(id(beta))
+        if b is None:
+            b = text[id(beta)] = "%.17g" % beta
+        h_flag = "true" if outcome.h_applied and iteration >= k else "false"
+        lines.append("0,%d,%d,%s,%s,%.17g,%d,%d,%s" % (
+            iteration, out, a, b, approx, j0, iteration - j0, h_flag))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_states(text: str) -> tuple[StateLabel, ...]:
@@ -139,7 +153,7 @@ def cmd_experiment(args) -> int:
         rule=_rule(args),
         master_seed=seed,
     )
-    reports = run_experiment(config, threads=args.threads)
+    reports = run_experiment(config)
     if args.format == "json":
         records = [{
             "state": str(rep.state),
@@ -198,7 +212,7 @@ def cmd_sweep(args) -> int:
         rule=_rule(args),
         master_seed=seed,
     )
-    points = sweep_mu(base, mu_values, threads=args.threads)
+    points = sweep_mu(base, mu_values)
     lines = ["mu,success_computational,success_hadamard"]
     lines += [f"{p.mu},{_g(p.success_computational)},{_g(p.success_hadamard)}"
               for p in points]

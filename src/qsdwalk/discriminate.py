@@ -10,19 +10,29 @@ The checkpoint fires at most once. Counters are not reset when H is
 applied: under the default rule (k=2, open interval (0,1)) H fires only
 when j0 = j1 = 1, so the retained counts cancel in every later
 comparison and the trace keeps the full history.
+
+The outcome operators diag(c0, c1) and diag(s0, s1) = diag(c1, c0)
+commute, so a record's probability depends only on its counts: from
+(alpha, beta), the count of outcome 0 over m steps is the mixture
+alpha^2 Bin(m, c0^2) + beta^2 Bin(m, c1^2). A trial is decided from
+that law (trial_tables) in four draws, and its steps are laid out after.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .gates import SQRT2, PhaseRoot
 from .walk import QubitState, WalkParams, WalkRow, walk_lists
 
 MODES = ("interval", "never-apply-h", "always-apply-h")
-# The most steps a trial takes: within it every index the batch engine
-# computes (row slots, lane homes, keys up to jobs * 2^30) fits intp.
+# The most steps a trial takes, in run_trial and in a run alike.
 MAX_STEPS = 2**30 - 1
 
 
@@ -167,41 +177,206 @@ def check_steps(r: int, rule: DecisionRule) -> None:
         raise ValueError(f"r={r} is too large: a trial takes at most {MAX_STEPS} steps")
 
 
+# 2t^2/n where Hoeffding's bound P(X - nq >= t) <= exp(-2t^2/n) reaches
+# 2^-60, so a window of t past the mean on each side drops less mass than
+# the 2^-53 grid of a uniform draw resolves
+_HOEFFDING = 30 * math.log(2)
+
+
+@dataclass(frozen=True)
+class Binomial:
+    """The CDF of Bin(n, q) on the window lo .. lo + len(cdf) - 1 that
+    holds all its mass but less than 2^-59: cdf[i] = P(X <= lo + i), and
+    cdf[-1] = 1. The window spans about 9 sqrt(n) counts."""
+
+    lo: int
+    cdf: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, q: float) -> "Binomial":
+        """The pmf by its ratio recurrence outward from the mode, then
+        normalised; q = 0 and q = 1 (mu = 0) are point masses."""
+        if q <= 0.0 or q >= 1.0:
+            return cls(n if q >= 1.0 else 0, np.ones(1))
+        mode = min(n, math.floor((n + 1) * q))
+        reach = math.ceil(math.sqrt(_HOEFFDING * n)) + 2  # the mode is within 1 of nq
+        lo, hi = max(0, mode - reach), min(n, mode + reach)
+        odds = q / (1.0 - q)
+        up = np.arange(mode + 1, hi + 1)  # pmf(m) / pmf(m - 1) = (n - m + 1) / m * odds
+        down = np.arange(mode, lo, -1)
+        rise = np.cumprod((n - up + 1) / up * odds)
+        fall = np.cumprod(down / (n - down + 1) / odds)
+        pmf = np.concatenate([fall[::-1], [1.0], rise])
+        cdf = np.minimum(np.cumsum(pmf / pmf.sum()), 1.0)
+        cdf[-1] = 1.0
+        return cls(lo, cdf)
+
+    def count(self, u):
+        """The count whose CDF step holds the uniform u (or each entry of
+        an array of them): the least m with u < F(m). One float is
+        searched by bisect, a tenth of searchsorted's call cost, with
+        the same comparisons."""
+        if isinstance(u, float):
+            return self.lo + bisect_right(self.cdf, u)
+        return self.lo + np.searchsorted(self.cdf, u, side="right")
+
+    def at(self, m: np.ndarray) -> np.ndarray:
+        """F(m) at integer counts m: 0 below the window, 1 above it. A
+        count from count(u) is <= m exactly when u < at(m)."""
+        i = m - self.lo
+        return np.where(i < 0, 0.0, self.cdf[np.clip(i, 0, len(self.cdf) - 1)])
+
+
+@dataclass(frozen=True)
+class CountLaw:
+    """The count laws one (mu, k, r) gives every start, per component z.
+
+    Component 0 takes outcome 0 with probability c0^2 at every step and
+    component 1 with c1^2. step_k[z] is the count j0 at step k, after_k[z]
+    the count over the r - k steps left. below[z, j0] and through[z, j0]
+    are the thresholds of the vote: a u3 below `below` draws so few zeros
+    after step k that the vote names bit 1 (j1 > j0 over all r steps),
+    and one in [below, through) a tie (even r only)."""
+
+    step_k: tuple[Binomial, Binomial]
+    after_k: tuple[Binomial, Binomial]
+    below: np.ndarray
+    through: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def count_law(params: WalkParams, k: int, r: int) -> CountLaw:
+    """The count laws of (mu, k, r), built once for every walk at that mu."""
+    # c1 = 0 exactly at mu = 0, as in WalkRow
+    q = [c * c for c in params.factors[:2]] if params.mu else [1.0, 0.0]
+    after_k = tuple(Binomial.of(r - k, p) for p in q)
+    j0 = np.arange(k + 1)
+    return CountLaw(
+        step_k=tuple(Binomial.of(k, p) for p in q),
+        after_k=after_k,
+        below=np.stack([law.at((r + 1) // 2 - 1 - j0) for law in after_k]),
+        through=np.stack([law.at(r // 2 - j0) for law in after_k]),
+    )
+
+
+def _walk_rows(state: StateLabel, params: WalkParams, rule: DecisionRule,
+               phase: bool) -> tuple[list[WalkRow], np.ndarray, np.ndarray]:
+    """The walk rows one walk reads, and the rule at step k.
+
+    Returns (rows, fires, row_of_j0). rows[0] walks from the start state
+    and the others from the restarts after H with distinct x0, as p0
+    depends on x0 alone. fires[j0] says whether H fires at step k after
+    j0 outcome-0 counts, and row_of_j0[j0] is the row the trial walks in
+    from then on (0 if H does not fire).
+    """
+    k = rule.k
+    base = WalkRow.start(state.to_state(), params)
+    fires = np.array([rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
+    after: dict[float, tuple[int, WalkRow]] = {}  # x0: (its number, the row)
+    row_of_j0 = np.zeros(k + 1, dtype=np.intp)
+    fired = np.flatnonzero(fires)
+    alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
+    for j0, a, b in zip(fired, alpha.tolist(), beta.tolist()):
+        row = row_after_h(QubitState(a, b), base.params, k, phase)
+        row_of_j0[j0] = 1 + after.setdefault(row.x0, (len(after), row))[0]
+    return [base, *(row for _, row in after.values())], fires, row_of_j0
+
+
+@dataclass(frozen=True)
+class TrialTables:
+    """Everything a trial of one walk reads: the count laws of its mu,
+    alpha^2 of its start (the chance of component 0), whether H fires
+    at each j0, and zero_after[z, j0], the chance of component 0 after
+    step k. Where H fires and a step follows, that is alpha^2 of the row
+    the walk restarts in; elsewhere the record stays one mixture, so the
+    component drawn at the start is kept (1 for z = 0, 0 for z = 1).
+    rows and row_of_j0 come from _walk_rows, for the trace."""
+
+    law: CountLaw
+    alpha2: float
+    fires: np.ndarray
+    zero_after: np.ndarray
+    rows: list[WalkRow]
+    row_of_j0: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: int,
+                 phase: bool = False) -> TrialTables:
+    """The tables of one walk, built once: run_trial and the batch engine
+    read the same floats. phase=True restarts after H as the
+    phase-tracking variant (row_after_h)."""
+    rows, fires, row_of_j0 = _walk_rows(state, params, rule, phase)
+    restart = np.array([row.alpha2 for row in rows])[row_of_j0]
+    kept = np.array([[1.0], [0.0]])
+    zero_after = np.where(fires & (r > rule.k), restart, kept)
+    return TrialTables(count_law(params, rule.k, r), rows[0].alpha2, fires, zero_after,
+                       rows, row_of_j0)
+
+
+def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:
+    """alpha and beta of `row` at |n| <= reach, indexed as walk_lists
+    does. Rows are evaluated (and cached) only out to their frozen count;
+    past it every value equals the one there, so the lists repeat it."""
+    edge = min(reach, row.frozen)
+    alpha, beta = walk_lists(row, edge)
+    if edge < reach:
+        pad = reach - edge
+        alpha, beta = (values[:edge + 1] + [values[edge]] * pad + [values[-edge]] * pad
+                       + values[edge + 1:] for values in (alpha, beta))
+    return alpha, beta
+
+
 def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
-              r: int, rng) -> TrialOutcome:
+              r: int, rng, phase: bool = False) -> TrialOutcome:
     """Run one full discrimination trial of r iterations.
 
-    Consumes exactly r uniform draws from rng. The checkpoint test
-    (rule.fires) runs at iteration k after that iteration's counter
-    update. p0 and the traced amplitudes come from the batch engine's
-    closed-form rows (walk.WalkRow), by the net count since the start or
-    since H (row_after_h), each evaluated once out to r (r - k after H),
-    but never past its frozen count: further out every value equals the
-    one there, so the lookup clamps the count to it.
+    Consumes 4 + r uniform draws from rng. The first four decide the
+    trial from its counts, as the batch engine decides trial i from the
+    same four and the same trial_tables: u0 picks the component, u1 the
+    count j0 at step k, u2 the component after step k (where H fires)
+    and u3 the count over the steps after k. The checkpoint test
+    (rule.fires) reads j0. The other r draws lay the outcomes out step
+    by step: in a stretch (steps up to k, or after it) with a zeros
+    left among L steps, outcome 0 comes with probability a/L, so every
+    order of the stretch is equally likely, as the walk makes it. The
+    traced amplitudes come from the closed-form rows (walk.WalkRow) by
+    the net count since the start or since H, read out to r (r - k
+    after H) through _trace_lists.
+    phase=True walks the phase-tracking variant after H (row_after_h).
     """
     check_steps(r, rule)
-    row = WalkRow.start(initial.to_state(), params)
-    edge = min(r, row.frozen)
-    p0, alpha, beta = walk_lists(row, edge)
-    n = at = 0  # the net count, and where the lists hold it
-    j0 = 0
-    h_applied = False
+    k = rule.k
+    tables = trial_tables(initial, params, rule, r, phase)
+    law = tables.law
+    uniform = rng.uniform
+    z = int(uniform() >= tables.alpha2)
+    j0_at_k = law.step_k[z].count(uniform())
+    z = int(uniform() >= tables.zero_after[z, j0_at_k])
+    zeros_after = law.after_k[z].count(uniform())
+    h_applied = bool(tables.fires[j0_at_k])
+
+    alpha, beta = _trace_lists(tables.rows[0], r)
+    n = j0 = 0  # the net count in the row walked, and the outcome-0 count
+    zeros, left = j0_at_k, k  # outcome-0 counts still to place, and the steps left
     trace = []
+    append = trace.append
     for j in range(1, r + 1):
-        outcome = 0 if rng.uniform() < p0[at] else 1
-        if outcome == 0:
+        if uniform() < zeros / left:
+            outcome = 0
+            zeros -= 1
             j0 += 1
             n += 1
         else:
+            outcome = 1
             n -= 1
-        at = n if -edge <= n <= edge else edge if n > 0 else -edge
-        if j == rule.k and rule.fires(j0):
-            row = row_after_h(QubitState(alpha[at], beta[at]), params, rule.k)
-            n = at = 0
-            h_applied = True
-            edge = min(r - rule.k, row.frozen)
-            p0, alpha, beta = walk_lists(row, edge)
-        trace.append((j, outcome, alpha[at], beta[at], j0 / j))
+        left -= 1
+        if j == k:
+            zeros, left = zeros_after, r - k
+            if h_applied:
+                n = 0
+                alpha, beta = _trace_lists(tables.rows[tables.row_of_j0[j0]], r - k)
+        append((j, outcome, alpha[n], beta[n], j0 / j))
     j1 = r - j0
     return TrialOutcome(
         h_applied=h_applied,

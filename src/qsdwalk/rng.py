@@ -72,8 +72,19 @@ def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     into the mixed seed, not the seed itself: two seeds that differ in
     their low bits would otherwise hand the same streams to other trial
     indices, and every report, a sum over trials, would be the same.
-    Draw from the whole batch with batch_uniform.
+    Draw from the whole batch with batch_uniform. Stream indices run
+    over 0..2^64-1; a range outside them, or one that is not given in
+    integers, is a ValueError, since a cast would silently draw other
+    streams.
     """
+    for value, name in ((start, "start"), (count, "count")):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"stream {name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"stream {name} must be >= 0, got {value}")
+    start, count = int(start), int(count)
+    if start + count > 2**64:
+        raise ValueError(f"streams must be in 0..2^64-1, got {start}..{start + count - 1}")
     key = np.array([check_seed(master_seed, "master_seed")], dtype=np.uint64) + _U_GOLDEN
     _mix(key, np.empty_like(key))
     idx = np.arange(start, start + count, dtype=np.uint64)

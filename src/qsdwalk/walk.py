@@ -25,9 +25,10 @@ With x0 = ln(alpha^2/beta^2) and the logistic sigma(x) = 1/(1 + e^-x):
 A WalkRow (x0 and the signs of alpha and beta) evaluates p0 or the state
 over an array of net counts in one numpy expression, just out to the
 counts a caller reaches; a WalkRow over arrays of x0 and signs is a
-stack of rows, each read at its own count. The Monte Carlo engine, the
-per-trial rule (through the cached walk_lists) and the register oracle
-all read it. At mu = 0 (c1 = 0) the first outcome collapses the state.
+stack of rows, each read at its own count. The Monte Carlo engine
+reads alpha^2 of each row's start, the per-trial trace its states
+(through the cached walk_lists) and the register oracle its p0. At
+mu = 0 (c1 = 0) the first outcome collapses the state.
 
 The rows are the real-amplitude walk; the relative phase that a full
 register simulation develops per step is deliberately not tracked. The
@@ -151,6 +152,12 @@ class WalkRow:
         return (self.sign_alpha * np.where(up, major, minor),
                 self.sign_beta * np.where(up, minor, major))
 
+    @property
+    def alpha2(self) -> float:
+        """alpha^2 of the start, sigma(x0): exactly 1 or 0 at x0 = +-inf."""
+        t = math.exp(-abs(self.x0))
+        return (1.0 if self.x0 >= 0 else t) / (1.0 + t)
+
     def p0(self, n: np.ndarray) -> np.ndarray:
         """Probability of outcome 0 at the net counts n."""
         return _p0(self.params, *self.amplitudes(n))
@@ -189,11 +196,11 @@ def _p0(params: WalkParams, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float], list[float]]:
-    """p0, alpha and beta of `row` at |n| <= reach, as Python floats for
-    run_trial's per-step lookup, which reads the same few rows trial
-    after trial: list[n] holds count n (negative n from the end)."""
+def walk_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:
+    """alpha and beta of `row` at |n| <= reach, as Python floats for
+    run_trial's traced steps, which read the same few rows trial after
+    trial: list[n] holds count n (negative n from the end)."""
     n = np.arange(2 * reach + 1)
     n[reach + 1:] -= 2 * reach + 1
     alpha, beta = row.amplitudes(n)
-    return _p0(row.params, alpha, beta).tolist(), alpha.tolist(), beta.tolist()
+    return alpha.tolist(), beta.tolist()

@@ -8,8 +8,9 @@ ax_probabilities and collapse_update are one step of it: the outcome
 probabilities of a state and the state an outcome leaves. stepped_chain
 walks one start out along both chains of equal outcomes, one
 collapse_update per count. step_arrays mirrors ax_probabilities and
-collapse_update term for term, one draw per trial and step, which keeps
-every comparison of counts bit for bit. Imported by test_walk,
+collapse_update term for term, one draw per trial and step; the
+package decides a trial from four draws instead, so its counts are held
+to reference_counts in distribution, not bit for bit. Imported by test_walk,
 test_oracle, test_experiment and acceptance criterion 4. splitmix64 is
 the generator in Python ints, the independent reference that
 test_rng holds the package's numpy streams to.

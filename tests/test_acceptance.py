@@ -98,8 +98,7 @@ def test_criterion_4_martingale_and_normalization():
 
 def test_criterion_5_success_table():
     start = time.perf_counter()
-    reports = q.run_experiment(q.ExperimentConfig(trials=100_000, master_seed=SEED),
-                               threads=4)
+    reports = q.run_experiment(q.ExperimentConfig(trials=100_000, master_seed=SEED))
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     parts = []
@@ -163,7 +162,7 @@ def test_criterion_6c_always_mode_target():
 def test_criterion_7_sweep_shape():
     start = time.perf_counter()
     points = q.sweep_mu(q.ExperimentConfig(trials=10_000, master_seed=SEED),
-                        range(1, 11), threads=4)
+                        range(1, 11))
     elapsed = time.perf_counter() - start
     h = {p.mu: p.success_hadamard for p in points}
     peak_gap = max(h.values()) - h[2]

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qsdwalk.experiment as experiment
-from qsdwalk.cli import main
+from qsdwalk.cli import _trace_csv, main
+from qsdwalk.discriminate import StateLabel, TrialOutcome
 from qsdwalk.walk import WalkRow
 
 JSON_KEYS = {"state", "trials", "frac_h_applied", "success_given_h",
@@ -132,10 +134,11 @@ def test_experiment_human_format(capsys):
 
 
 def test_experiment_threads_agree(capsys):
+    # --threads is still accepted, and ignored: every run is one serial pass
     base = ("experiment", "--states", "plus", "--trials", "2000", "--seed", "21")
     _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *base, "--threads", "4")
-    assert out1 == out4
+    _, out3, _ = run_cli(capsys, *base, "--threads", "3")
+    assert out1 == out3
 
 
 @pytest.mark.parametrize("argv", [
@@ -150,6 +153,35 @@ def test_threads_below_one_rejected(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--threads" in captured.err and "must be >= 1" in captured.err
+
+
+def test_largest_r_runs_in_seconds(capsys):
+    # the four draws of a trial decide it at any r; before, this stepped
+    # 2^30 - 1 steps per trial
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "experiment", "--r", "1073741823", "--trials", "1000",
+                             "--seed", "1")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    assert [rec["trials"] for rec in json.loads(out)] == [1000] * 4
+
+
+def test_trace_csv_bytes_unchanged_at_a_fixed_outcome():
+    # floats are formatted once per distinct value and call, which must
+    # print what formatting each field alone prints, signed zeros too
+    trace = ((1, 1, 0.0, -0.0, 0.0), (2, 0, -0.0, 0.0, 0.5), (3, 0, 0.6, -0.8, 2 / 3),
+             (4, 1, 0.6, -0.8, 0.5), (5, 0, 1 / 3, 0.6, 0.6))
+    outcome = TrialOutcome(h_applied=True, decided_state=StateLabel.PLUS, tie=False,
+                           j0=3, j1=2, trace=trace)
+    lines = ["trial_id,iteration,outcome,alpha,beta,alpha_approx,j0,j1,h_applied"]
+    j0 = 0
+    for iteration, out, alpha, beta, approx in trace:
+        j0 += out == 0
+        lines.append("0,%d,%d,%.17g,%.17g,%.17g,%d,%d,%s" % (
+            iteration, out, alpha, beta, approx, j0, iteration - j0,
+            "true" if iteration >= 2 else "false"))
+    assert _trace_csv(outcome, 2) == "\n".join(lines) + "\n"
+    assert "0,1,1,0,-0,0,0,1,false" in lines
 
 
 def test_sweep_takes_shared_rule_flags(capsys):

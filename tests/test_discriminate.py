@@ -1,10 +1,12 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qsdwalk.discriminate as discriminate
 from qsdwalk.discriminate import (
+    Binomial,
     DecisionRule,
     StateLabel,
     apply_hadamard_update,
@@ -62,15 +64,23 @@ def test_hadamard_update_examples():
     (50, 50, True, StateLabel.PLUS, True),
 ])
 def test_classify_table(j0, j1, h, expected, tie):
-    # at mu=2 p0 lies in [cos^2(54deg), cos^2(36deg)], so a draw of 0
-    # gives outcome 0 and a draw of 0.99 outcome 1, from any state
-    draws = iter([0.0] * j0 + [0.99] * j1)
-    rng = SimpleNamespace(uniform=lambda: next(draws))
+    # a trial decides from four draws and then lays out r more: from plus
+    # pick the component z whose law reaches j0 best, one outcome 1 at
+    # step k = 1 (u1 = 0), z again after it, and a u3 inside the CDF step
+    # of the count after step 1 that makes j0 in all
+    params, r = WalkParams(2), j0 + j1
     rule = DecisionRule(k=1, mode="always-apply-h" if h else "never-apply-h")
-    out = run_trial(StateLabel.PLUS, WalkParams(2), rule, j0 + j1, rng)
+    law = discriminate.count_law(params, rule.k, r)
+    steps = [law.after_k[z].at(np.array([j0 - 1, j0])) for z in (0, 1)]
+    z = max((0, 1), key=lambda z: steps[z][1] - steps[z][0])
+    pick = 0.0 if z == 0 else 1 - 2.0**-53  # below or above any alpha^2 in (0, 1)
+    draws = iter([pick, 0.0, pick, sum(steps[z]) / 2] + [0.5] * r)
+    rng = SimpleNamespace(uniform=lambda: next(draws))
+    out = run_trial(StateLabel.PLUS, params, rule, r, rng)
     assert (out.j0, out.j1, out.h_applied) == (j0, j1, h)
     assert out.decided_state is expected
     assert out.tie == tie
+    assert next(draws, None) is None  # 4 + r draws
 
 
 def test_decision_rule_validation():
@@ -251,3 +261,42 @@ def test_tie_possible_only_at_even_r():
 ])
 def test_decision_rule_fires(rule, fired):
     assert [rule.fires(j0) for j0 in range(rule.k + 1)] == fired
+
+
+def exact_cdf(n: int, q: float) -> tuple[list[int], int]:
+    """(numerators, denominator) of P(X <= m), m = 0..n, for Bin(n, q),
+    exact in the rational value of the float q."""
+    a, b = q.as_integer_ratio()
+    cdf, total = [], 0
+    for m in range(n + 1):
+        total += math.comb(n, m) * a**m * (b - a)**(n - m)
+        cdf.append(total)
+    return cdf, b**n
+
+
+@pytest.mark.parametrize("mu", [1, 2, 10])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 98, 500])
+def test_count_laws_match_exact_cdfs(mu, n):
+    # each window's CDF is within 1e-15 of the exact one, ends at exactly
+    # 1, and leaves out less mass than one step of the 2^-53 draw grid
+    c0, c1, _, _ = WalkParams(mu).factors
+    for q in (c0 * c0, c1 * c1):
+        law = Binomial.of(n, q)
+        exact, scale = exact_cdf(n, q)
+        hi = law.lo + len(law.cdf) - 1
+        assert law.cdf[-1] == 1.0 and all(np.diff(law.cdf) >= 0)
+        assert max(abs(exact[m] / scale - law.cdf[m - law.lo])
+                   for m in range(law.lo, hi + 1)) < 1e-15
+        left_out = (exact[law.lo - 1] if law.lo else 0) + scale - exact[hi]
+        assert left_out * 2**53 < scale
+        assert len(law.cdf) <= 9.2 * math.sqrt(n) + 5
+
+
+def test_count_laws_are_point_masses_at_mu_0():
+    # at mu = 0 component 0 always gives outcome 0 and component 1 never
+    for k, r in ((2, 100), (7, 7), (1, 50)):
+        law = discriminate.count_law(WalkParams(0), k, r)
+        assert [(b.lo, b.cdf.tolist()) for b in law.step_k] == [(k, [1.0]), (0, [1.0])]
+        assert [(b.lo, b.cdf.tolist()) for b in law.after_k] == [(r - k, [1.0]), (0, [1.0])]
+        for u in (0.0, 0.5, 1 - 2.0**-53):
+            assert [int(b.count(u)) for b in law.after_k] == [r - k, 0]

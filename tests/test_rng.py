@@ -81,6 +81,27 @@ def test_seeds_outside_64_bits_refused():
         ExperimentConfig(master_seed=1.5)
 
 
+@pytest.mark.parametrize("start,count,message", [
+    (1.5, 2, r"stream start must be an integer, got 1.5"),
+    (1, 2.0, r"stream count must be an integer, got 2.0"),
+    (-1, 1, r"stream start must be >= 0, got -1"),
+    (0, -2, r"stream count must be >= 0, got -2"),
+    (2**64 - 1, 2, r"streams must be in 0..2\^64-1, got 18446744073709551615..18446744073709551616"),
+])
+def test_stream_ranges_outside_64_bits_refused(start, count, message):
+    # a float range was cast to other streams, and one past 2^64 - 1
+    # raised numpy's OverflowError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        substream_states(1, start, count)
+
+
+def test_stream_ranges_up_to_the_last_stream_accepted():
+    last = substream_states(1, 2**64 - 1, 1)
+    assert np.array_equal(substream_states(1, 2**64 - 2, 2)[1:], last)
+    assert np.array_equal(substream_states(1, np.uint64(3), np.int64(2)), substream_states(1, 3, 2))
+    assert substream_states(1, 2**64, 0).size == 0
+
+
 def test_uniform_range_and_resolution():
     gen = substream(1234, 0)
     draws = [gen.uniform() for _ in range(1000)]

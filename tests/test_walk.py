@@ -297,8 +297,8 @@ def test_walk_table_keeps_unreachable_states_at_mu0():
     with pytest.raises(ValueError):
         collapse_update(one, 0, params)
     row = WalkRow.start(one, params)
-    p0, alpha, beta = walk_lists(row, 5)
-    assert set(p0) == {ax_probabilities(one, params)[0]}
+    alpha, beta = walk_lists(row, 5)
+    assert set(row.p0(np.arange(-5, 6)).tolist()) == {ax_probabilities(one, params)[0]}
     assert set(alpha) == {0.0} and set(beta) == {1.0}
 
 
@@ -312,12 +312,13 @@ def test_mu0_first_outcome_collapses_onto_a_basis_state(start, high, low):
     row = WalkRow.start(start, params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p0, alpha, beta = walk_lists.__wrapped__(row, 6)  # built here, not cached
+        alpha, beta = walk_lists.__wrapped__(row, 6)  # built here, not cached
+        p0 = row.p0(np.arange(-6, 7)).tolist()
         assert row.settled == 1
     for n in range(1, 7):
         for state, m in ((high, n), (low, -n)):
             assert (alpha[m], beta[m]) == (state.alpha, state.beta)
-            assert p0[m] == ax_probabilities(state, params)[0]
+            assert p0[6 + m] == ax_probabilities(state, params)[0]
 
 
 @pytest.mark.parametrize("mu", [1, 10, 40])
@@ -337,14 +338,13 @@ def test_walk_table_length_depends_on_mu_only(mu):
 @pytest.mark.parametrize("mu", [0, 1, 2, 10])
 @pytest.mark.parametrize("start", TABLE_STARTS)
 def test_p0_at_reads_the_table_bit_for_bit(start, mu):
-    # the scalar path's lists hold the batch path's values bit for bit,
-    # at every n and whatever reach they are built to
+    # the scalar path's lists hold the rows' states bit for bit, at
+    # every n and whatever reach they are built to
     row = WalkRow.start(start, WalkParams(mu))
     short = walk_lists(row, 7)
     lists = walk_lists(row, 60)
     n = np.arange(-60, 61)
-    alpha, beta = row.amplitudes(n)
-    for values, inner, expected in zip(lists, short, (row.p0(n), alpha, beta)):
+    for values, inner, expected in zip(lists, short, row.amplitudes(n)):
         assert len(values) == 121 and all(type(value) is float for value in values)
         assert [values[m].hex() for m in n] == [float(e).hex() for e in expected]
         assert [values[m] for m in range(-7, 8)] == [inner[m] for m in range(-7, 8)]
