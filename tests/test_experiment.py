@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import qsdwalk.discriminate as discriminate
 import qsdwalk.experiment as experiment
+from qsdwalk.cli import main
 from qsdwalk.discriminate import (MAX_STEPS, MODES, Binomial, DecisionRule, StateLabel,
                                   _walk_rows, count_law, run_trial, trial_tables)
 from qsdwalk.experiment import (
@@ -65,6 +67,18 @@ def test_out_of_range_master_seed_rejected(seed):
 def test_determinism():
     config = ExperimentConfig(trials=3000, master_seed=17)
     assert run_experiment(config) == run_experiment(config)
+
+
+def test_thread_count_does_not_change_reports(capsys):
+    # the commands still take --threads, and every run is one serial pass
+    # whatever it says: each prints the same bytes at 1, 3 and 4 threads
+    for argv in (["experiment", "--trials", "5000", "--seed", "23"],
+                 ["sweep", "--mu", "1..3", "--trials", "2000", "--seed", "23"]):
+        outs = set()
+        for threads in ("1", "3", "4"):
+            assert main(argv + ["--threads", threads]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1, argv
 
 
 @pytest.mark.parametrize("mode", ["interval", "never-apply-h", "always-apply-h"])
@@ -376,6 +390,22 @@ def test_phase_variant_matches_complex_amplitudes(mu, rule):
         assert z_score(got, want, config.trials) < 4, (point, want)
 
 
+@pytest.mark.parametrize("trials,threads", [(3, 8), (10, 4), (7, 7)])
+def test_more_threads_than_trials_equal_reference_kernel(trials, threads, capsys):
+    # a few trials are too few for a z-test, so the scalar trial is the
+    # kernel they are held to, trial by trial; the command prints the
+    # pass's report whatever --threads asks for
+    config = ExperimentConfig(trials=trials, master_seed=42)
+    check_paths_agree(config, [config.mu])
+    assert main(["experiment", "--trials", str(trials), "--threads", str(threads),
+                 "--seed", "42"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    for rec, rep in zip(records, run_experiment(config), strict=True):
+        assert rec["state"] == str(rep.state)
+        assert (rec["frac_h_applied"], rec["total_success"], rec["tie_count"]) == \
+            (rep.frac_h_applied, rep.total_success, rep.tie_count)
+
+
 @pytest.mark.parametrize("state", ALL_STATES)
 @pytest.mark.parametrize("mu,r,rule", [
     (0, 100, DecisionRule()),
@@ -424,15 +454,18 @@ def test_trial_and_experiment_share_one_range_of_r():
                   SimpleNamespace(uniform=uniform))
 
 
-@pytest.mark.parametrize("mu,rule", [
-    (2, DecisionRule()),
-    (0, DecisionRule()),
-    (0, DecisionRule(k=3, mode="always-apply-h")),
-    (2, DecisionRule(k=5, i1=0.2, i2=0.8)),
+@pytest.mark.parametrize("mu,rule,cap", [
+    (2, DecisionRule(), None),
+    (0, DecisionRule(), 0),
+    (0, DecisionRule(k=3, mode="always-apply-h"), 0),
+    (2, DecisionRule(k=5, i1=0.2, i2=0.8), 0),
 ])
-def test_largest_r_in_the_index_range_runs(mu, rule):
+def test_largest_r_in_the_index_range_equals_reference_kernel(mu, rule, cap, monkeypatch):
     # a trial of the largest r costs no more than one of r = 100: its
-    # laws hold about 9 sqrt(r) counts, and its four draws decide it
+    # laws hold about 9 sqrt(r) counts, and its four draws decide it.
+    # The same config then runs against the reference kernel at an r
+    # where the windows cut the laws' tails; cap = 0 also holds it to
+    # laws over every count (not at the largest r: 2^30 counts a law)
     config = ExperimentConfig(trials=2000, r=MAX_STEPS, mu=mu, rule=rule, master_seed=13)
     start = time.perf_counter()
     reports = run_experiment(config)
@@ -445,6 +478,12 @@ def test_largest_r_in_the_index_range_runs(mu, rule):
             # the walk has long settled: the vote is the component's
             assert 0.5 < rep.total_success < 1.0
         assert abs(rep.success_given_h + rep.failure_given_h - rep.frac_h_applied) < 1e-12
+    small = dataclasses.replace(config, r=200)
+    if mu:
+        assert count_law(WalkParams(mu), rule.k, small.r).after_k[0].lo > 0
+    if cap == 0:
+        assert_windows_cut_nothing(small, monkeypatch)
+    assert_agrees_with_reference(small)
 
 
 def test_tables_do_not_grow_with_r():
@@ -467,6 +506,20 @@ def test_tables_do_not_grow_with_r():
         assert abs(rep.success_given_no_h + rep.failure_given_no_h - rep.frac_no_h) < 1e-12
         assert abs(rep.success_given_h + rep.success_given_no_h - rep.total_success) < 1e-12
         assert 0 <= rep.tie_count <= rep.trials
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(threads, capsys, monkeypatch):
+    # the commands refuse --threads below 1 as they parse, before any pass
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(experiment, "_job_counts", no_pass)
+    for argv in (["experiment"], ["sweep", "--mu", "1..3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", str(threads), "--trials", "10", "--seed", "1"])
+        assert exc.value.code == 2
+        assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_h_at_the_last_step_counts_as_applied():
@@ -548,17 +601,80 @@ def traced_peak(config: ExperimentConfig) -> int:
         tracemalloc.stop()
 
 
-def test_pass_memory_is_fixed_buffers():
+@pytest.fixture
+def law_cap(monkeypatch):
+    """Sets the mass each count law's window may leave out: None keeps
+    the default (less than 2^-59 a law), 0 leaves out none, so every law
+    holds each count 0..n. The law caches are cleared on the way in and
+    out, so no other test reads laws built under the cap."""
+    def set_cap(cap):
+        if cap == 0:
+            monkeypatch.setattr(discriminate, "_HOEFFDING", 1e12)
+        count_law.cache_clear()
+        trial_tables.cache_clear()
+
+    yield set_cap
+    count_law.cache_clear()
+    trial_tables.cache_clear()
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_pass_memory_is_fixed_buffers(cap, law_cap):
     # a pass holds one chunk's draws (8 bytes each, four a trial) and the
     # temporaries that mix them, the chunk's substream states, and a few
-    # per-trial arrays of one job and one mu at a time, whatever r and
-    # the trial count are
+    # per-trial arrays of one job and one mu at a time, whatever r, the
+    # trial count and the laws' windows are (laws over every count stop
+    # short of the largest r, where each would hold 2^30 counts)
+    law_cap(cap)
     base = ExperimentConfig(trials=2 * _CHUNK_TRIALS, r=50, master_seed=4)
-    peaks = [traced_peak(config) for config in (
-        base, dataclasses.replace(base, trials=5 * _CHUNK_TRIALS),
-        dataclasses.replace(base, r=5000), dataclasses.replace(base, r=MAX_STEPS))]
+    configs = [base, dataclasses.replace(base, trials=5 * _CHUNK_TRIALS),
+               dataclasses.replace(base, r=5000)]
+    if cap is None:
+        configs.append(dataclasses.replace(base, r=MAX_STEPS))
+    peaks = [traced_peak(config) for config in configs]
     assert max(peaks) <= 160 * _CHUNK_TRIALS
     assert max(peaks) - min(peaks) <= 4096
+
+
+@pytest.mark.parametrize("cap", [None, 0])
+def test_steps_allocate_nothing(cap, law_cap, monkeypatch):
+    # a pass steps from chunk to chunk, not trial by trial through r
+    # steps: each chunk draws its trials' four uniforms once. A chunk's
+    # arrays live until the next chunk rebinds them, so traced memory at
+    # each chunk start after the first is where it was at the last one
+    # (the marks go into arrays made beforehand, so they allocate nothing)
+    law_cap(cap)
+    config = ExperimentConfig(trials=40_000, r=400, master_seed=4)
+    size = 4000
+    with_chunks(monkeypatch, size)
+    chunks = config.trials // size
+    marks = np.zeros(chunks, dtype=np.int64)
+    drawn = np.zeros((chunks, 2), dtype=np.int64)
+    calls = [0, 0]
+    states, uniform = experiment.substream_states, experiment.batch_uniform
+
+    def chunk_start(*args):
+        marks[calls[0]] = tracemalloc.get_traced_memory()[0]
+        calls[0] += 1
+        return states(*args)
+
+    def draw(streams, out):
+        drawn[calls[1]] = out.shape
+        calls[1] += 1
+        return uniform(streams, out)
+
+    _job_counts(config, real_jobs(config))
+    monkeypatch.setattr(experiment, "substream_states", chunk_start)
+    monkeypatch.setattr(experiment, "batch_uniform", draw)
+    tracemalloc.start()
+    try:
+        _job_counts(config, real_jobs(config))
+    finally:
+        tracemalloc.stop()
+    assert calls == [chunks, chunks]
+    assert (drawn == (4, size)).all()
+    assert marks[1] - marks[0] <= 160 * size  # one chunk's arrays
+    assert marks[1:].max() - marks[1:].min() <= 1024  # a few small objects, not arrays
 
 
 # configs of the decision identity between run_trial and the batch engine
