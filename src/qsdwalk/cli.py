@@ -86,14 +86,8 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_thread_count, default=_available_cpus(),
+    p.add_argument("--threads", type=_thread_count, default=1,
                    help="ignored: every run is one serial pass; still checked to be "
                         ">= 1, so scripts that pass it keep working")
 

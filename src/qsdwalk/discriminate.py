@@ -259,45 +259,29 @@ def count_law(params: WalkParams, k: int, r: int) -> CountLaw:
     )
 
 
-def _walk_rows(state: StateLabel, params: WalkParams, rule: DecisionRule,
-               phase: bool) -> tuple[list[WalkRow], np.ndarray, np.ndarray]:
-    """The walk rows one walk reads, and the rule at step k.
-
-    Returns (rows, fires, row_of_j0). rows[0] walks from the start state
-    and the others from the restarts after H with distinct x0, as p0
-    depends on x0 alone. fires[j0] says whether H fires at step k after
-    j0 outcome-0 counts, and row_of_j0[j0] is the row the trial walks in
-    from then on (0 if H does not fire).
-    """
-    k = rule.k
-    base = WalkRow.start(state.to_state(), params)
-    fires = np.array([rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
-    after: dict[float, tuple[int, WalkRow]] = {}  # x0: (its number, the row)
-    row_of_j0 = np.zeros(k + 1, dtype=np.intp)
-    fired = np.flatnonzero(fires)
-    alpha, beta = base.amplitudes(2 * fired - k)  # the states H rotates
-    for j0, a, b in zip(fired, alpha.tolist(), beta.tolist()):
-        row = row_after_h(QubitState(a, b), base.params, k, phase)
-        row_of_j0[j0] = 1 + after.setdefault(row.x0, (len(after), row))[0]
-    return [base, *(row for _, row in after.values())], fires, row_of_j0
+def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) -> list[WalkRow]:
+    """The rows a walk from `start` restarts in when H fires at step k
+    after each count j0 of outcome 0: row_after_h of the state at the
+    net count 2 j0 - k, signs included, so counts symmetric about k/2
+    restart in rows of one x0 but of their own signs."""
+    alpha, beta = start.amplitudes(2 * j0 - k)
+    return [row_after_h(QubitState(a, b), start.params, k, phase)
+            for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
 @dataclass(frozen=True)
 class TrialTables:
     """Everything a trial of one walk reads: the count laws of its mu,
-    alpha^2 of its start (the chance of component 0), whether H fires
-    at each j0, and zero_after[z, j0], the chance of component 0 after
-    step k. Where H fires and a step follows, that is alpha^2 of the row
-    the walk restarts in; elsewhere the record stays one mixture, so the
-    component drawn at the start is kept (1 for z = 0, 0 for z = 1).
-    rows and row_of_j0 come from _walk_rows, for the trace."""
+    its start row (alpha^2 there is the chance of component 0), whether
+    H fires at each j0, and zero_after[z, j0], the chance of component 0
+    after step k. Where H fires and a step follows, that is alpha^2 of
+    restart_rows at j0; elsewhere the record stays one mixture, so the
+    component drawn at the start is kept (1 for z = 0, 0 for z = 1)."""
 
     law: CountLaw
-    alpha2: float
+    start: WalkRow
     fires: np.ndarray
     zero_after: np.ndarray
-    rows: list[WalkRow]
-    row_of_j0: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -306,12 +290,14 @@ def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: i
     """The tables of one walk, built once: run_trial and the batch engine
     read the same floats. phase=True restarts after H as the
     phase-tracking variant (row_after_h)."""
-    rows, fires, row_of_j0 = _walk_rows(state, params, rule, phase)
-    restart = np.array([row.alpha2 for row in rows])[row_of_j0]
-    kept = np.array([[1.0], [0.0]])
-    zero_after = np.where(fires & (r > rule.k), restart, kept)
-    return TrialTables(count_law(params, rule.k, r), rows[0].alpha2, fires, zero_after,
-                       rows, row_of_j0)
+    k = rule.k
+    start = WalkRow.start(state.to_state(), params)
+    fires = np.array([rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
+    fired = np.flatnonzero(fires)
+    zero_after = np.array([[1.0], [0.0]]).repeat(k + 1, axis=1)
+    if r > k:
+        zero_after[:, fired] = [row.alpha2 for row in restart_rows(start, fired, k, phase)]
+    return TrialTables(count_law(params, k, r), start, fires, zero_after)
 
 
 def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:
@@ -341,22 +327,24 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     left among L steps, outcome 0 comes with probability a/L, so every
     order of the stretch is equally likely, as the walk makes it. The
     traced amplitudes come from the closed-form rows (walk.WalkRow) by
-    the net count since the start or since H, read out to r (r - k
-    after H) through _trace_lists.
-    phase=True walks the phase-tracking variant after H (row_after_h).
+    the net count since the start, read out to r through _trace_lists,
+    and, once H fires, since H in the row restart_rows builds for this
+    trial's own j0, signs included: the row whose alpha^2 the decision
+    read from zero_after. phase=True walks the phase-tracking variant
+    after H (row_after_h).
     """
     check_steps(r, rule)
     k = rule.k
     tables = trial_tables(initial, params, rule, r, phase)
     law = tables.law
     uniform = rng.uniform
-    z = int(uniform() >= tables.alpha2)
+    z = int(uniform() >= tables.start.alpha2)
     j0_at_k = law.step_k[z].count(uniform())
     z = int(uniform() >= tables.zero_after[z, j0_at_k])
     zeros_after = law.after_k[z].count(uniform())
     h_applied = bool(tables.fires[j0_at_k])
 
-    alpha, beta = _trace_lists(tables.rows[0], r)
+    alpha, beta = _trace_lists(tables.start, r)
     n = j0 = 0  # the net count in the row walked, and the outcome-0 count
     zeros, left = j0_at_k, k  # outcome-0 counts still to place, and the steps left
     trace = []
@@ -375,7 +363,8 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             zeros, left = zeros_after, r - k
             if h_applied:
                 n = 0
-                alpha, beta = _trace_lists(tables.rows[tables.row_of_j0[j0]], r - k)
+                row, = restart_rows(tables.start, np.array([j0]), k, phase)
+                alpha, beta = _trace_lists(row, r - k)
         append((j, outcome, alpha[n], beta[n], j0 / j))
     j1 = r - j0
     return TrialOutcome(

@@ -150,7 +150,7 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
             keys = [2 * (step_k[z].count(u1) + z * (k + 1)) for z in (0, 1)]
             for c in group:
                 zero_after, fires, below, through = keyed[c]
-                key = np.where(u0 < tables[c].alpha2, *keys)
+                key = np.where(u0 < tables[c].start.alpha2, *keys)
                 key += u2 >= np.take(zero_after, key)
                 one = u3 < np.take(below, key)  # the vote names bit 1
                 h = np.take(fires, key)

@@ -107,25 +107,21 @@ def _mix(z: np.ndarray, shifted: np.ndarray) -> None:
     z ^= shifted
 
 
-def batch_uniform(states: np.ndarray, out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
+def batch_uniform(states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draws from every stream; advances `states` in place.
 
     Works on any shape: each entry of `states` is one stream's state.
     `out` (float64) has states' shape for one draw per stream, or one
     more leading axis of B steps: then row b holds each stream's draw
-    b + 1, and `states` moves on by B draws. The draws are mixed in
-    `out` and `work` (uint64, of out's shape) and returned in `out`. A
-    caller that passes both gets no new arrays but a B-entry one, and
-    whatever the two held is overwritten.
+    b + 1, and `states` moves on by B draws. The draws are mixed in a
+    new uint64 array of out's shape and returned in `out`, whatever it
+    held.
     """
     if out is None:
         out = np.empty(states.shape)
-    if work is None:
-        work = np.empty(out.shape, dtype=np.uint64)
     steps = out.shape[:out.ndim - states.ndim]  # () or (B,)
     ahead = np.arange(1, 1 + (steps[0] if steps else 1), dtype=np.uint64) * _U_GOLDEN
-    np.add(states, ahead.reshape(steps + (1,) * states.ndim), out=work)
+    work = states + ahead.reshape(steps + (1,) * states.ndim)
     _mix(work, out.view(np.uint64))  # out's memory holds the shifts until the end
     states += ahead[-1]
     work >>= _U11

@@ -103,10 +103,6 @@ class WalkParams:
                 root0.offdiag_modulus, root1.offdiag_modulus)
 
 
-# |x| past which p0 is its edge value: there t = e^-|x| < 2^-56, so the
-# major amplitude is exactly 1 and the minor term is below half an ulp
-# of either edge p0 (c0^2 in (1/2, 1), c1^2 in [1/4, 1/2) for mu >= 1)
-_SETTLED_X = 40.0
 # |x| past which t = e^-|x| underflows to 0, so the amplitudes are
 # exactly (+-1, +-0) or (+-0, +-1) and p0 exactly its edge value
 _FROZEN_X = 746.0
@@ -163,23 +159,14 @@ class WalkRow:
         return _p0(self.params, *self.amplitudes(n))
 
     @property
-    def settled(self) -> int:
-        """A count m with p0 at its edge value wherever |n| >= m."""
-        return self._past(_SETTLED_X)
-
-    @property
     def frozen(self) -> int:
         """A count m with p0, alpha and beta all constant, bit for bit,
-        on each side of |n| >= m: 1169 counts at mu = 2 from plus."""
-        return self._past(_FROZEN_X)
-
-    def _past(self, edge: float) -> int:
-        """One past the first |n| with |x| >= edge on both sides, found
-        from x0."""
+        on each side of |n| >= m: 1169 counts at mu = 2 from plus. It is
+        one past the first |n| with |x| >= _FROZEN_X on both sides."""
         if not self.params.mu or math.isinf(self.x0):
             return 1
         # the side walking away from x0's sign is the longer one
-        return 1 + math.ceil((edge + abs(self.x0)) / _slope(self.params))
+        return 1 + math.ceil((_FROZEN_X + abs(self.x0)) / _slope(self.params))
 
 
 def _slope(params: WalkParams) -> float:

@@ -10,10 +10,14 @@ from qsdwalk.discriminate import (
     DecisionRule,
     StateLabel,
     apply_hadamard_update,
+    restart_rows,
     run_trial,
+    trial_tables,
 )
 from qsdwalk.rng import substream
 from qsdwalk.walk import QubitState, WalkParams, WalkRow
+
+from reference import collapse_update
 
 INV_SQRT2 = 1 / math.sqrt(2)
 ALL_STATES = [StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS]
@@ -171,6 +175,67 @@ def test_rows_cut_at_the_frozen_count_give_the_uncut_trace(rule, monkeypatch):
     monkeypatch.setattr(WalkRow, "frozen", property(lambda row: 10**9))
     assert cut == [run_trial(StateLabel.PLUS, params, rule, 4000, substream(seed, 0))
                    for seed in range(3)]
+
+
+@pytest.mark.parametrize("state,rule", [
+    (StateLabel.PLUS, DecisionRule(k=4, mode="always-apply-h")),
+    (StateLabel.MINUS, DecisionRule(k=7, i1=0.2, i2=0.8)),
+])
+def test_traced_amplitudes_follow_the_stepped_walk_signs_included(state, rule):
+    # H sends (alpha, beta) to ((alpha + beta)/sqrt2, (alpha - beta)/sqrt2),
+    # so the counts j0 and k - j0 restart in rows of one x0 but of opposite
+    # signs: each trace row is the reference walk stepped down the traced
+    # outcomes, with H at step k, in sign and to 1e-15 in modulus
+    params = WalkParams(2)
+    for seed in range(200):
+        out = run_trial(state, params, rule, 12, substream(seed, 0))
+        current = state.to_state()
+        for j, outcome, alpha, beta, _ in out.trace:
+            current = collapse_update(current, outcome, params)
+            if j == rule.k and out.h_applied:
+                current = apply_hadamard_update(current)
+            for traced, stepped in ((alpha, current.alpha), (beta, current.beta)):
+                assert math.copysign(1.0, traced) == math.copysign(1.0, stepped), (seed, j)
+                assert abs(abs(traced) - abs(stepped)) <= 1e-15, (seed, j)
+
+
+def _bits(row: WalkRow) -> tuple[str, str, str]:
+    return tuple(float(v).hex() for v in (row.x0, row.sign_alpha, row.sign_beta))
+
+
+@pytest.mark.parametrize("phase", [False, True])
+@pytest.mark.parametrize("mu", [0, 1, 2, 10])
+@pytest.mark.parametrize("rule", [
+    DecisionRule(),
+    DecisionRule(k=4, mode="always-apply-h"),
+    DecisionRule(k=7, i1=0.2, i2=0.8),
+    DecisionRule(k=5, i1=0.1, i2=0.6),
+])
+def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatch):
+    # the row run_trial builds for its own j0 after H is, bit for bit,
+    # the row whose alpha^2 is zero_after[:, j0], which decided the trial
+    params, r = WalkParams(mu), 12
+    built = []
+    build = discriminate.restart_rows
+    monkeypatch.setattr(discriminate, "restart_rows",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    for state in ALL_STATES:
+        tables = trial_tables(state, params, rule, r, phase)
+        fired = np.flatnonzero(tables.fires)
+        table_rows = dict(zip(fired.tolist(), build(tables.start, fired, rule.k, phase)))
+        for j0, row in table_rows.items():
+            assert [row.alpha2] * 2 == tables.zero_after[:, j0].tolist()
+            single, = build(tables.start, np.array([j0]), rule.k, phase)
+            assert _bits(single) == _bits(row)
+        built.clear()
+        for seed in range(40):
+            out = run_trial(state, params, rule, r, substream(seed, 0), phase)
+            j0 = sum(step[1] == 0 for step in out.trace[:rule.k])
+            assert out.h_applied == (j0 in table_rows)
+            if out.h_applied:
+                row, = built.pop()
+                assert _bits(row) == _bits(table_rows[j0])
+        assert not built
 
 
 def test_run_trial_deterministic():

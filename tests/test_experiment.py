@@ -14,7 +14,7 @@ import qsdwalk.discriminate as discriminate
 import qsdwalk.experiment as experiment
 from qsdwalk.cli import main
 from qsdwalk.discriminate import (MAX_STEPS, MODES, Binomial, DecisionRule, StateLabel,
-                                  _walk_rows, count_law, run_trial, trial_tables)
+                                  count_law, restart_rows, run_trial, trial_tables)
 from qsdwalk.experiment import (
     _CHUNK_TRIALS,
     ExperimentConfig,
@@ -332,16 +332,16 @@ def test_capped_edge_counts_equal_reference_kernel(edge, mu, monkeypatch):
 
 def test_config_past_the_cap_equals_reference_kernel():
     # always-apply-h from plus at mu=10 restarts from some 240 distinct
-    # x0 (restarts at -n and n share one, as do saturated ones): the
-    # config with the most rows after H, where each j0 restarts in its
-    # own mixture
+    # x0 (restarts at -n and n share an x0 but not their signs, and
+    # saturated ones share theirs): the config with the most distinct
+    # mixtures after H, where each j0 restarts in its own row
     config = ExperimentConfig(states=(StateLabel.PLUS,), trials=2000, r=3000, mu=10,
                               master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
-    rows, fires, row_of_j0 = _walk_rows(StateLabel.PLUS, WalkParams(config.mu), config.rule,
-                                        phase=False)
-    assert fires.all() and len(rows) > 200
     tables = trial_tables(StateLabel.PLUS, WalkParams(config.mu), config.rule, config.r)
-    restart = [rows[i].alpha2 for i in row_of_j0]
+    assert tables.fires.all()
+    rows = restart_rows(tables.start, np.arange(config.rule.k + 1), config.rule.k)
+    assert len({row.x0 for row in rows}) > 200
+    restart = [row.alpha2 for row in rows]
     assert tables.zero_after.tolist() == [restart, restart]
     assert_agrees_with_reference(config)
 
@@ -489,10 +489,13 @@ def test_largest_r_in_the_index_range_equals_reference_kernel(mu, rule, cap, mon
 def test_tables_do_not_grow_with_r():
     params = WalkParams(10)
     rule = DecisionRule()
-    # a row is its start's x0 and signs: _walk_rows does not read r
+    # a row is its start's x0 and signs, and the chances after H are
+    # alpha^2 of the rows of the counts at step k: neither reads r
     for state in ALL_STATES:
-        assert _walk_rows(state, params, rule, phase=False)[0][0] == \
-            WalkRow.start(state.to_state(), params)
+        short, long = (trial_tables(state, params, rule, r) for r in (100, 10**6))
+        assert short.start == long.start == WalkRow.start(state.to_state(), params)
+        assert short.zero_after.shape == long.zero_after.shape == (2, rule.k + 1)
+        assert np.array_equal(short.zero_after, long.zero_after)
     # the count laws hold about 9 sqrt(n) entries, not n + 1
     for r in (100, 10_000, 10**6):
         law = count_law(params, rule.k, r)

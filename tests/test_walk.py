@@ -226,9 +226,20 @@ EDGE_0 = QubitState(1.0, 0.0)
 EDGE_1 = QubitState(0.0, 1.0)
 
 
+def settle_count(row: WalkRow) -> int:
+    """A count m with p0 at its edge value wherever |n| >= m: one past
+    the first |n| with |x| >= 40 on both sides. There t = e^-|x| < 2^-56,
+    so the major amplitude is exactly 1 and the minor term is below half
+    an ulp of either edge p0 (c0^2 in (1/2, 1), c1^2 in [1/4, 1/2))."""
+    if not row.params.mu or math.isinf(row.x0):
+        return 1
+    c0, c1, _, _ = row.params.factors
+    return 1 + math.ceil((40.0 + abs(row.x0)) / (2.0 * math.log(c0 / c1)))
+
+
 def chain_reach(row: WalkRow) -> int:
     # three times the settle point: both tails well past where p0 settles
-    return 3 * max(row.settled, 10)
+    return 3 * max(settle_count(row), 10)
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2, 5])
@@ -314,7 +325,7 @@ def test_mu0_first_outcome_collapses_onto_a_basis_state(start, high, low):
         warnings.simplefilter("error")
         alpha, beta = walk_lists.__wrapped__(row, 6)  # built here, not cached
         p0 = row.p0(np.arange(-6, 7)).tolist()
-        assert row.settled == 1
+        assert settle_count(row) == row.frozen == 1
     for n in range(1, 7):
         for state, m in ((high, n), (low, -n)):
             assert (alpha[m], beta[m]) == (state.alpha, state.beta)
@@ -324,12 +335,13 @@ def test_mu0_first_outcome_collapses_onto_a_basis_state(start, high, low):
 @pytest.mark.parametrize("mu", [1, 10, 40])
 def test_walk_table_length_depends_on_mu_only(mu):
     # p0 settles once beta^2 is below the last bit of alpha^2, a point
-    # that WalkRow.settled finds from x0 and mu alone, whatever length a
+    # that settle_count finds from x0 and mu alone, whatever length a
     # walk runs: about 20 / ln(c0/c1) steps from plus
     row = WalkRow.start(PLUS, WalkParams(mu))
     c0, c1, _, _ = WalkParams(mu).factors
-    assert row.settled < 40 / math.log(c0 / c1)
-    n = np.arange(row.settled, row.settled + 200)
+    settled = settle_count(row)
+    assert settled < 40 / math.log(c0 / c1)
+    n = np.arange(settled, settled + 200)
     edges = [ax_probabilities(EDGE_0, row.params)[0], ax_probabilities(EDGE_1, row.params)[0]]
     assert set(row.p0(n).tolist()) == {edges[0]}
     assert set(row.p0(-n).tolist()) == {edges[1]}
