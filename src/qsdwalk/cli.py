@@ -20,13 +20,17 @@ import json
 import os
 import sys
 
-from .discriminate import MODES, DecisionRule, StateLabel, run_trial
+from .discriminate import MODES, DecisionRule, StateLabel, check_steps, run_trial
 from .experiment import ExperimentConfig, run_experiment, sweep_mu
 from .oracle import phase_table, walk_agreement
 from .rng import check_seed, substream
 from .walk import WalkParams
 
 _AGREEMENT_TOL = 1e-10
+# The most steps `trial` takes: it keeps and prints a trace row per step,
+# so its memory grows with r (about 400 MiB at this bound), where a run's
+# does not.
+_TRACE_STEPS = 2**20
 
 
 def _resolve_seed(args) -> int:
@@ -101,6 +105,10 @@ def cmd_trial(args) -> int:
     state = StateLabel.parse(args.state)
     params = WalkParams(args.mu)
     rule = _rule(args)
+    check_steps(args.r, rule)
+    if args.r > _TRACE_STEPS:
+        raise ValueError(f"r={args.r} is too large for trial: its trace holds at most "
+                         f"{_TRACE_STEPS} steps")
     seed = _resolve_seed(args)
     # substream 0 so this trial equals trial 0 of an experiment run with the same seed
     outcome = run_trial(state, params, rule, args.r, substream(seed, 0))

@@ -269,6 +269,13 @@ def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) ->
             for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
+@lru_cache(maxsize=256)
+def _restart_row(start: WalkRow, j0: int, k: int, phase: bool) -> WalkRow:
+    """restart_rows at one count j0, built once per (start, j0, k, phase)."""
+    row, = restart_rows(start, np.array([j0]), k, phase)
+    return row
+
+
 @dataclass(frozen=True)
 class TrialTables:
     """Everything a trial of one walk reads: the count laws of its mu,
@@ -363,8 +370,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             zeros, left = zeros_after, r - k
             if h_applied:
                 n = 0
-                row, = restart_rows(tables.start, np.array([j0]), k, phase)
-                alpha, beta = _trace_lists(row, r - k)
+                alpha, beta = _trace_lists(_restart_row(tables.start, j0, k, phase), r - k)
         append((j, outcome, alpha[n], beta[n], j0 / j))
     j1 = r - j0
     return TrialOutcome(

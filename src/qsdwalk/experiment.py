@@ -32,14 +32,26 @@ Every run is one pass. A job is one walk that every trial runs: a start
 state, a mu, and the real or phase-tracking restart after H.
 run_experiment passes its states, sweep_mu every mu times the four
 states, phase_report every state twice. The pass is a serial loop over
-chunks of _CHUNK_TRIALS trials: it draws a chunk's four uniforms once,
-jobs at one mu share the inversion of u1, and each job adds a handful
-of elementwise operations. What a pass holds does not grow with r or
-the trial count.
+chunks of _CHUNK_TRIALS trials that draws a chunk's four uniforms once.
+
+Each draw is only ever compared with a tabled threshold, and the jobs at
+one mu share few of them: u0 meets the starts' alpha^2, u1 both step-k
+CDFs, u2 zero_after and u3 below and through. So a chunk buckets each
+draw by its set of interior thresholds (the bucket of u counts the
+thresholds <= u), folds a trial's four buckets into one cell of the
+group's grid and adds the cells to the group's histogram. After the
+pass each job is decided once per occupied cell: u < t iff the bucket
+of u is at most the count of thresholds below t (never for t <= 0),
+and the j0 of a u1 bucket is the count its least u inverts to. A group
+whose grid has more cells than a chunk has trials (rules that fire at
+many counts of a large k) decides each trial of a chunk from keys into
+its tables instead, a handful of elementwise operations a job. What a
+pass holds does not grow with r or the trial count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +68,17 @@ _CHUNK_TRIALS = 1 << 14
 # Uniforms a trial reads: the component, j0 at step k, the component
 # after step k, the vote.
 _DRAWS = 4
+# Cells a mu group's histogram may hold: no more than a chunk has
+# trials, so a group's histogram and a chunk's bincount stay the size
+# of a chunk's buffers. Past it the tally also stops paying: always-apply-h
+# at k = 30 (253,760 cells) ran 4 x 100k trials in 14.5 ms tallied and
+# 12.9 ms by keys, on a 2-core VM.
+_MAX_CELLS = _CHUNK_TRIALS
+# Thresholds a draw is bucketed against by one compare each; a longer
+# set is searched. On 16k random draws 64 compare-adds took 0.28 ms and
+# one searchsorted over those 64 thresholds 0.75 ms. Compare buckets are
+# int8, so this stays below 128.
+_MAX_COMPARES = 64
 
 
 @dataclass(frozen=True)
@@ -128,39 +151,146 @@ def _keyed(tables: TrialTables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
             of_after(law.below), of_after(law.through))
 
 
+def _add_keyed_votes(tables: list[TrialTables], keyed: list, k: int, u0: np.ndarray,
+                     u1: np.ndarray, u2: np.ndarray, u3: np.ndarray, votes: np.ndarray) -> None:
+    """Adds the votes of one chunk of trials to each job of a mu group
+    (one line of `votes` a job), deciding trial by trial from the keys."""
+    step_k = tables[0].law.step_k
+    # each trial's key at z' = 0, in either component
+    keys = [2 * (step_k[z].count(u1) + z * (k + 1)) for z in (0, 1)]
+    for t, (zero_after, fires, below, through), line in zip(tables, keyed, votes):
+        key = np.where(u0 < t.start.alpha2, *keys)
+        key += u2 >= np.take(zero_after, key)
+        one = u3 < np.take(below, key)
+        h = np.take(fires, key)
+        line += [np.count_nonzero(a) for a in
+                 (one, h, one & h, u3 < np.take(through, key))]
+
+
+def _interior(values) -> np.ndarray:
+    """The distinct values strictly between 0 and 1, ascending (not
+    np.unique, whose import of numpy.ma costs a megabyte of memory)."""
+    return np.array(sorted({v for v in values if 0.0 < v < 1.0}), dtype=float)
+
+
+def _threshold_sets(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
+    """The interior thresholds each draw of a mu group's jobs is compared
+    with: u0 with the starts' alpha^2, u1 with both step-k CDFs, u2 with
+    zero_after and u3 with the vote's below and through."""
+    law = tables[0].law
+    return tuple(_interior(values) for values in (
+        [t.start.alpha2 for t in tables],
+        law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist(),
+        [a for t in tables for a in t.zero_after.ravel().tolist()],
+        law.below.ravel().tolist() + law.through.ravel().tolist()))
+
+
+def _bucket(u: np.ndarray, thresholds: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """#{t in thresholds : t <= u} for each entry of u: by one compare a
+    threshold, summed in int8 (at most _MAX_COMPARES < 128 of them), or
+    by searchsorted for a longer set. `hit`, a bool array of u's shape,
+    is overwritten."""
+    if len(thresholds) > _MAX_COMPARES:
+        return np.searchsorted(thresholds, u, side="right")
+    first, *rest = thresholds.tolist()
+    bucket = np.greater_equal(u, first).view(np.int8)
+    for t in rest:
+        bucket += np.greater_equal(u, t, out=hit)
+    return bucket
+
+
+def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each trial's cell: the buckets of its four draws as one index,
+    row-major over the grid of (len(T) + 1 for T in sets). The index is
+    built in intp, since a product in a narrow dtype would wrap."""
+    code = np.zeros(draws.shape[1], dtype=np.intp)
+    hit = np.empty(draws.shape[1], dtype=bool)
+    for u, thresholds in zip(draws, sets):
+        if len(thresholds):
+            code *= len(thresholds) + 1
+            code += _bucket(u, thresholds, hit)
+    return code
+
+
+def _below_slot(thresholds: np.ndarray, t) -> np.ndarray:
+    """The bucket bound of each threshold t: a uniform u lies below t
+    iff its bucket is at most the slot. For t in thresholds that is the
+    count of thresholds below t; t >= 1 is above every bucket and t <= 0
+    below every one."""
+    t = np.asarray(t)
+    return np.where(t > 0.0, np.searchsorted(thresholds, t, side="left"), -1)
+
+
+def _tally_votes(tables: list[TrialTables], sets: tuple[np.ndarray, ...],
+                 hist: np.ndarray) -> np.ndarray:
+    """The votes of each job of a mu group, from the group's histogram
+    over threshold cells: each job is decided once per occupied cell, as
+    every trial in the cell would be decided from its draws. Arrays run
+    over (job, occupied cell)."""
+    t0, t1, t2, t3 = sets
+    cells = np.flatnonzero(hist)
+    b0, b1, b2, b3 = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
+    law = tables[0].law
+    jobs = np.arange(len(tables))[:, None]
+    # every u1 of a bucket inverts both CDFs to the count its least u does
+    least = np.concatenate(([0.0], t1))
+    j0_of = np.stack([law.step_k[z].count(least) for z in (0, 1)])
+    z = (b0 > _below_slot(t0, [t.start.alpha2 for t in tables])[:, None]).astype(np.intp)
+    j0 = j0_of[z, b1]
+    after = _below_slot(t2, np.stack([t.zero_after for t in tables]))
+    z = (b2 > after[jobs, z, j0]).astype(np.intp)
+    one = b3 <= _below_slot(t3, law.below)[z, j0]
+    h = np.stack([t.fires for t in tables])[jobs, j0]
+    one_or_tie = b3 <= _below_slot(t3, law.through)[z, j0]
+    return (np.stack([one, h, one & h, one_or_tie]) @ hist[cells]).T
+
+
 def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, int, int, int]]:
     """Counts of every job, (h_applied, success & h, success & no h,
     ties), from one serial pass over chunks of trials. Integers keep the
-    sum over chunks exact."""
-    k, r = config.rule.k, config.r
-    tables = [trial_tables(state, WalkParams(mu), config.rule, r, phase)
+    sum over chunks exact.
+
+    The jobs of one mu group compare the draws with few thresholds, so
+    a pass buckets each draw by the group's thresholds, tallies each
+    trial's cell in a histogram and decides every job once per occupied
+    cell after the pass. A group whose grid of cells outgrows a chunk
+    instead decides each trial of a chunk from its keys."""
+    tables = [trial_tables(state, WalkParams(mu), config.rule, config.r, phase)
               for state, mu, phase in jobs]
-    keyed = [_keyed(t) for t in tables]
     by_mu: dict[int, list[int]] = {}
     for c, (_, mu, _) in enumerate(jobs):
         by_mu.setdefault(mu, []).append(c)
-    counts = np.zeros((len(jobs), 4), dtype=np.int64)
+    # per job: trials voting bit 1, with H applied, both, and voting bit 1 or tied
+    votes = np.zeros((len(jobs), 4), dtype=np.int64)
+    tallied, keyed = [], []
+    for group in by_mu.values():
+        group_tables = [tables[c] for c in group]
+        sets = _threshold_sets(group_tables)
+        cells = math.prod(len(t) + 1 for t in sets)
+        if cells <= _MAX_CELLS:
+            tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
+        else:
+            keyed.append((group, group_tables, [_keyed(t) for t in group_tables],
+                          np.zeros((len(group), 4), dtype=np.int64)))
     for start in range(0, config.trials, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, config.trials - start)
-        u0, u1, u2, u3 = batch_uniform(substream_states(config.master_seed, start, size),
-                                       np.empty((_DRAWS, size)))
-        for group in by_mu.values():
-            step_k = tables[group[0]].law.step_k
-            # each trial's key at z' = 0, in either component
-            keys = [2 * (step_k[z].count(u1) + z * (k + 1)) for z in (0, 1)]
-            for c in group:
-                zero_after, fires, below, through = keyed[c]
-                key = np.where(u0 < tables[c].start.alpha2, *keys)
-                key += u2 >= np.take(zero_after, key)
-                one = u3 < np.take(below, key)  # the vote names bit 1
-                h = np.take(fires, key)
-                n_one, n_h, n_one_h = (np.count_nonzero(a) for a in (one, h, one & h))
-                ties = np.count_nonzero(u3 < np.take(through, key)) - n_one
-                # successes are the votes that name the prepared state's bit
-                succ, succ_h = ((n_one, n_one_h) if jobs[c][0].bit
-                                else (size - n_one, n_h - n_one_h))
-                counts[c] += n_h, succ_h, succ - succ_h, ties
-    return [tuple(int(v) for v in row) for row in counts]
+        draws = batch_uniform(substream_states(config.master_seed, start, size),
+                              np.empty((_DRAWS, size)))
+        for _, _, sets, hist in tallied:
+            hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
+        for _, group_tables, group_keyed, group_votes in keyed:
+            _add_keyed_votes(group_tables, group_keyed, config.rule.k, *draws, group_votes)
+    for group, group_tables, sets, hist in tallied:
+        votes[group] = _tally_votes(group_tables, sets, hist)
+    for group, _, _, group_votes in keyed:
+        votes[group] = group_votes
+    counts = []
+    for (state, _, _), (n_one, n_h, n_one_h, n_through) in zip(jobs, votes.tolist()):
+        # successes are the votes that name the prepared state's bit
+        succ, succ_h = ((n_one, n_one_h) if state.bit
+                        else (config.trials - n_one, n_h - n_one_h))
+        counts.append((n_h, succ_h, succ - succ_h, n_through - n_one))
+    return counts
 
 
 def _build_report(state: StateLabel, config: ExperimentConfig,

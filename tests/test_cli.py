@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import qsdwalk.cli as cli
 import qsdwalk.experiment as experiment
 from qsdwalk.cli import _trace_csv, main
 from qsdwalk.discriminate import StateLabel, TrialOutcome
@@ -356,6 +357,28 @@ def test_trial_r_past_the_index_range_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: r=5000000000 is too large: a trial takes at most 1073741823 steps\n"
+
+
+def test_trial_r_past_the_trace_bound_is_a_usage_error(capsys, monkeypatch):
+    # a trace keeps and prints every step, so trial takes at most 2^20 of
+    # them, and refuses more before it draws; experiment still takes them
+    class FirstDraw(Exception):
+        pass
+
+    def draw(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(cli, "substream", draw)
+    code, out, err = run_cli(capsys, "trial", "--state", "plus", "--r", str(2**20 + 1),
+                             "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: r=1048577 is too large for trial: its trace holds at most "
+                   "1048576 steps\n")
+    with pytest.raises(FirstDraw):
+        main(["trial", "--state", "plus", "--r", str(2**20), "--seed", "1"])
+    code, out, err = run_cli(capsys, "experiment", "--r", str(2**20 + 1), "--trials", "10",
+                             "--seed", "1")
+    assert (code, err) == (0, "")
 
 
 def test_experiment_r_past_the_trial_bound_exits_before_any_draw(capsys, monkeypatch):

@@ -212,13 +212,15 @@ def _bits(row: WalkRow) -> tuple[str, str, str]:
     DecisionRule(k=5, i1=0.1, i2=0.6),
 ])
 def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatch):
-    # the row run_trial builds for its own j0 after H is, bit for bit,
-    # the row whose alpha^2 is zero_after[:, j0], which decided the trial
+    # the row run_trial restarts in after H, for its own j0, is bit for
+    # bit the row whose alpha^2 is zero_after[:, j0], which decided the
+    # trial, whether the row cache was cold or warm
     params, r = WalkParams(mu), 12
-    built = []
+    used = []
+    restart = discriminate._restart_row
+    monkeypatch.setattr(discriminate, "_restart_row",
+                        lambda *args: used.append(restart(*args)) or used[-1])
     build = discriminate.restart_rows
-    monkeypatch.setattr(discriminate, "restart_rows",
-                        lambda *args: built.append(build(*args)) or built[-1])
     for state in ALL_STATES:
         tables = trial_tables(state, params, rule, r, phase)
         fired = np.flatnonzero(tables.fires)
@@ -227,15 +229,13 @@ def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatc
             assert [row.alpha2] * 2 == tables.zero_after[:, j0].tolist()
             single, = build(tables.start, np.array([j0]), rule.k, phase)
             assert _bits(single) == _bits(row)
-        built.clear()
         for seed in range(40):
             out = run_trial(state, params, rule, r, substream(seed, 0), phase)
             j0 = sum(step[1] == 0 for step in out.trace[:rule.k])
             assert out.h_applied == (j0 in table_rows)
             if out.h_applied:
-                row, = built.pop()
-                assert _bits(row) == _bits(table_rows[j0])
-        assert not built
+                assert _bits(used.pop()) == _bits(table_rows[j0])
+        assert not used
 
 
 def test_run_trial_deterministic():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -735,6 +736,95 @@ def test_long_trial_decisions_equal_batch_decisions():
                         substream(seed, 0))
         assert (out.h_applied, out.decided_state, out.tie) == \
             batch_decision(config, StateLabel.PLUS, False)
+
+
+@pytest.fixture
+def paths_run(monkeypatch):
+    """Counts the mu groups a pass decides by the tally of threshold
+    cells and the chunks it decides from keys, as {"tally": n, "keyed": n}."""
+    runs = {"tally": 0, "keyed": 0}
+    for name, path in (("tally", "_tally_votes"), ("keyed", "_add_keyed_votes")):
+        def counted(*args, _name=name, _path=getattr(experiment, path)):
+            runs[_name] += 1
+            return _path(*args)
+        monkeypatch.setattr(experiment, path, counted)
+    return runs
+
+
+def summed_trial_counts(config: ExperimentConfig, state: StateLabel, phase: bool):
+    """(h_applied, success & h, success & no h, ties) summed over
+    run_trial's decisions of trials 0..trials-1."""
+    params, counts = WalkParams(config.mu), [0, 0, 0, 0]
+    for i in range(config.trials):
+        out = run_trial(state, params, config.rule, config.r,
+                        substream(config.master_seed, i), phase)
+        success = out.decided_state.bit == state.bit
+        for j, v in enumerate((out.h_applied, out.h_applied and success,
+                               success and not out.h_applied, out.tie)):
+            counts[j] += v
+    return tuple(counts)
+
+
+PAST_THE_GRID = dict(rule=DecisionRule(k=30, mode="always-apply-h"))
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_CONFIGS) + ["past-the-grid"])
+def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_run):
+    # 170 trials run as four chunks, the last one short: every job, the
+    # phase-tracking ones too, counts what run_trial decides trial by
+    # trial, whether its mu group is tallied by cells or decided by keys
+    settings = PAST_THE_GRID if name == "past-the-grid" else IDENTITY_CONFIGS[name]
+    config = ExperimentConfig(trials=170, master_seed=31, **settings)
+    with_chunks(monkeypatch, 50)
+    jobs = [(s, config.mu, phase) for phase in (False, True) for s in ALL_STATES]
+    assert _job_counts(config, jobs) == [summed_trial_counts(config, s, phase)
+                                         for s, _, phase in jobs]
+    if name == "past-the-grid":
+        assert paths_run == {"tally": 0, "keyed": 4}
+    elif name == "default":
+        assert paths_run == {"tally": 1, "keyed": 0}
+
+
+def test_compare_and_searched_buckets_agree(monkeypatch):
+    # draws at random, on every threshold, and at both ends of [0, 1)
+    rng = np.random.default_rng(5)
+    tables = [trial_tables(s, WalkParams(5), DecisionRule(k=7, i1=0.2, i2=0.8), 61)
+              for s in ALL_STATES]
+    sets = list(experiment._threshold_sets(tables))
+    sets += [np.sort(rng.random(n)) for n in (1, 2, 16, 17, 64)]
+    for thresholds in sets:
+        u = np.concatenate([rng.random(1000), thresholds, np.nextafter(thresholds, 0.0),
+                            [0.0, 1.0 - 2.0**-53]])
+        buckets = []
+        for most in (0, 127):
+            monkeypatch.setattr(experiment, "_MAX_COMPARES", most)
+            buckets.append(experiment._bucket(u, thresholds, np.empty(u.size, dtype=bool)))
+        assert buckets[0].tolist() == buckets[1].tolist()
+        assert buckets[0].tolist() == np.searchsorted(thresholds, u, side="right").tolist()
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 5])
+def test_tallied_and_keyed_passes_count_alike(mu, monkeypatch, paths_run):
+    # every mu group decided by keys (a grid limit of 0 cells) and every
+    # group tallied by cells (no limit), over rules whose grids run from
+    # a few cells to 253,760, and over passes of several mu
+    with_chunks(monkeypatch, 1000)
+    rules = [DecisionRule(), DecisionRule(mode="never-apply-h"),
+             DecisionRule(k=5, mode="always-apply-h"), DecisionRule(k=7, i1=0.2, i2=0.8),
+             DecisionRule(k=30, mode="always-apply-h")]
+    for r, rule in itertools.product((30, 61, 100), rules):
+        config = ExperimentConfig(trials=2500, r=r, mu=mu, rule=rule, master_seed=r + mu)
+        jobs = [(s, m, phase) for m in (mu, mu + 1) for phase in (False, True)
+                for s in ALL_STATES]
+        counts = []
+        for cells, path in ((0, "keyed"), (2**62, "tally")):
+            monkeypatch.setattr(experiment, "_MAX_CELLS", cells)
+            before = dict(paths_run)
+            counts.append(_job_counts(config, jobs))
+            assert paths_run[path] > before[path]
+            assert sum(paths_run.values()) - sum(before.values()) == \
+                paths_run[path] - before[path]
+        assert counts[0] == counts[1]
 
 
 def test_rates_at_200k_trials_lie_within_4_sigma_of_exact():
