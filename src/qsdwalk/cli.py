@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="race the analytic walk against the register simulation")
     p.add_argument("--mu-max", type=int, default=4, help="largest mu to draw (default 4, cap 20)")
-    p.add_argument("--cases", type=int, default=1000, help="random cases (default 1000)")
+    p.add_argument("--cases", type=int, default=1000, help="random cases, at most 2^20 (default 1000)")
     p.add_argument("--max-steps", type=int, default=20, help="longest walk per case (default 20)")
     _add_common_flags(p)
     p.set_defaults(handler=cmd_oracle_check)

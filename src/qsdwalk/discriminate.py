@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gates import SQRT2, PhaseRoot
+from .rng import check_integer
 from .walk import QubitState, WalkParams, WalkRow, walk_lists
 
 MODES = ("interval", "never-apply-h", "always-apply-h")
@@ -99,7 +100,7 @@ class DecisionRule:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k < 1:
+        if check_integer(self.k, "decision iteration k") < 1:
             raise ValueError(f"decision iteration k must be >= 1, got {self.k}")
         if self.mode == "interval" and not (0.0 <= self.i1 < self.i2 <= 1.0):
             raise ValueError(
@@ -170,8 +171,9 @@ def row_after_h(before: QubitState, params: WalkParams, k: int,
 
 
 def check_steps(r: int, rule: DecisionRule) -> None:
-    """Refuse r unless k <= r <= MAX_STEPS, for a trial and a run alike."""
-    if rule.k > r:
+    """Refuse r unless it is an integer in k..MAX_STEPS, for a trial and
+    a run alike."""
+    if rule.k > check_integer(r, "r"):
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
     if r > MAX_STEPS:
         raise ValueError(f"r={r} is too large: a trial takes at most {MAX_STEPS} steps")
@@ -305,6 +307,27 @@ def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: i
     if r > k:
         zero_after[:, fired] = [row.alpha2 for row in restart_rows(start, fired, k, phase)]
     return TrialTables(count_law(params, k, r), start, fires, zero_after)
+
+
+def decide(tables: list[TrialTables], u0: np.ndarray, j0_of: np.ndarray, u2: np.ndarray,
+           u3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """run_trial's decision from its four draws, for many draws and the
+    jobs of one (mu, k, r) at once: u0, u2 and u3 are arrays of one
+    shape, and j0_of[z] holds law.step_k[z].count(u1) at each draw u1.
+    Returns bool arrays over (job, draw): the vote names bit 1, H is
+    applied, and the vote names bit 1 or ties. Each table is read as it
+    is, by the flat index z * (k + 1) + j0 of a component z and count j0."""
+    law = tables[0].law
+    width = law.below.shape[1]  # k + 1
+    one, h, one_or_tie = [], [], []
+    for t in tables:
+        z = u0 >= t.start.alpha2
+        j0 = np.where(z, j0_of[1], j0_of[0])
+        key = j0 + width * (u2 >= np.take(t.zero_after, j0 + width * z))
+        one.append(u3 < np.take(law.below, key))
+        h.append(np.take(t.fires, j0))
+        one_or_tie.append(u3 < np.take(law.through, key))
+    return np.array(one), np.array(h), np.array(one_or_tie)
 
 
 def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:

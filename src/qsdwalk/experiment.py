@@ -39,14 +39,16 @@ one mu share few of them: u0 meets the starts' alpha^2, u1 both step-k
 CDFs, u2 zero_after and u3 below and through. So a chunk buckets each
 draw by its set of interior thresholds (the bucket of u counts the
 thresholds <= u), folds a trial's four buckets into one cell of the
-group's grid and adds the cells to the group's histogram. After the
-pass each job is decided once per occupied cell: u < t iff the bucket
-of u is at most the count of thresholds below t (never for t <= 0),
-and the j0 of a u1 bucket is the count its least u inverts to. A group
-whose grid has more cells than a chunk has trials (rules that fire at
-many counts of a large k) decides each trial of a chunk from keys into
-its tables instead, a handful of elementwise operations a job. What a
-pass holds does not grow with r or the trial count.
+group's grid and adds the cells to the group's histogram. The rule
+itself is stated once, as discriminate.decide over arrays of draws.
+After the pass it decides each job once per occupied cell, at the
+cell's least draws: the rule only asks whether a draw lies below a
+threshold of its set (or one <= 0 or >= 1), and a bucket spans
+[T[b-1], T[b]), so every draw in it decides as its least one does. A
+group whose grid has more cells than a chunk has trials (rules that
+fire at many counts of a large k) is decided by the same rule from
+each trial's own draws, a job at a time. What a pass holds does not
+grow with r or the trial count.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import (DecisionRule, StateLabel, TrialOutcome, TrialTables, check_steps,
-                           run_trial, trial_tables)
-from .rng import batch_uniform, check_seed, substream, substream_states
+from .discriminate import (CountLaw, DecisionRule, StateLabel, TrialOutcome, TrialTables,
+                           check_steps, decide, run_trial, trial_tables)
+from .rng import batch_uniform, check_integer, check_seed, substream, substream_states
 from .walk import WalkParams
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
@@ -70,9 +72,9 @@ _CHUNK_TRIALS = 1 << 14
 _DRAWS = 4
 # Cells a mu group's histogram may hold: no more than a chunk has
 # trials, so a group's histogram and a chunk's bincount stay the size
-# of a chunk's buffers. Past it the tally also stops paying: always-apply-h
-# at k = 30 (253,760 cells) ran 4 x 100k trials in 14.5 ms tallied and
-# 12.9 ms by keys, on a 2-core VM.
+# of a chunk's buffers. The bound rests on that memory alone: at
+# always-apply-h, k = 30 (253,760 cells), 4 x 100k trials took 15-19 ms
+# tallied and 15-17 ms decided trial by trial (medians, 2-core VM).
 _MAX_CELLS = _CHUNK_TRIALS
 # Thresholds a draw is bucketed against by one compare each; a longer
 # set is searched. On 16k random draws 64 compare-adds took 0.28 ms and
@@ -93,7 +95,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.states:
             raise ValueError("states must not be empty")
-        if self.trials < 1:
+        if check_integer(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         WalkParams(self.mu)  # refuses a negative mu
         check_seed(self.master_seed, "master_seed")
@@ -137,34 +139,6 @@ class PhasePoint:
 
 # A job is one walk every trial runs: (start state, mu, phase-tracking).
 _Job = tuple[StateLabel, int, bool]
-
-
-def _keyed(tables: TrialTables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A job's tables by key 2 * (z * (k + 1) + j0) + z', from the
-    components z before and z' after step k and the count j0 there:
-    the chance of z' = 0 and whether H fires (both the same at either
-    z'), and the thresholds of the vote, below and through, of (z', j0)."""
-    pair = lambda table: np.repeat(table.ravel(), 2)
-    of_after = lambda table: np.tile(table.T.ravel(), 2)  # table[z', j0] at every z
-    law = tables.law
-    return (pair(tables.zero_after), pair(np.tile(tables.fires, 2)),
-            of_after(law.below), of_after(law.through))
-
-
-def _add_keyed_votes(tables: list[TrialTables], keyed: list, k: int, u0: np.ndarray,
-                     u1: np.ndarray, u2: np.ndarray, u3: np.ndarray, votes: np.ndarray) -> None:
-    """Adds the votes of one chunk of trials to each job of a mu group
-    (one line of `votes` a job), deciding trial by trial from the keys."""
-    step_k = tables[0].law.step_k
-    # each trial's key at z' = 0, in either component
-    keys = [2 * (step_k[z].count(u1) + z * (k + 1)) for z in (0, 1)]
-    for t, (zero_after, fires, below, through), line in zip(tables, keyed, votes):
-        key = np.where(u0 < t.start.alpha2, *keys)
-        key += u2 >= np.take(zero_after, key)
-        one = u3 < np.take(below, key)
-        h = np.take(fires, key)
-        line += [np.count_nonzero(a) for a in
-                 (one, h, one & h, u3 < np.take(through, key))]
 
 
 def _interior(values) -> np.ndarray:
@@ -212,36 +186,22 @@ def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
     return code
 
 
-def _below_slot(thresholds: np.ndarray, t) -> np.ndarray:
-    """The bucket bound of each threshold t: a uniform u lies below t
-    iff its bucket is at most the slot. For t in thresholds that is the
-    count of thresholds below t; t >= 1 is above every bucket and t <= 0
-    below every one."""
-    t = np.asarray(t)
-    return np.where(t > 0.0, np.searchsorted(thresholds, t, side="left"), -1)
+def _j0_of(law: CountLaw, u1: np.ndarray) -> np.ndarray:
+    """The count at step k that each draw u1 inverts to, per component."""
+    return np.stack([law.step_k[z].count(u1) for z in (0, 1)])
 
 
 def _tally_votes(tables: list[TrialTables], sets: tuple[np.ndarray, ...],
                  hist: np.ndarray) -> np.ndarray:
     """The votes of each job of a mu group, from the group's histogram
-    over threshold cells: each job is decided once per occupied cell, as
-    every trial in the cell would be decided from its draws. Arrays run
-    over (job, occupied cell)."""
-    t0, t1, t2, t3 = sets
+    over threshold cells. The rule compares a draw only with thresholds
+    of its set, or ones <= 0 or >= 1, and a bucket spans [T[b-1], T[b]),
+    so every draw in it decides as its least draw does (0.0 in bucket
+    0): each job is decided once per occupied cell, at those draws."""
     cells = np.flatnonzero(hist)
-    b0, b1, b2, b3 = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
-    law = tables[0].law
-    jobs = np.arange(len(tables))[:, None]
-    # every u1 of a bucket inverts both CDFs to the count its least u does
-    least = np.concatenate(([0.0], t1))
-    j0_of = np.stack([law.step_k[z].count(least) for z in (0, 1)])
-    z = (b0 > _below_slot(t0, [t.start.alpha2 for t in tables])[:, None]).astype(np.intp)
-    j0 = j0_of[z, b1]
-    after = _below_slot(t2, np.stack([t.zero_after for t in tables]))
-    z = (b2 > after[jobs, z, j0]).astype(np.intp)
-    one = b3 <= _below_slot(t3, law.below)[z, j0]
-    h = np.stack([t.fires for t in tables])[jobs, j0]
-    one_or_tie = b3 <= _below_slot(t3, law.through)[z, j0]
+    buckets = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
+    u0, u1, u2, u3 = (np.concatenate(([0.0], t))[b] for t, b in zip(sets, buckets))
+    one, h, one_or_tie = decide(tables, u0, _j0_of(tables[0].law, u1), u2, u3)
     return (np.stack([one, h, one & h, one_or_tie]) @ hist[cells]).T
 
 
@@ -254,7 +214,7 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
     a pass buckets each draw by the group's thresholds, tallies each
     trial's cell in a histogram and decides every job once per occupied
     cell after the pass. A group whose grid of cells outgrows a chunk
-    instead decides each trial of a chunk from its keys."""
+    instead decides each trial of a chunk from its draws."""
     tables = [trial_tables(state, WalkParams(mu), config.rule, config.r, phase)
               for state, mu, phase in jobs]
     by_mu: dict[int, list[int]] = {}
@@ -270,20 +230,21 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
         if cells <= _MAX_CELLS:
             tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
         else:
-            keyed.append((group, group_tables, [_keyed(t) for t in group_tables],
-                          np.zeros((len(group), 4), dtype=np.int64)))
+            keyed.append(group)
     for start in range(0, config.trials, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, config.trials - start)
         draws = batch_uniform(substream_states(config.master_seed, start, size),
                               np.empty((_DRAWS, size)))
         for _, _, sets, hist in tallied:
             hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
-        for _, group_tables, group_keyed, group_votes in keyed:
-            _add_keyed_votes(group_tables, group_keyed, config.rule.k, *draws, group_votes)
+        u0, u1, u2, u3 = draws
+        for group in keyed:
+            j0_of = _j0_of(tables[group[0]].law, u1)
+            for c in group:
+                one, h, one_or_tie = decide([tables[c]], u0, j0_of, u2, u3)
+                votes[c] += [np.count_nonzero(a) for a in (one, h, one & h, one_or_tie)]
     for group, group_tables, sets, hist in tallied:
         votes[group] = _tally_votes(group_tables, sets, hist)
-    for group, _, _, group_votes in keyed:
-        votes[group] = group_votes
     counts = []
     for (state, _, _), (n_one, n_h, n_one_h, n_through) in zip(jobs, votes.tolist()):
         # successes are the votes that name the prepared state's bit

@@ -34,10 +34,14 @@ import numpy as np
 
 from .discriminate import StateLabel
 from .gates import v_root
-from .rng import batch_uniform, substream_states
+from .rng import batch_uniform, check_integer, substream_states
 from .walk import QubitState, WalkParams, WalkRow
 
 _MU_CAP = 20
+# The most cases walk_agreement races: their streams, draws and counts
+# are held at once (in a fresh process 100k cases peaked at 46 MiB and
+# 2^20 at 77 MiB, in 17 s; 2e9 would not fit in memory).
+MAX_CASES = 2**20
 _NORM_TOL = 1e-10
 _ENTROPY_TOL = 1e-9
 _PHASE_FLOOR = 1e-12
@@ -230,7 +234,7 @@ def relative_phase(reg: RegisterState) -> np.ndarray:
 
 
 def _check_mu_max(mu_max: int) -> None:
-    if not 0 <= mu_max <= _MU_CAP:
+    if not 0 <= check_integer(mu_max, "mu_max") <= _MU_CAP:
         raise ValueError(f"mu_max must be in 0..{_MU_CAP}, got {mu_max}")
 
 
@@ -287,13 +291,16 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
     of every case walking is compared with the walk.WalkRow of its start
     state (the rows every package path shares) at its net count
     n = j0 - j1, and takes the outcome that case's draw picks from the
-    row's p0. Memory grows with the cases, not with their steps.
+    row's p0. Memory grows with the cases, not with their steps, and
+    cases past MAX_CASES are refused before any draw.
     Returns the worst disagreement seen in (ax probabilities,
     post-measurement amplitude moduli).
     """
     _check_mu_max(mu_max)
-    if cases < 1 or max_steps < 1:
-        raise ValueError("cases and max_steps must be >= 1")
+    if not 1 <= check_integer(cases, "cases") <= MAX_CASES:
+        raise ValueError(f"cases must be in 1..{MAX_CASES}, got {cases}")
+    if check_integer(max_steps, "max_steps") < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     states = substream_states(master_seed, 0, cases)
     mus = np.minimum(mu_max, (batch_uniform(states) * (mu_max + 1)).astype(int))
     lengths = 1 + (batch_uniform(states) * max_steps).astype(int)

@@ -26,12 +26,21 @@ _U31 = np.uint64(31)
 _U11 = np.uint64(11)
 
 
+def check_integer(value: int, name: str) -> int:
+    """`value` if it is a Python or numpy integer, not a bool; else a
+    ValueError naming `name`. Seeds, stream ranges and the package's
+    sizes (mu, k, r, trials, cases) all pass this check, since a float
+    would silently run as another value or fail deep inside a table."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def check_seed(value: int, source: str) -> int:
     """`value` if it is a master seed, a 64-bit unsigned integer (numpy
     integers too); else a ValueError naming `source`, since masking or
     truncating would silently replay another seed."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{source} must be an integer, got {value!r}")
+    check_integer(value, source)
     if not 0 <= value < 2**64:
         raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
     return value
@@ -78,9 +87,7 @@ def substream_states(master_seed: int, start: int, count: int) -> np.ndarray:
     streams.
     """
     for value, name in ((start, "start"), (count, "count")):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"stream {name} must be an integer, got {value!r}")
-        if value < 0:
+        if check_integer(value, f"stream {name}") < 0:
             raise ValueError(f"stream {name} must be >= 0, got {value}")
     start, count = int(start), int(count)
     if start + count > 2**64:

@@ -45,6 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gates import PhaseRoot
+from .rng import check_integer
 
 _NORM_TOL = 1e-10
 
@@ -74,7 +75,7 @@ class WalkParams:
     mu: int
 
     def __post_init__(self):
-        if self.mu < 0:
+        if check_integer(self.mu, "mu") < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
 
     @property

@@ -7,6 +7,7 @@ import pytest
 
 import qsdwalk.cli as cli
 import qsdwalk.experiment as experiment
+import qsdwalk.oracle as oracle
 from qsdwalk.cli import _trace_csv, main
 from qsdwalk.discriminate import StateLabel, TrialOutcome
 from qsdwalk.walk import WalkRow
@@ -247,6 +248,20 @@ def test_oracle_check_rejects_negative_mu_max(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: mu_max must be in 0..20, got -1\n"
+
+
+@pytest.mark.parametrize("cases", ["0", str(2**20 + 1), "2000000000"])
+def test_oracle_check_cases_past_the_bound_are_a_usage_error(cases, capsys, monkeypatch):
+    # 2e9 cases died in numpy's allocator with exit 1, the code of a
+    # discrepancy; the bound is checked before any stream is drawn
+    def no_streams(*args):
+        raise AssertionError("streams drawn")
+
+    monkeypatch.setattr(oracle, "substream_states", no_streams)
+    code, out, err = run_cli(capsys, "oracle-check", "--cases", cases, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cases must be in 1..1048576, got {cases}\n"
 
 
 ORACLE_CHECK_2024 = """\

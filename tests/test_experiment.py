@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from qsdwalk.experiment import (
     run_experiment,
     sweep_mu,
 )
+from qsdwalk.oracle import walk_agreement
 from qsdwalk.rng import substream
 from qsdwalk.walk import WalkParams, WalkRow
 
@@ -55,6 +57,33 @@ def test_config_validation():
         ExperimentConfig(mu=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(r=1, rule=DecisionRule(k=2))
+
+
+SIZES = {
+    "WalkParams.mu": (lambda v: WalkParams(v), "mu"),
+    "DecisionRule.k": (lambda v: DecisionRule(k=v), "decision iteration k"),
+    "ExperimentConfig.mu": (lambda v: ExperimentConfig(mu=v), "mu"),
+    "ExperimentConfig.trials": (lambda v: ExperimentConfig(trials=v), "trials"),
+    "ExperimentConfig.r": (lambda v: ExperimentConfig(r=v), "r"),
+    "run_trial.r": (lambda v: run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), v,
+                                        substream(0, 0)), "r"),
+    "walk_agreement.cases": (lambda v: walk_agreement(v, 2, 5, 1), "cases"),
+    "walk_agreement.mu_max": (lambda v: walk_agreement(10, v, 5, 1), "mu_max"),
+    "walk_agreement.max_steps": (lambda v: walk_agreement(10, 2, v, 1), "max_steps"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SIZES))
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", True, None],
+                         ids=["2.5", "3.0", "np-3.0", "str-3", "True", "None"])
+def test_sizes_that_are_not_integers_are_refused(field, value):
+    # mu = 2.5 ran a walk of 2.5 dummy qubits and r = 100.5 failed with
+    # an IndexError inside the tables; Python and numpy integers pass
+    build, name = SIZES[field]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        build(value)
+    build(np.int64(3))
+    build(3)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
@@ -741,13 +770,25 @@ def test_long_trial_decisions_equal_batch_decisions():
 @pytest.fixture
 def paths_run(monkeypatch):
     """Counts the mu groups a pass decides by the tally of threshold
-    cells and the chunks it decides from keys, as {"tally": n, "keyed": n}."""
-    runs = {"tally": 0, "keyed": 0}
-    for name, path in (("tally", "_tally_votes"), ("keyed", "_add_keyed_votes")):
-        def counted(*args, _name=name, _path=getattr(experiment, path)):
-            runs[_name] += 1
-            return _path(*args)
-        monkeypatch.setattr(experiment, path, counted)
+    cells, and the calls of the rule that decide one job's chunk from
+    its draws, as {"tally": n, "keyed": n}."""
+    runs, tallying = {"tally": 0, "keyed": 0}, []
+    tally, rule = experiment._tally_votes, experiment.decide
+
+    def counted_tally(*args):
+        runs["tally"] += 1
+        tallying.append(True)
+        try:
+            return tally(*args)
+        finally:
+            tallying.pop()
+
+    def counted_rule(*args):
+        runs["keyed"] += not tallying
+        return rule(*args)
+
+    monkeypatch.setattr(experiment, "_tally_votes", counted_tally)
+    monkeypatch.setattr(experiment, "decide", counted_rule)
     return runs
 
 
@@ -780,7 +821,7 @@ def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_ru
     assert _job_counts(config, jobs) == [summed_trial_counts(config, s, phase)
                                          for s, _, phase in jobs]
     if name == "past-the-grid":
-        assert paths_run == {"tally": 0, "keyed": 4}
+        assert paths_run == {"tally": 0, "keyed": 4 * len(jobs)}
     elif name == "default":
         assert paths_run == {"tally": 1, "keyed": 0}
 
@@ -825,6 +866,51 @@ def test_tallied_and_keyed_passes_count_alike(mu, monkeypatch, paths_run):
             assert sum(paths_run.values()) - sum(before.values()) == \
                 paths_run[path] - before[path]
         assert counts[0] == counts[1]
+
+
+def scalar_votes(tables, r: int, u0: float, u1: float, u2: float, u3: float):
+    """(votes bit 1, H applied, votes bit 1 or ties) of one trial of
+    `tables`, as run_trial decides it: the vote from the count over the
+    steps after k, not from the thresholds below and through."""
+    law = tables.law
+    z = int(u0 >= tables.start.alpha2)
+    j0 = law.step_k[z].count(u1)
+    z = int(u2 >= tables.zero_after[z, j0])
+    zeros = j0 + law.after_k[z].count(u3)
+    return r - zeros > zeros, bool(tables.fires[j0]), r - zeros >= zeros
+
+
+@pytest.mark.parametrize("mu,rule", [
+    (2, DecisionRule()),
+    (5, DecisionRule(k=7, i1=0.2, i2=0.8)),
+    (1, DecisionRule(k=5, mode="always-apply-h")),
+    (0, DecisionRule()),
+], ids=["default-mu2", "interval-k7-mu5", "always-k5-mu1", "default-mu0"])
+def test_tally_decides_boundary_draws_as_the_rule_does(mu, rule):
+    # random draws essentially never land on a threshold. Here each draw
+    # is a threshold of its set, the float just below one, 0.0 or
+    # 1 - 2^-53, in every combination across the four draws: the tally
+    # decides a cell at its least draws, and must count what the rule
+    # decides draw by draw
+    r = 60
+    tables = [trial_tables(s, WalkParams(mu), rule, r, phase)
+              for phase in (False, True) for s in ALL_STATES]
+    sets = experiment._threshold_sets(tables)
+    edges = [np.unique(np.concatenate([t, np.nextafter(t, 0.0), [0.0, 1.0 - 2.0**-53]]))
+             for t in sets]
+    draws = np.stack([a.ravel() for a in np.meshgrid(*edges, indexing="ij")])
+    hist = np.bincount(experiment._cell_codes(draws, sets),
+                       minlength=math.prod(len(t) + 1 for t in sets))
+    u0, u1, u2, u3 = draws
+    decided = discriminate.decide(tables, u0, experiment._j0_of(tables[0].law, u1), u2, u3)
+    one, h, one_or_tie = decided
+    by_draw = np.stack([np.count_nonzero(a, axis=1) for a in (one, h, one & h, one_or_tie)])
+    assert experiment._tally_votes(tables, sets, hist).tolist() == by_draw.T.tolist()
+    # and the rule on those draws is run_trial's, at up to 500 of them
+    n = draws.shape[1]
+    for i in np.random.default_rng(mu).choice(n, min(n, 500), replace=False).tolist():
+        for t, job_decided in zip(tables, zip(*(a[:, i] for a in decided))):
+            assert scalar_votes(t, r, *draws[:, i].tolist()) == tuple(map(bool, job_decided))
 
 
 def test_rates_at_200k_trials_lie_within_4_sigma_of_exact():
