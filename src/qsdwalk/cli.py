@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 check failure (oracle-check discrepancy),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -22,7 +23,7 @@ import sys
 
 from .discriminate import MODES, DecisionRule, StateLabel, check_steps, run_trial
 from .experiment import ExperimentConfig, run_experiment, sweep_mu
-from .oracle import phase_table, walk_agreement
+from .oracle import check_agreement_sizes, phase_table, walk_agreement
 from .rng import check_seed, substream
 from .walk import WalkParams
 
@@ -34,6 +35,8 @@ _TRACE_STEPS = 2**20
 
 
 def _resolve_seed(args) -> int:
+    """The master seed. Commands call this once their sizes are checked,
+    so a usage error is not preceded by the announcement of a drawn seed."""
     if args.seed is not None:
         return check_seed(args.seed, "--seed")
     env = os.environ.get("QSD_SEED")
@@ -146,15 +149,15 @@ def _parse_states(text: str) -> tuple[StateLabel, ...]:
 
 
 def cmd_experiment(args) -> int:
-    seed = _resolve_seed(args)
     config = ExperimentConfig(
         states=_parse_states(args.states),
         trials=args.trials,
         r=args.r,
         mu=args.mu,
         rule=_rule(args),
-        master_seed=seed,
     )
+    seed = _resolve_seed(args)
+    config = dataclasses.replace(config, master_seed=seed)
     reports = run_experiment(config)
     if args.format == "json":
         records = [{
@@ -205,15 +208,14 @@ def _parse_mu_list(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
-    mu_values = _parse_mu_list(args.mu)
+    mu_values = [WalkParams(mu).mu for mu in _parse_mu_list(args.mu)]
     base = ExperimentConfig(
         trials=args.trials,
         r=args.r,
         mu=mu_values[0],
         rule=_rule(args),
-        master_seed=seed,
     )
+    base = dataclasses.replace(base, master_seed=_resolve_seed(args))
     points = sweep_mu(base, mu_values)
     lines = ["mu,success_computational,success_hadamard"]
     lines += [f"{p.mu},{_g(p.success_computational)},{_g(p.success_hadamard)}"
@@ -223,6 +225,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    check_agreement_sizes(args.cases, args.mu_max, args.max_steps)
     seed = _resolve_seed(args)
     worst_p, worst_m = walk_agreement(args.cases, args.mu_max, args.max_steps, seed)
     ok = worst_p < _AGREEMENT_TOL and worst_m < _AGREEMENT_TOL

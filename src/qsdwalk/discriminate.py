@@ -100,18 +100,21 @@ class DecisionRule:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if check_integer(self.k, "decision iteration k") < 1:
+        object.__setattr__(self, "k", check_integer(self.k, "decision iteration k"))
+        if self.k < 1:
             raise ValueError(f"decision iteration k must be >= 1, got {self.k}")
         if self.mode == "interval" and not (0.0 <= self.i1 < self.i2 <= 1.0):
             raise ValueError(
                 f"interval bounds need 0 <= i1 < i2 <= 1, got ({self.i1}, {self.i2})"
             )
 
-    def fires(self, j0: int) -> bool:
-        """Whether H fires at iteration k after j0 zero outcomes."""
+    def fires(self, j0: np.ndarray) -> np.ndarray:
+        """Whether H fires at iteration k after j0 zero outcomes, for each
+        entry of an array of counts."""
         if self.mode == "interval":
-            return self.i1 < j0 / self.k < self.i2
-        return self.mode == "always-apply-h"
+            estimate = j0 / self.k
+            return (self.i1 < estimate) & (estimate < self.i2)
+        return np.full(np.shape(j0), self.mode == "always-apply-h")
 
 
 @dataclass(frozen=True)
@@ -139,44 +142,15 @@ class TrialOutcome:
     trace: tuple[tuple[int, int, float, float, float], ...]
 
 
-def apply_hadamard_update(state: QubitState) -> QubitState:
-    """Rotate into the Hadamard basis: ((a+b)/sqrt2, (a-b)/sqrt2)."""
-    return QubitState((state.alpha + state.beta) / SQRT2,
-                      (state.alpha - state.beta) / SQRT2)
-
-
-def _phase_h_start(before: QubitState, params: WalkParams, k: int) -> QubitState:
-    """Amplitude moduli just after H in the phase-tracking walk.
-
-    That walk's step factors (1 +- k^d)/2 are cos(d*pi/2t) and
-    -i*sin(d*pi/2t), each times exp(i*d*pi/2t). As d1 - d0 = 1, every
-    step turns beta's phase by pi/2t against alpha's, whatever the
-    outcome, and leaves the moduli as in the real walk. So after k steps
-    the state is, up to a global phase, (alpha, beta * exp(i*k*pi/2t))
-    with the real walk's alpha and beta. From H on p0 depends only on
-    the moduli, so the rest is the real walk from the moduli after H.
-    """
-    beta = before.beta * PhaseRoot(2 * params.t, k).value
-    return QubitState(abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2)
-
-
-def row_after_h(before: QubitState, params: WalkParams, k: int,
-                phase: bool = False) -> WalkRow:
-    """The row the walk restarts from when H fires at iteration k in state
-    `before`: the real walk, or with phase=True the phase-tracking variant
-    (see _phase_h_start)."""
-    start = (_phase_h_start(before, params, k) if phase
-             else apply_hadamard_update(before))
-    return WalkRow.start(start, params)
-
-
-def check_steps(r: int, rule: DecisionRule) -> None:
-    """Refuse r unless it is an integer in k..MAX_STEPS, for a trial and
-    a run alike."""
-    if rule.k > check_integer(r, "r"):
+def check_steps(r: int, rule: DecisionRule) -> int:
+    """r as a Python int if it is an integer in k..MAX_STEPS, for a trial
+    and a run alike; else a ValueError."""
+    r = check_integer(r, "r")
+    if rule.k > r:
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
     if r > MAX_STEPS:
         raise ValueError(f"r={r} is too large: a trial takes at most {MAX_STEPS} steps")
+    return r
 
 
 # 2t^2/n where Hoeffding's bound P(X - nq >= t) <= exp(-2t^2/n) reaches
@@ -261,52 +235,68 @@ def count_law(params: WalkParams, k: int, r: int) -> CountLaw:
     )
 
 
-def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) -> list[WalkRow]:
-    """The rows a walk from `start` restarts in when H fires at step k
-    after each count j0 of outcome 0: row_after_h of the state at the
-    net count 2 j0 - k, signs included, so counts symmetric about k/2
-    restart in rows of one x0 but of their own signs."""
+def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) -> WalkRow:
+    """The stack of rows a walk from `start` restarts in when H fires at
+    step k after each count j0 of outcome 0: H of the state (alpha, beta)
+    at the net count 2 j0 - k, ((alpha + beta)/sqrt2, (alpha - beta)/sqrt2),
+    signs included, so counts symmetric about k/2 restart in rows of one
+    x0 but of their own signs.
+
+    phase=True restarts the phase-tracking variant instead, from the
+    moduli |alpha +- beta exp(i k pi/2t)|/sqrt2. That walk's step factors
+    (1 +- k^d)/2 are cos(d pi/2t) and -i sin(d pi/2t), each times
+    exp(i d pi/2t). As d1 - d0 = 1, every step turns beta's phase by pi/2t
+    against alpha's, whatever the outcome, and leaves the moduli as in the
+    real walk. So after k steps the state is, up to a global phase,
+    (alpha, beta exp(i k pi/2t)) with the real walk's alpha and beta. From
+    H on p0 depends only on the moduli, so the rest is the real walk from
+    the moduli after H.
+    """
     alpha, beta = start.amplitudes(2 * j0 - k)
-    return [row_after_h(QubitState(a, b), start.params, k, phase)
-            for a, b in zip(alpha.tolist(), beta.tolist())]
-
-
-@lru_cache(maxsize=256)
-def _restart_row(start: WalkRow, j0: int, k: int, phase: bool) -> WalkRow:
-    """restart_rows at one count j0, built once per (start, j0, k, phase)."""
-    row, = restart_rows(start, np.array([j0]), k, phase)
-    return row
+    if phase:
+        turn = PhaseRoot(2 * start.params.t, k).value
+        # the hypot of the parts rounds as abs() of a Python complex does,
+        # where np.abs of a complex array may differ in the last bit
+        re, im = beta * turn.real, beta * turn.imag
+        return WalkRow.of(np.hypot(alpha + re, im) / SQRT2, np.hypot(alpha - re, im) / SQRT2,
+                          start.params)
+    return WalkRow.of((alpha + beta) / SQRT2, (alpha - beta) / SQRT2, start.params)
 
 
 @dataclass(frozen=True)
 class TrialTables:
     """Everything a trial of one walk reads: the count laws of its mu,
-    its start row (alpha^2 there is the chance of component 0), whether
-    H fires at each j0, and zero_after[z, j0], the chance of component 0
-    after step k. Where H fires and a step follows, that is alpha^2 of
-    restart_rows at j0; elsewhere the record stays one mixture, so the
-    component drawn at the start is kept (1 for z = 0, 0 for z = 1)."""
+    its start row and zero_start, alpha^2 there (the chance of component
+    0), whether H fires at each j0, the stack of rows restart_rows gives
+    the walk restarted by H at each j0, and zero_after[z, j0], the chance
+    of component 0 after step k. Where H fires and a step follows, that
+    is alpha^2 of restart[j0]; elsewhere the record stays one mixture, so
+    the component drawn at the start is kept (1 for z = 0, 0 for z = 1)."""
 
     law: CountLaw
     start: WalkRow
+    zero_start: float
     fires: np.ndarray
+    restart: WalkRow
     zero_after: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: int,
                  phase: bool = False) -> TrialTables:
-    """The tables of one walk, built once: run_trial and the batch engine
-    read the same floats. phase=True restarts after H as the
-    phase-tracking variant (row_after_h)."""
+    """The tables of one walk, built once over all counts 0..k: run_trial
+    and the batch engine read the same floats. phase=True restarts after
+    H as the phase-tracking variant (restart_rows)."""
     k = rule.k
     start = WalkRow.start(state.to_state(), params)
-    fires = np.array([rule.fires(j0) for j0 in range(k + 1)], dtype=bool)
-    fired = np.flatnonzero(fires)
+    j0 = np.arange(k + 1)
+    fires = rule.fires(j0)
+    restart = restart_rows(start, j0, k, phase)
     zero_after = np.array([[1.0], [0.0]]).repeat(k + 1, axis=1)
     if r > k:
-        zero_after[:, fired] = [row.alpha2 for row in restart_rows(start, fired, k, phase)]
-    return TrialTables(count_law(params, k, r), start, fires, zero_after)
+        zero_after[:, fires] = restart.alpha2[fires]
+    return TrialTables(count_law(params, k, r), start, float(start.alpha2), fires, restart,
+                       zero_after)
 
 
 def decide(tables: list[TrialTables], u0: np.ndarray, j0_of: np.ndarray, u2: np.ndarray,
@@ -321,7 +311,7 @@ def decide(tables: list[TrialTables], u0: np.ndarray, j0_of: np.ndarray, u2: np.
     width = law.below.shape[1]  # k + 1
     one, h, one_or_tie = [], [], []
     for t in tables:
-        z = u0 >= t.start.alpha2
+        z = u0 >= t.zero_start
         j0 = np.where(z, j0_of[1], j0_of[0])
         key = j0 + width * (u2 >= np.take(t.zero_after, j0 + width * z))
         one.append(u3 < np.take(law.below, key))
@@ -358,17 +348,17 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     order of the stretch is equally likely, as the walk makes it. The
     traced amplitudes come from the closed-form rows (walk.WalkRow) by
     the net count since the start, read out to r through _trace_lists,
-    and, once H fires, since H in the row restart_rows builds for this
-    trial's own j0, signs included: the row whose alpha^2 the decision
-    read from zero_after. phase=True walks the phase-tracking variant
-    after H (row_after_h).
+    and, once H fires, since H in tables.restart[j0] for this trial's own
+    j0, signs included: the row whose alpha^2 the decision read from
+    zero_after. phase=True walks the phase-tracking variant after H
+    (restart_rows).
     """
-    check_steps(r, rule)
+    r = check_steps(r, rule)
     k = rule.k
     tables = trial_tables(initial, params, rule, r, phase)
     law = tables.law
     uniform = rng.uniform
-    z = int(uniform() >= tables.start.alpha2)
+    z = int(uniform() >= tables.zero_start)
     j0_at_k = law.step_k[z].count(uniform())
     z = int(uniform() >= tables.zero_after[z, j0_at_k])
     zeros_after = law.after_k[z].count(uniform())
@@ -393,7 +383,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
             zeros, left = zeros_after, r - k
             if h_applied:
                 n = 0
-                alpha, beta = _trace_lists(_restart_row(tables.start, j0, k, phase), r - k)
+                alpha, beta = _trace_lists(tables.restart[j0], r - k)
         append((j, outcome, alpha[n], beta[n], j0 / j))
     j1 = r - j0
     return TrialOutcome(

@@ -16,7 +16,7 @@ decided by four draws (discriminate.trial_tables holds the laws):
 - u1 inverts the CDF of Bin(k, c_z^2): the count j0 at step k, which
   decides whether H fires (DecisionRule.fires);
 - if H fires and steps follow, u2 picks the component again, from
-  alpha^2 of the row the walk restarts in (row_after_h); otherwise the
+  alpha^2 of the row the walk restarts in (restart_rows); otherwise the
   record is still one mixture and the component drawn by u0 is kept;
 - u3 decides the vote: the count over the r - k steps left is drawn
   from Bin(r - k, c_z'^2), so the vote names bit 1 iff u3 lies below
@@ -95,11 +95,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.states:
             raise ValueError("states must not be empty")
-        if check_integer(self.trials, "trials") < 1:
+        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        WalkParams(self.mu)  # refuses a negative mu
-        check_seed(self.master_seed, "master_seed")
-        check_steps(self.r, self.rule)
+        object.__setattr__(self, "mu", WalkParams(self.mu).mu)  # refuses a negative mu
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
+        object.__setattr__(self, "r", check_steps(self.r, self.rule))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _threshold_sets(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
     zero_after and u3 with the vote's below and through."""
     law = tables[0].law
     return tuple(_interior(values) for values in (
-        [t.start.alpha2 for t in tables],
+        [t.zero_start for t in tables],
         law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist(),
         [a for t in tables for a in t.zero_after.ravel().tolist()],
         law.below.ravel().tolist() + law.through.ravel().tolist()))
@@ -332,7 +333,7 @@ def phase_report(config: ExperimentConfig) -> list[PhasePoint]:
     phase-tracking variant, all as jobs of one pass, so both read
     identical random streams; reports both success rates per state. The
     two differ only in where the walk restarts after H (see
-    discriminate.row_after_h). States that reach the H rotation with a
+    discriminate.restart_rows). States that reach the H rotation with a
     single nonzero component (zero, one) cannot show a relative phase, so
     their two rates are equal.
     """

@@ -248,11 +248,8 @@ def _race_stack(states: np.ndarray, angles: np.ndarray, lengths: np.ndarray,
     the rows."""
     params = WalkParams(mu)
     starts = [QubitState.from_angle(angle) for angle in angles.tolist()]
-    # per case: x0 and the signs of its row; a WalkRow over these arrays
-    # evaluates every case of the stack at its own net count n
-    columns = np.array([(row.x0, row.sign_alpha, row.sign_beta)
-                        for row in (WalkRow.start(state, params) for state in starts)])
-    row = WalkRow(params, *columns.T)
+    # one row per case, each evaluated at its own net count n
+    row = stack = WalkRow.of(*np.array([(s.alpha, s.beta) for s in starts]).T, params)
     walking = prepare_register(starts, mu)
     n = np.zeros(len(starts), dtype=int)
     lengths = lengths.tolist()
@@ -264,7 +261,7 @@ def _race_stack(states: np.ndarray, angles: np.ndarray, lengths: np.ndarray,
             while lengths[live - 1] == j:
                 live -= 1
             walking = RegisterState(walking.amps[:live], mu)
-            row = WalkRow(params, *columns[:live].T)
+            row = stack[:live]
             states, n = states[:live], n[:live]
         apply_p(walking, params.t)
         p0_reg, p1_reg = ax_marginal(walking)
@@ -280,6 +277,16 @@ def _race_stack(states: np.ndarray, angles: np.ndarray, lengths: np.ndarray,
     return float(worst_p), float(worst_m)
 
 
+def check_agreement_sizes(cases: int, mu_max: int, max_steps: int) -> None:
+    """Refuse walk_agreement's sizes unless cases is in 1..MAX_CASES,
+    mu_max in 0.._MU_CAP and max_steps at least 1, all integers."""
+    _check_mu_max(mu_max)
+    if not 1 <= check_integer(cases, "cases") <= MAX_CASES:
+        raise ValueError(f"cases must be in 1..{MAX_CASES}, got {cases}")
+    if check_integer(max_steps, "max_steps") < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+
+
 def walk_agreement(cases: int, mu_max: int, max_steps: int,
                    master_seed: int) -> tuple[float, float]:
     """Race the closed-form walk rows against the register simulation.
@@ -292,15 +299,11 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
     state (the rows every package path shares) at its net count
     n = j0 - j1, and takes the outcome that case's draw picks from the
     row's p0. Memory grows with the cases, not with their steps, and
-    cases past MAX_CASES are refused before any draw.
+    cases past MAX_CASES are refused before any draw (check_agreement_sizes).
     Returns the worst disagreement seen in (ax probabilities,
     post-measurement amplitude moduli).
     """
-    _check_mu_max(mu_max)
-    if not 1 <= check_integer(cases, "cases") <= MAX_CASES:
-        raise ValueError(f"cases must be in 1..{MAX_CASES}, got {cases}")
-    if check_integer(max_steps, "max_steps") < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    check_agreement_sizes(cases, mu_max, max_steps)
     states = substream_states(master_seed, 0, cases)
     mus = np.minimum(mu_max, (batch_uniform(states) * (mu_max + 1)).astype(int))
     lengths = 1 + (batch_uniform(states) * max_steps).astype(int)

@@ -27,20 +27,21 @@ _U11 = np.uint64(11)
 
 
 def check_integer(value: int, name: str) -> int:
-    """`value` if it is a Python or numpy integer, not a bool; else a
-    ValueError naming `name`. Seeds, stream ranges and the package's
-    sizes (mu, k, r, trials, cases) all pass this check, since a float
-    would silently run as another value or fail deep inside a table."""
+    """`value` as a Python int if it is a Python or numpy integer, not a
+    bool; else a ValueError naming `name`. Seeds, stream ranges and the
+    package's sizes (mu, k, r, trials, cases) all pass this check, since
+    a float would silently run as another value or fail deep inside a
+    table, and a narrow numpy integer would wrap in arithmetic on it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def check_seed(value: int, source: str) -> int:
-    """`value` if it is a master seed, a 64-bit unsigned integer (numpy
-    integers too); else a ValueError naming `source`, since masking or
-    truncating would silently replay another seed."""
-    check_integer(value, source)
+    """`value` as a Python int if it is a master seed, a 64-bit unsigned
+    integer (numpy integers too); else a ValueError naming `source`, since
+    masking or truncating would silently replay another seed."""
+    value = check_integer(value, source)
     if not 0 <= value < 2**64:
         raise ValueError(f"{source} must be in 0..2^64-1, got {value}")
     return value

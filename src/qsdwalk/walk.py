@@ -25,10 +25,11 @@ With x0 = ln(alpha^2/beta^2) and the logistic sigma(x) = 1/(1 + e^-x):
 A WalkRow (x0 and the signs of alpha and beta) evaluates p0 or the state
 over an array of net counts in one numpy expression, just out to the
 counts a caller reaches; a WalkRow over arrays of x0 and signs is a
-stack of rows, each read at its own count. The Monte Carlo engine
-reads alpha^2 of each row's start, the per-trial trace its states
-(through the cached walk_lists) and the register oracle its p0. At
-mu = 0 (c1 = 0) the first outcome collapses the state.
+stack of rows, each read at its own count, and WalkRow.of builds either
+from amplitudes. The Monte Carlo engine reads alpha^2 of each row's
+start, the per-trial trace its states (through the cached walk_lists)
+and the register oracle its p0. At mu = 0 (c1 = 0) the first outcome
+collapses the state.
 
 The rows are the real-amplitude walk; the relative phase that a full
 register simulation develops per step is deliberately not tracked. The
@@ -75,7 +76,8 @@ class WalkParams:
     mu: int
 
     def __post_init__(self):
-        if check_integer(self.mu, "mu") < 0:
+        object.__setattr__(self, "mu", check_integer(self.mu, "mu"))
+        if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
 
     @property
@@ -123,10 +125,22 @@ class WalkRow:
     sign_beta: float
 
     @classmethod
+    def of(cls, alpha, beta, params: WalkParams) -> "WalkRow":
+        """The row through amplitudes (alpha, beta), or the stack of rows
+        through equal-shaped arrays of them: x0 = 2 ln(|alpha|/|beta|),
+        +-inf where a modulus is 0."""
+        with np.errstate(divide="ignore"):
+            x0 = 2.0 * np.log(np.abs(alpha) / np.abs(beta))
+        return cls(params, x0, np.copysign(1.0, alpha), np.copysign(1.0, beta))
+
+    @classmethod
     def start(cls, state: QubitState, params: WalkParams) -> "WalkRow":
-        a, b = abs(state.alpha), abs(state.beta)
-        x0 = 2.0 * math.log(a / b) if a and b else math.copysign(math.inf, a - b)
-        return cls(params, x0, math.copysign(1.0, state.alpha), math.copysign(1.0, state.beta))
+        return cls.of(state.alpha, state.beta, params)
+
+    def __getitem__(self, index) -> "WalkRow":
+        """Row `index` of a stack, or the sub-stack a slice selects."""
+        return WalkRow(self.params, self.x0[index], self.sign_alpha[index],
+                       self.sign_beta[index])
 
     def _x(self, n: np.ndarray) -> np.ndarray:
         """ln(alpha_n^2 / beta_n^2) at the net counts n."""
@@ -150,10 +164,11 @@ class WalkRow:
                 self.sign_beta * np.where(up, minor, major))
 
     @property
-    def alpha2(self) -> float:
-        """alpha^2 of the start, sigma(x0): exactly 1 or 0 at x0 = +-inf."""
-        t = math.exp(-abs(self.x0))
-        return (1.0 if self.x0 >= 0 else t) / (1.0 + t)
+    def alpha2(self) -> np.ndarray:
+        """alpha^2 of the start, sigma(x0), per row: exactly 1 or 0 at
+        x0 = +-inf."""
+        t = np.exp(-np.abs(self.x0))
+        return np.where(self.x0 >= 0, 1.0, t) / (1.0 + t)
 
     def p0(self, n: np.ndarray) -> np.ndarray:
         """Probability of outcome 0 at the net counts n."""

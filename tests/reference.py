@@ -7,7 +7,8 @@ so the tests can hold the rows to an independent model.
 ax_probabilities and collapse_update are one step of it: the outcome
 probabilities of a state and the state an outcome leaves. stepped_chain
 walks one start out along both chains of equal outcomes, one
-collapse_update per count. step_arrays mirrors ax_probabilities and
+collapse_update per count. apply_hadamard_update and restart_after_h
+rotate one state at a time, as the restart rows after H are checked. step_arrays mirrors ax_probabilities and
 collapse_update term for term, one draw per trial and step; the
 package decides a trial from four draws instead, so its counts are held
 to reference_counts in distribution, not bit for bit. Imported by test_walk,
@@ -117,6 +118,30 @@ def stepped_chain(start: QubitState, params: WalkParams, reach: int) -> list[Qub
         sides.append(side)
     pos, neg = sides
     return neg[::-1] + [start] + pos
+
+
+def apply_hadamard_update(state: QubitState) -> QubitState:
+    """Rotate into the Hadamard basis: ((a+b)/sqrt2, (a-b)/sqrt2)."""
+    return QubitState((state.alpha + state.beta) / SQRT2,
+                      (state.alpha - state.beta) / SQRT2)
+
+
+def restart_after_h(before: QubitState, params: WalkParams, k: int,
+                    phase: bool = False) -> tuple[float, float, float]:
+    """(alpha^2, sign of alpha, sign of beta) of the walk that H restarts
+    at step k in state `before`, one state at a time in Python floats:
+    apply_hadamard_update, or for the phase-tracking walk the moduli
+    |alpha +- beta exp(i k pi/2t)|/sqrt2, then alpha^2 as sigma(x0) of
+    x0 = 2 ln(|alpha|/|beta|), as a walk row holds it."""
+    if phase:
+        beta = before.beta * PhaseRoot(2 * params.t, k).value
+        a, b = abs(before.alpha + beta) / SQRT2, abs(before.alpha - beta) / SQRT2
+    else:
+        after = apply_hadamard_update(before)
+        a, b = after.alpha, after.beta
+    x0 = 2.0 * math.log(abs(a) / abs(b)) if a and b else math.copysign(math.inf, abs(a) - abs(b))
+    t = math.exp(-abs(x0))
+    return (1.0 if x0 >= 0 else t) / (1.0 + t), math.copysign(1.0, a), math.copysign(1.0, b)
 
 
 def weak_step(state: QubitState, params: WalkParams, rng) -> tuple[int, QubitState]:

@@ -264,6 +264,21 @@ def test_oracle_check_cases_past_the_bound_are_a_usage_error(cases, capsys, monk
     assert err == f"error: cases must be in 1..1048576, got {cases}\n"
 
 
+@pytest.mark.parametrize("argv,problem", [
+    (["experiment", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["sweep", "--mu", "1..2", "--r", "1"], "decision iteration k=2 exceeds r=1; need k <= r"),
+    (["sweep", "--mu", "1,-1"], "mu must be non-negative, got -1"),
+    (["oracle-check", "--cases", "0"], "cases must be in 1..1048576, got 0"),
+    (["trial", "--state", "plus", "--r", "1"], "decision iteration k=2 exceeds r=1; need k <= r"),
+])
+def test_bad_sizes_are_refused_before_a_seed_is_drawn(argv, problem, capsys):
+    # with no --seed and no QSD_SEED a command announces the seed it
+    # draws; a usage error comes first, and alone
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {problem}\n"
+
+
 ORACLE_CHECK_2024 = """\
 cases: 200 (mu <= 8, walk length <= 20)
 max probability discrepancy: 1.221e-15

@@ -9,7 +9,6 @@ from qsdwalk.discriminate import (
     Binomial,
     DecisionRule,
     StateLabel,
-    apply_hadamard_update,
     restart_rows,
     run_trial,
     trial_tables,
@@ -17,7 +16,7 @@ from qsdwalk.discriminate import (
 from qsdwalk.rng import substream
 from qsdwalk.walk import QubitState, WalkParams, WalkRow
 
-from reference import collapse_update
+from reference import apply_hadamard_update, collapse_update, restart_after_h
 
 INV_SQRT2 = 1 / math.sqrt(2)
 ALL_STATES = [StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS]
@@ -213,29 +212,81 @@ def _bits(row: WalkRow) -> tuple[str, str, str]:
 ])
 def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatch):
     # the row run_trial restarts in after H, for its own j0, is bit for
-    # bit the row whose alpha^2 is zero_after[:, j0], which decided the
-    # trial, whether the row cache was cold or warm
+    # bit tables.restart[j0], whose alpha^2 is zero_after[:, j0], which
+    # decided the trial; a stack built for that count alone is the same row
     params, r = WalkParams(mu), 12
     used = []
-    restart = discriminate._restart_row
-    monkeypatch.setattr(discriminate, "_restart_row",
-                        lambda *args: used.append(restart(*args)) or used[-1])
-    build = discriminate.restart_rows
+    trace_lists = discriminate._trace_lists
+    monkeypatch.setattr(discriminate, "_trace_lists",
+                        lambda row, reach: used.append(row) or trace_lists(row, reach))
     for state in ALL_STATES:
         tables = trial_tables(state, params, rule, r, phase)
-        fired = np.flatnonzero(tables.fires)
-        table_rows = dict(zip(fired.tolist(), build(tables.start, fired, rule.k, phase)))
-        for j0, row in table_rows.items():
-            assert [row.alpha2] * 2 == tables.zero_after[:, j0].tolist()
-            single, = build(tables.start, np.array([j0]), rule.k, phase)
-            assert _bits(single) == _bits(row)
+        for j0 in np.flatnonzero(tables.fires).tolist():
+            row = tables.restart[j0]
+            assert [float(row.alpha2)] * 2 == tables.zero_after[:, j0].tolist()
+            assert _bits(restart_rows(tables.start, np.array([j0]), rule.k, phase)[0]) == \
+                _bits(row)
         for seed in range(40):
+            used.clear()
             out = run_trial(state, params, rule, r, substream(seed, 0), phase)
             j0 = sum(step[1] == 0 for step in out.trace[:rule.k])
-            assert out.h_applied == (j0 in table_rows)
-            if out.h_applied:
-                assert _bits(used.pop()) == _bits(table_rows[j0])
-        assert not used
+            assert out.h_applied == tables.fires[j0]
+            assert _bits(used[0]) == _bits(tables.start)
+            assert [_bits(row) for row in used[1:]] == \
+                ([_bits(tables.restart[j0])] if out.h_applied else [])
+
+
+@pytest.mark.parametrize("phase", [False, True])
+@pytest.mark.parametrize("mu", range(11))
+def test_restart_stack_matches_the_scalar_rotation(mu, phase):
+    # the stack holds every count's restart at once: H of the state at
+    # net count 2 j0 - k rotated one count at a time in Python floats
+    # (reference.restart_after_h) gives alpha^2 to 2e-15 relative (numpy's
+    # log and exp may round the last bit or so otherwise than math's) and
+    # the signs and the firing counts bit for bit
+    params = WalkParams(mu)
+    for k in (1, 2, 3, 7, 64, 999, 1000):
+        for rule in (DecisionRule(k=k, mode="always-apply-h"), DecisionRule(k=k, i1=0.2, i2=0.8)):
+            fired = ([True] * (k + 1) if rule.mode == "always-apply-h"
+                     else [rule.i1 < j0 / k < rule.i2 for j0 in range(k + 1)])
+            for state in ALL_STATES:
+                tables = trial_tables(state, params, rule, k + 1, phase)
+                assert tables.fires.tolist() == fired
+                alpha, beta = tables.start.amplitudes(2 * np.arange(k + 1) - k)
+                ref = [restart_after_h(QubitState(a, b), params, k, phase)
+                       for a, b in zip(alpha.tolist(), beta.tolist())]
+                zero, sign_alpha, sign_beta = map(np.array, zip(*ref))
+                restart = tables.restart
+                assert np.all(np.abs(restart.alpha2 - zero) <= 2e-15 * zero)
+                assert restart.sign_alpha.tolist() == sign_alpha.tolist()
+                assert restart.sign_beta.tolist() == sign_beta.tolist()
+                assert tables.zero_after.tolist() == \
+                    [np.where(fired, restart.alpha2, z).tolist() for z in (1.0, 0.0)]
+
+
+def test_tables_are_built_without_a_per_count_loop(monkeypatch):
+    # the tables of k = 10^4 are one stack: a single amplitudes call over
+    # every count and no QubitState but the start
+    calls = {"states": 0, "amplitudes": 0}
+    post_init = QubitState.__post_init__
+    amplitudes = WalkRow.amplitudes
+
+    def count_state(state):
+        calls["states"] += 1
+        post_init(state)
+
+    def count_amplitudes(row, n):
+        calls["amplitudes"] += 1
+        return amplitudes(row, n)
+
+    monkeypatch.setattr(QubitState, "__post_init__", count_state)
+    monkeypatch.setattr(WalkRow, "amplitudes", count_amplitudes)
+    for phase in (False, True):
+        calls.update(states=0, amplitudes=0)
+        rule = DecisionRule(k=10_000, mode="always-apply-h")
+        tables = trial_tables.__wrapped__(StateLabel.PLUS, WalkParams(3), rule, 20_000, phase)
+        assert tables.restart.x0.shape == (10_001,)
+        assert calls == {"states": 1, "amplitudes": 1}
 
 
 def test_run_trial_deterministic():
@@ -326,6 +377,8 @@ def test_tie_possible_only_at_even_r():
 ])
 def test_decision_rule_fires(rule, fired):
     assert [rule.fires(j0) for j0 in range(rule.k + 1)] == fired
+    # one call over an array of counts gives the per-count answers
+    assert rule.fires(np.arange(rule.k + 1)).tolist() == fired
 
 
 def exact_cdf(n: int, q: float) -> tuple[list[int], int]:

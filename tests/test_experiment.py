@@ -16,7 +16,7 @@ import qsdwalk.discriminate as discriminate
 import qsdwalk.experiment as experiment
 from qsdwalk.cli import main
 from qsdwalk.discriminate import (MAX_STEPS, MODES, Binomial, DecisionRule, StateLabel,
-                                  count_law, restart_rows, run_trial, trial_tables)
+                                  count_law, run_trial, trial_tables)
 from qsdwalk.experiment import (
     _CHUNK_TRIALS,
     ExperimentConfig,
@@ -84,6 +84,25 @@ def test_sizes_that_are_not_integers_are_refused(field, value):
         build(value)
     build(np.int64(3))
     build(3)
+
+
+def test_narrow_numpy_sizes_are_kept_as_python_ints():
+    # in their own dtype t = 2 mu + 1 overflowed int8 at mu = 100, and
+    # k + 1 = 128 wrapped to -128, so the tables of k = 127 asked numpy for
+    # arrays of negative dimension
+    assert WalkParams(np.int8(100)).t == 201
+    rule = DecisionRule(k=np.int8(127), mode="always-apply-h")
+    tables = trial_tables(StateLabel.PLUS, WalkParams(2), rule, 200)
+    assert tables.zero_after.shape == (2, 128) and tables.fires.all()
+    narrow = ExperimentConfig(trials=np.int16(300), r=np.int8(101), mu=np.uint8(2),
+                              master_seed=np.uint64(2**64 - 1), rule=DecisionRule(k=np.int8(3)))
+    sizes = (narrow.trials, narrow.r, narrow.mu, narrow.master_seed, narrow.rule.k,
+             WalkParams(np.int8(100)).mu)
+    assert [type(v) for v in sizes] == [int] * 6
+    wide = ExperimentConfig(trials=300, r=101, mu=2, master_seed=2**64 - 1,
+                            rule=DecisionRule(k=3))
+    assert narrow == wide
+    assert run_experiment(narrow) == run_experiment(wide)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
@@ -369,9 +388,8 @@ def test_config_past_the_cap_equals_reference_kernel():
                               master_seed=5, rule=DecisionRule(k=700, mode="always-apply-h"))
     tables = trial_tables(StateLabel.PLUS, WalkParams(config.mu), config.rule, config.r)
     assert tables.fires.all()
-    rows = restart_rows(tables.start, np.arange(config.rule.k + 1), config.rule.k)
-    assert len({row.x0 for row in rows}) > 200
-    restart = [row.alpha2 for row in rows]
+    assert len(set(tables.restart.x0.tolist())) > 200
+    restart = tables.restart.alpha2.tolist()
     assert tables.zero_after.tolist() == [restart, restart]
     assert_agrees_with_reference(config)
 
@@ -873,7 +891,7 @@ def scalar_votes(tables, r: int, u0: float, u1: float, u2: float, u3: float):
     `tables`, as run_trial decides it: the vote from the count over the
     steps after k, not from the thresholds below and through."""
     law = tables.law
-    z = int(u0 >= tables.start.alpha2)
+    z = int(u0 >= tables.zero_start)
     j0 = law.step_k[z].count(u1)
     z = int(u2 >= tables.zero_after[z, j0])
     zeros = j0 + law.after_k[z].count(u3)
