@@ -203,6 +203,18 @@ class Binomial:
         return np.where(i < 0, 0.0, self.cdf[np.clip(i, 0, len(self.cdf) - 1)])
 
 
+def interior(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of `values` strictly between 0 and 1,
+    ascending: the thresholds a draw can fall either side of. Sorted and
+    deduplicated here, not by np.unique, whose import of numpy.ma costs a
+    megabyte of memory."""
+    inner = values[(0.0 < values) & (values < 1.0)]
+    inner.sort()
+    keep = np.ones(len(inner), dtype=bool)
+    np.not_equal(inner[1:], inner[:-1], out=keep[1:])
+    return inner[keep]
+
+
 @dataclass(frozen=True)
 class CountLaw:
     """The count laws one (mu, k, r) gives every start, per component z.
@@ -212,12 +224,15 @@ class CountLaw:
     the count over the r - k steps left. below[z, j0] and through[z, j0]
     are the thresholds of the vote: a u3 below `below` draws so few zeros
     after step k that the vote names bit 1 (j1 > j0 over all r steps),
-    and one in [below, through) a tie (even r only)."""
+    and one in [below, through) a tie (even r only). vote_thresholds is
+    the interior of below and through, listed once here since both hold
+    k + 1 entries a component."""
 
     step_k: tuple[Binomial, Binomial]
     after_k: tuple[Binomial, Binomial]
     below: np.ndarray
     through: np.ndarray
+    vote_thresholds: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -227,11 +242,14 @@ def count_law(params: WalkParams, k: int, r: int) -> CountLaw:
     q = [c * c for c in params.factors[:2]] if params.mu else [1.0, 0.0]
     after_k = tuple(Binomial.of(r - k, p) for p in q)
     j0 = np.arange(k + 1)
+    below = np.stack([law.at((r + 1) // 2 - 1 - j0) for law in after_k])
+    through = np.stack([law.at(r // 2 - j0) for law in after_k])
     return CountLaw(
         step_k=tuple(Binomial.of(k, p) for p in q),
         after_k=after_k,
-        below=np.stack([law.at((r + 1) // 2 - 1 - j0) for law in after_k]),
-        through=np.stack([law.at(r // 2 - j0) for law in after_k]),
+        below=below,
+        through=through,
+        vote_thresholds=interior(np.concatenate((below, through))),
     )
 
 
@@ -271,7 +289,9 @@ class TrialTables:
     the walk restarted by H at each j0, and zero_after[z, j0], the chance
     of component 0 after step k. Where H fires and a step follows, that
     is alpha^2 of restart[j0]; elsewhere the record stays one mixture, so
-    the component drawn at the start is kept (1 for z = 0, 0 for z = 1)."""
+    the component drawn at the start is kept (1 for z = 0, 0 for z = 1).
+    after_thresholds is the interior of zero_after, listed once here
+    since it holds k + 1 entries a component."""
 
     law: CountLaw
     start: WalkRow
@@ -279,6 +299,7 @@ class TrialTables:
     fires: np.ndarray
     restart: WalkRow
     zero_after: np.ndarray
+    after_thresholds: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +317,7 @@ def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: i
     if r > k:
         zero_after[:, fires] = restart.alpha2[fires]
     return TrialTables(count_law(params, k, r), start, float(start.alpha2), fires, restart,
-                       zero_after)
+                       zero_after, interior(zero_after))
 
 
 def decide(tables: list[TrialTables], u0: np.ndarray, j0_of: np.ndarray, u2: np.ndarray,

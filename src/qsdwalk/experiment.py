@@ -48,7 +48,9 @@ threshold of its set (or one <= 0 or >= 1), and a bucket spans
 group whose grid has more cells than a chunk has trials (rules that
 fire at many counts of a large k) is decided by the same rule from
 each trial's own draws, a job at a time. What a pass holds does not
-grow with r or the trial count.
+grow with r or the trial count: every chunk draws into one buffer,
+allocated once a pass, so the pages a chunk's draws fill are not freed
+and faulted in again by the next.
 """
 
 from __future__ import annotations
@@ -59,13 +61,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminate import (CountLaw, DecisionRule, StateLabel, TrialOutcome, TrialTables,
-                           check_steps, decide, run_trial, trial_tables)
+                           check_steps, decide, interior, run_trial, trial_tables)
 from .rng import batch_uniform, check_integer, check_seed, substream, substream_states
 from .walk import WalkParams
 
 _ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
 
 # Trials a pass draws and counts at once; its buffers scale with this.
+# Every chunk draws into one buffer of this many trials' draws (fewer
+# when the run has fewer trials), allocated once a pass.
 _CHUNK_TRIALS = 1 << 14
 # Uniforms a trial reads: the component, j0 at step k, the component
 # after step k, the vote.
@@ -142,22 +146,23 @@ class PhasePoint:
 _Job = tuple[StateLabel, int, bool]
 
 
-def _interior(values) -> np.ndarray:
-    """The distinct values strictly between 0 and 1, ascending (not
-    np.unique, whose import of numpy.ma costs a megabyte of memory)."""
+def _few_interior(values: list[float]) -> np.ndarray:
+    """interior() of a list of floats, by a Python set: on the handful of
+    starts and step-k CDF entries of a small k, four times as fast as numpy."""
     return np.array(sorted({v for v in values if 0.0 < v < 1.0}), dtype=float)
 
 
 def _threshold_sets(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
     """The interior thresholds each draw of a mu group's jobs is compared
     with: u0 with the starts' alpha^2, u1 with both step-k CDFs, u2 with
-    zero_after and u3 with the vote's below and through."""
+    zero_after and u3 with the vote's below and through. The last two
+    grow with k, so their interiors are listed once with the tables, and
+    a pass only merges them."""
     law = tables[0].law
-    return tuple(_interior(values) for values in (
-        [t.zero_start for t in tables],
-        law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist(),
-        [a for t in tables for a in t.zero_after.ravel().tolist()],
-        law.below.ravel().tolist() + law.through.ravel().tolist()))
+    return (_few_interior([t.zero_start for t in tables]),
+            _few_interior(law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist()),
+            interior(np.concatenate([t.after_thresholds for t in tables])),
+            law.vote_thresholds)
 
 
 def _bucket(u: np.ndarray, thresholds: np.ndarray, hit: np.ndarray) -> np.ndarray:
@@ -232,10 +237,12 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
             tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
         else:
             keyed.append(group)
+    # every chunk's draws, so their pages are faulted in once a pass
+    buffer = np.empty((_DRAWS, min(_CHUNK_TRIALS, config.trials)))
     for start in range(0, config.trials, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, config.trials - start)
         draws = batch_uniform(substream_states(config.master_seed, start, size),
-                              np.empty((_DRAWS, size)))
+                              buffer[:, :size])
         for _, _, sets, hist in tallied:
             hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
         u0, u1, u2, u3 = draws
@@ -314,6 +321,7 @@ def sweep_mu(base: ExperimentConfig, mu_values) -> list[SweepPoint]:
 def collect_traces(config: ExperimentConfig, sample_count: int) -> list[TrialOutcome]:
     """Full traces of the first sample_count trials, per state in config
     order. Trial i here decides as trial i of run_experiment."""
+    sample_count = check_integer(sample_count, "sample_count")
     if sample_count < 0 or sample_count > config.trials:
         raise ValueError(
             f"sample_count must be in 0..trials={config.trials}, got {sample_count}")

@@ -14,7 +14,9 @@ package decides a trial from four draws instead, so its counts are held
 to reference_counts in distribution, not bit for bit. Imported by test_walk,
 test_oracle, test_experiment and acceptance criterion 4. splitmix64 is
 the generator in Python ints, the independent reference that
-test_rng holds the package's numpy streams to.
+test_rng holds the package's numpy streams to. threshold_sets lists a
+mu group's thresholds from every tabled entry as Python floats, as
+test_experiment holds the interiors the package lists with numpy to.
 
 The exact rates below come from branch enumeration at the decision
 point followed by a binomial-mixture recursion over the remaining
@@ -260,3 +262,17 @@ def reference_phase_success(state: StateLabel, config: ExperimentConfig) -> floa
             ac, bc = np.where(h, (ac + bc) / SQRT2, ac), np.where(h, (ac - bc) / SQRT2, bc)
     success = (config.r - j0 > j0) == bool(state.bit)
     return int(np.count_nonzero(success)) / config.trials
+
+
+def threshold_sets(tables) -> list[list[float]]:
+    """The thresholds each draw of a mu group's jobs is compared with
+    (experiment._threshold_sets), entry by entry in Python floats: the
+    sorted set of values strictly between 0 and 1 of the starts' alpha^2
+    (u0), both step-k CDFs (u1), every zero_after entry (u2), and every
+    below and through entry of the vote (u3)."""
+    law = tables[0].law
+    return [sorted({v for v in values if 0.0 < v < 1.0}) for values in (
+        [t.zero_start for t in tables],
+        law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist(),
+        [a for t in tables for a in t.zero_after.ravel().tolist()],
+        law.below.ravel().tolist() + law.through.ravel().tolist())]

@@ -39,6 +39,7 @@ from reference import (
     EXACT_TOTAL,
     reference_counts,
     reference_phase_success,
+    threshold_sets,
 )
 
 ALL_STATES = (StateLabel.ZERO, StateLabel.ONE, StateLabel.PLUS, StateLabel.MINUS)
@@ -70,6 +71,9 @@ SIZES = {
     "walk_agreement.cases": (lambda v: walk_agreement(v, 2, 5, 1), "cases"),
     "walk_agreement.mu_max": (lambda v: walk_agreement(10, v, 5, 1), "mu_max"),
     "walk_agreement.max_steps": (lambda v: walk_agreement(10, 2, v, 1), "max_steps"),
+    # True ran one trace per state and 2.0 failed with range()'s TypeError
+    "collect_traces.sample_count": (lambda v: collect_traces(ExperimentConfig(trials=5), v),
+                                    "sample_count"),
 }
 
 
@@ -690,42 +694,51 @@ def test_pass_memory_is_fixed_buffers(cap, law_cap):
 @pytest.mark.parametrize("cap", [None, 0])
 def test_steps_allocate_nothing(cap, law_cap, monkeypatch):
     # a pass steps from chunk to chunk, not trial by trial through r
-    # steps: each chunk draws its trials' four uniforms once. A chunk's
+    # steps: each chunk draws its trials' four uniforms once, into one
+    # buffer the pass allocates before its first chunk (a short last
+    # chunk draws into a view of its first columns). A chunk's other
     # arrays live until the next chunk rebinds them, so traced memory at
     # each chunk start after the first is where it was at the last one
-    # (the marks go into arrays made beforehand, so they allocate nothing)
+    # (the marks go into arrays and a list made beforehand, so they
+    # allocate nothing)
     law_cap(cap)
-    config = ExperimentConfig(trials=40_000, r=400, master_seed=4)
     size = 4000
     with_chunks(monkeypatch, size)
-    chunks = config.trials // size
-    marks = np.zeros(chunks, dtype=np.int64)
-    drawn = np.zeros((chunks, 2), dtype=np.int64)
-    calls = [0, 0]
     states, uniform = experiment.substream_states, experiment.batch_uniform
+    for trials in (40_000, 42_000):  # ten full chunks, then one short chunk more
+        config = ExperimentConfig(trials=trials, r=400, master_seed=4)
+        full, last = divmod(config.trials, size)
+        chunks = full + (last > 0)
+        marks = np.zeros(chunks, dtype=np.int64)
+        drawn = np.zeros((chunks, 2), dtype=np.int64)
+        buffers = [None] * chunks
+        calls = [0, 0]
 
-    def chunk_start(*args):
-        marks[calls[0]] = tracemalloc.get_traced_memory()[0]
-        calls[0] += 1
-        return states(*args)
+        def chunk_start(*args):
+            marks[calls[0]] = tracemalloc.get_traced_memory()[0]
+            calls[0] += 1
+            return states(*args)
 
-    def draw(streams, out):
-        drawn[calls[1]] = out.shape
-        calls[1] += 1
-        return uniform(streams, out)
+        def draw(streams, out):
+            drawn[calls[1]] = out.shape
+            buffers[calls[1]] = out.base
+            calls[1] += 1
+            return uniform(streams, out)
 
-    _job_counts(config, real_jobs(config))
-    monkeypatch.setattr(experiment, "substream_states", chunk_start)
-    monkeypatch.setattr(experiment, "batch_uniform", draw)
-    tracemalloc.start()
-    try:
         _job_counts(config, real_jobs(config))
-    finally:
-        tracemalloc.stop()
-    assert calls == [chunks, chunks]
-    assert (drawn == (4, size)).all()
-    assert marks[1] - marks[0] <= 160 * size  # one chunk's arrays
-    assert marks[1:].max() - marks[1:].min() <= 1024  # a few small objects, not arrays
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "substream_states", chunk_start)
+            patch.setattr(experiment, "batch_uniform", draw)
+            tracemalloc.start()
+            try:
+                _job_counts(config, real_jobs(config))
+            finally:
+                tracemalloc.stop()
+        assert calls == [chunks, chunks]
+        assert drawn.tolist() == [[4, size]] * full + [[4, last]] * (last > 0)
+        assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+        assert marks[1] - marks[0] <= 160 * size  # one chunk's arrays
+        assert marks[1:].max() - marks[1:].min() <= 1024  # a few small objects, not arrays
 
 
 # configs of the decision identity between run_trial and the batch engine
@@ -860,6 +873,54 @@ def test_compare_and_searched_buckets_agree(monkeypatch):
             buckets.append(experiment._bucket(u, thresholds, np.empty(u.size, dtype=bool)))
         assert buckets[0].tolist() == buckets[1].tolist()
         assert buckets[0].tolist() == np.searchsorted(thresholds, u, side="right").tolist()
+
+
+@pytest.mark.parametrize("mu", range(11))
+def test_threshold_sets_equal_python_sets(mu, law_cap):
+    # the interiors of zero_after and of the vote's below and through are
+    # listed in numpy with the tables; a group's sets hold the same
+    # floats, bit for bit, as the sets of every tabled entry in Python.
+    # Both walks and the four kinds of rule run to k = 1000; past it the
+    # vote's thresholds (one law for every rule) and zero_after at the
+    # counts that fire are met at k = 10^4 by the rules that fire at
+    # every count and at a middle band, and at k = 10^5 by the first
+    law_cap(None)
+    params = WalkParams(mu)
+    always, band = (dict(mode="always-apply-h"), dict(i1=0.2, i2=0.8))
+    groups = [((k, r), rule, phase)
+              for k, r in ((1, 1), (1, 2), (2, 100), (3, 50), (7, 61), (30, 30), (1000, 2001))
+              for rule in (always, band, dict(), dict(mode="never-apply-h"))
+              for phase in (False, True)]
+    groups += [((10_000, 30_001), rule, phase) for rule in (always, band) for phase in (False, True)]
+    if mu in (0, 2, 10):
+        groups.append(((100_000, 200_001), always, False))
+    for (k, r), rule, phase in groups:
+        tables = [trial_tables(s, params, DecisionRule(k=k, **rule), r, phase)
+                  for s in ALL_STATES]
+        assert [t.tobytes() for t in experiment._threshold_sets(tables)] == \
+            [np.array(ref, dtype=float).tobytes() for ref in threshold_sets(tables)]
+        if k > 1000:
+            trial_tables.cache_clear()  # a table of k = 10^5 holds megabytes
+
+
+def test_thresholds_of_a_large_k_are_listed_in_numpy(law_cap):
+    # at k = 10^5 a group's tables hold 1.2M entries of zero_after, below
+    # and through. Built from cold caches with their threshold sets, they
+    # peak below 24 bytes an entry: the tables' own arrays take about 19,
+    # and a Python float (32 bytes) for every entry would not fit
+    law_cap(None)
+    rule = DecisionRule(k=100_000, mode="always-apply-h")
+    tracemalloc.start()
+    try:
+        tables = [trial_tables(s, WalkParams(2), rule, 10**6) for s in ALL_STATES]
+        experiment._threshold_sets(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    law = tables[0].law
+    entries = sum(t.zero_after.size for t in tables) + law.below.size + law.through.size
+    assert entries == 1_200_012
+    assert peak < 24 * entries
 
 
 @pytest.mark.parametrize("mu", [0, 1, 2, 5])
