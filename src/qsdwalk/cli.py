@@ -241,7 +241,9 @@ def cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qsdwalk",
         description="Single-copy discrimination of zero/one/plus/minus via "
@@ -285,12 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_oracle_check)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return _build_parser()
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,21 @@ The outcome operators diag(c0, c1) and diag(s0, s1) = diag(c1, c0)
 commute, so a record's probability depends only on its counts: from
 (alpha, beta), the count of outcome 0 over m steps is the mixture
 alpha^2 Bin(m, c0^2) + beta^2 Bin(m, c1^2). A trial is decided from
-that law (trial_tables) in four draws, and its steps are laid out after.
+that law in four draws, and its steps are laid out after:
+
+- u0 picks the component z from alpha^2 of the start;
+- u1 inverts the CDF of Bin(k, c_z^2): the count j0 at step k, which
+  decides whether H fires (DecisionRule.fires);
+- if H fires and steps follow, u2 picks the component again, from
+  alpha^2 of the row the walk restarts in (restart_rows); otherwise the
+  record is still one mixture and the component drawn by u0 is kept;
+- u3 decides the vote: the count over the r - k steps left is drawn
+  from Bin(r - k, c_z'^2), so the vote names bit 1 iff u3 lies below
+  that CDF at ceil(r/2) - 1 - j0, and a tie (even r) iff it lies below
+  the CDF at r/2 - j0 but not the first.
+
+trial_tables holds what each draw is compared with; decide is the rule
+over arrays of draws, and run_trial the same rule one trial at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,6 +117,11 @@ class DecisionRule:
         object.__setattr__(self, "k", check_integer(self.k, "decision iteration k"))
         if self.k < 1:
             raise ValueError(f"decision iteration k must be >= 1, got {self.k}")
+        for name in ("i1", "i2"):
+            bound = getattr(self, name)
+            if isinstance(bound, bool) or not isinstance(bound, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ValueError(f"{name} must be a real number, got {bound!r}")
         if self.mode == "interval" and not (0.0 <= self.i1 < self.i2 <= 1.0):
             raise ValueError(
                 f"interval bounds need 0 <= i1 < i2 <= 1, got ({self.i1}, {self.i2})"
@@ -224,14 +243,16 @@ class CountLaw:
     the count over the r - k steps left. below[z, j0] and through[z, j0]
     are the thresholds of the vote: a u3 below `below` draws so few zeros
     after step k that the vote names bit 1 (j1 > j0 over all r steps),
-    and one in [below, through) a tie (even r only). vote_thresholds is
-    the interior of below and through, listed once here since both hold
-    k + 1 entries a component."""
+    and one in [below, through) a tie (even r only). step_thresholds and
+    vote_thresholds are the interiors of both step-k CDFs (met by u1) and
+    of below and through (met by u3), listed once here for every walk at
+    this mu."""
 
     step_k: tuple[Binomial, Binomial]
     after_k: tuple[Binomial, Binomial]
     below: np.ndarray
     through: np.ndarray
+    step_thresholds: np.ndarray
     vote_thresholds: np.ndarray
 
 
@@ -244,11 +265,13 @@ def count_law(params: WalkParams, k: int, r: int) -> CountLaw:
     j0 = np.arange(k + 1)
     below = np.stack([law.at((r + 1) // 2 - 1 - j0) for law in after_k])
     through = np.stack([law.at(r // 2 - j0) for law in after_k])
+    step_k = tuple(Binomial.of(k, p) for p in q)
     return CountLaw(
-        step_k=tuple(Binomial.of(k, p) for p in q),
+        step_k=step_k,
         after_k=after_k,
         below=below,
         through=through,
+        step_thresholds=interior(np.concatenate([law.cdf for law in step_k])),
         vote_thresholds=interior(np.concatenate((below, through))),
     )
 
@@ -285,21 +308,38 @@ def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) ->
 class TrialTables:
     """Everything a trial of one walk reads: the count laws of its mu,
     its start row and zero_start, alpha^2 there (the chance of component
-    0), whether H fires at each j0, the stack of rows restart_rows gives
-    the walk restarted by H at each j0, and zero_after[z, j0], the chance
-    of component 0 after step k. Where H fires and a step follows, that
-    is alpha^2 of restart[j0]; elsewhere the record stays one mixture, so
+    0), whether H fires at each j0, and zero_after[z, j0], the chance of
+    component 0 after step k. Where H fires and a step follows, that is
+    alpha^2 of restart[j0]; elsewhere the record stays one mixture, so
     the component drawn at the start is kept (1 for z = 0, 0 for z = 1).
-    after_thresholds is the interior of zero_after, listed once here
-    since it holds k + 1 entries a component."""
+    restart, the stack of rows restart_rows gives at each j0, is built on
+    its first read: at k = r no step follows H, so only a trace reads it.
+    thresholds lists, per draw u0..u3, the interior of the values decide
+    compares it with: zero_start, both step-k CDFs (the law's array),
+    zero_after, and the vote's below and through (the law's array)."""
 
     law: CountLaw
     start: WalkRow
     zero_start: float
     fires: np.ndarray
-    restart: WalkRow
+    phase: bool
     zero_after: np.ndarray
-    after_thresholds: np.ndarray
+
+    @cached_property
+    def restart(self) -> WalkRow:
+        k = len(self.fires) - 1
+        return restart_rows(self.start, np.arange(k + 1), k, self.phase)
+
+    @cached_property
+    def thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return (_start_thresholds(self.zero_start), self.law.step_thresholds,
+                interior(self.zero_after), self.law.vote_thresholds)
+
+
+@lru_cache(maxsize=64)
+def _start_thresholds(zero_start: float) -> np.ndarray:
+    """interior() of one start's alpha^2, one array for equal starts."""
+    return interior(np.array([zero_start]))
 
 
 @lru_cache(maxsize=64)
@@ -310,35 +350,48 @@ def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: i
     H as the phase-tracking variant (restart_rows)."""
     k = rule.k
     start = WalkRow.start(state.to_state(), params)
-    j0 = np.arange(k + 1)
-    fires = rule.fires(j0)
-    restart = restart_rows(start, j0, k, phase)
-    zero_after = np.array([[1.0], [0.0]]).repeat(k + 1, axis=1)
+    fires = rule.fires(np.arange(k + 1))
+    tables = TrialTables(count_law(params, k, r), start, float(start.alpha2), fires, phase,
+                         np.array([[1.0], [0.0]]).repeat(k + 1, axis=1))
     if r > k:
-        zero_after[:, fires] = restart.alpha2[fires]
-    return TrialTables(count_law(params, k, r), start, float(start.alpha2), fires, restart,
-                       zero_after, interior(zero_after))
+        tables.zero_after[:, fires] = tables.restart.alpha2[fires]
+    return tables
 
 
-def decide(tables: list[TrialTables], u0: np.ndarray, j0_of: np.ndarray, u2: np.ndarray,
-           u3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """run_trial's decision from its four draws, for many draws and the
-    jobs of one (mu, k, r) at once: u0, u2 and u3 are arrays of one
-    shape, and j0_of[z] holds law.step_k[z].count(u1) at each draw u1.
-    Returns bool arrays over (job, draw): the vote names bit 1, H is
-    applied, and the vote names bit 1 or ties. Each table is read as it
-    is, by the flat index z * (k + 1) + j0 of a component z and count j0."""
+def draw_thresholds(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
+    """The thresholds each draw of one mu group's jobs is compared with:
+    per draw, the union of the jobs' TrialTables.thresholds. Where the
+    non-empty sets are one array (the law's, or equal starts'), it is
+    read as it is."""
+    merged = []
+    for sets in zip(*(t.thresholds for t in tables)):
+        shared = {id(s): s for s in sets if len(s)}
+        merged.append(shared.popitem()[1] if len(shared) == 1 else interior(np.concatenate(sets)))
+    return tuple(merged)
+
+
+def decide(tables: list[TrialTables], draws: np.ndarray,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """run_trial's decision from its four draws, for many trials and the
+    jobs of one (mu, k, r) at once. draws holds the rows u0..u3, one
+    column a trial. Returns, per job, the trials that vote bit 1, that
+    apply H, both, and that vote bit 1 or tie: counts, or the sums of
+    `weights` (one per trial) over them. Each table is read as it is, by
+    the flat index z * (k + 1) + j0 of a component z and count j0."""
+    u0, u1, u2, u3 = draws
     law = tables[0].law
     width = law.below.shape[1]  # k + 1
-    one, h, one_or_tie = [], [], []
+    j0_of = [law.step_k[z].count(u1) for z in (0, 1)]
+    votes = []
     for t in tables:
         z = u0 >= t.zero_start
         j0 = np.where(z, j0_of[1], j0_of[0])
         key = j0 + width * (u2 >= np.take(t.zero_after, j0 + width * z))
-        one.append(u3 < np.take(law.below, key))
-        h.append(np.take(t.fires, j0))
-        one_or_tie.append(u3 < np.take(law.through, key))
-    return np.array(one), np.array(h), np.array(one_or_tie)
+        one, h = u3 < np.take(law.below, key), np.take(t.fires, j0)
+        votes.append((one, h, one & h, u3 < np.take(law.through, key)))
+    if weights is None:
+        return np.array([[np.count_nonzero(a) for a in job] for job in votes])
+    return np.array(votes) @ weights
 
 
 def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:
@@ -359,20 +412,17 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     """Run one full discrimination trial of r iterations.
 
     Consumes 4 + r uniform draws from rng. The first four decide the
-    trial from its counts, as the batch engine decides trial i from the
-    same four and the same trial_tables: u0 picks the component, u1 the
-    count j0 at step k, u2 the component after step k (where H fires)
-    and u3 the count over the steps after k. The checkpoint test
-    (rule.fires) reads j0. The other r draws lay the outcomes out step
-    by step: in a stretch (steps up to k, or after it) with a zeros
-    left among L steps, outcome 0 comes with probability a/L, so every
-    order of the stretch is equally likely, as the walk makes it. The
-    traced amplitudes come from the closed-form rows (walk.WalkRow) by
-    the net count since the start, read out to r through _trace_lists,
-    and, once H fires, since H in tables.restart[j0] for this trial's own
-    j0, signs included: the row whose alpha^2 the decision read from
-    zero_after. phase=True walks the phase-tracking variant after H
-    (restart_rows).
+    trial from its counts (see the module docstring), as decide does
+    from the same four and the same trial_tables. The other r draws lay
+    the outcomes out step by step: in a stretch (steps up to k, or after
+    it) with a zeros left among L steps, outcome 0 comes with
+    probability a/L, so every order of the stretch is equally likely, as
+    the walk makes it. The traced amplitudes come from the closed-form
+    rows (walk.WalkRow) by the net count since the start, read out to r
+    through _trace_lists, and, once H fires, since H in
+    tables.restart[j0] for this trial's own j0, signs included: the row
+    whose alpha^2 the decision read from zero_after where steps follow.
+    phase=True walks the phase-tracking variant after H (restart_rows).
     """
     r = check_steps(r, rule)
     k = rule.k

@@ -5,28 +5,9 @@ pure function of its config: runs are replayable, and different states,
 mu values and walk variants see the same uniforms (common random
 numbers, which sharpens sweep comparisons).
 
-A trial reads four of those uniforms, not r. The qubit's two outcome
-operators are diagonal and commute (c1 = s0, s1 = c0), so a record's
-probability depends only on its counts: from (alpha, beta), the count
-of outcome 0 over m steps is alpha^2 Bin(m, c0^2) + beta^2 Bin(m, c1^2),
-and drawing the component first leaves a plain binomial. So trial i is
-decided by four draws (discriminate.trial_tables holds the laws):
-
-- u0 picks the component z from alpha^2 of the start;
-- u1 inverts the CDF of Bin(k, c_z^2): the count j0 at step k, which
-  decides whether H fires (DecisionRule.fires);
-- if H fires and steps follow, u2 picks the component again, from
-  alpha^2 of the row the walk restarts in (restart_rows); otherwise the
-  record is still one mixture and the component drawn by u0 is kept;
-- u3 decides the vote: the count over the r - k steps left is drawn
-  from Bin(r - k, c_z'^2), so the vote names bit 1 iff u3 lies below
-  that CDF at ceil(r/2) - 1 - j0, and a tie (even r) iff it lies below
-  the CDF at r/2 - j0 but not the first. Both thresholds are tabled by
-  (z', j0), so no trial steps r times.
-
-discriminate.run_trial draws the same four uniforms and reads the same
-cached tables, so batch and scalar decisions are equal by construction;
-it then lays the steps out for the trace.
+A trial reads four of those uniforms, not r: discriminate states how
+they decide it. run_trial and decide read the same four and the same
+cached tables, so scalar and batch decisions are equal by construction.
 
 Every run is one pass. A job is one walk that every trial runs: a start
 state, a mu, and the real or phase-tracking restart after H.
@@ -35,22 +16,18 @@ states, phase_report every state twice. The pass is a serial loop over
 chunks of _CHUNK_TRIALS trials that draws a chunk's four uniforms once.
 
 Each draw is only ever compared with a tabled threshold, and the jobs at
-one mu share few of them: u0 meets the starts' alpha^2, u1 both step-k
-CDFs, u2 zero_after and u3 below and through. So a chunk buckets each
-draw by its set of interior thresholds (the bucket of u counts the
-thresholds <= u), folds a trial's four buckets into one cell of the
-group's grid and adds the cells to the group's histogram. The rule
-itself is stated once, as discriminate.decide over arrays of draws.
-After the pass it decides each job once per occupied cell, at the
-cell's least draws: the rule only asks whether a draw lies below a
-threshold of its set (or one <= 0 or >= 1), and a bucket spans
-[T[b-1], T[b]), so every draw in it decides as its least one does. A
-group whose grid has more cells than a chunk has trials (rules that
-fire at many counts of a large k) is decided by the same rule from
-each trial's own draws, a job at a time. What a pass holds does not
-grow with r or the trial count: every chunk draws into one buffer,
-allocated once a pass, so the pages a chunk's draws fill are not freed
-and faulted in again by the next.
+one mu share few of them (discriminate.draw_thresholds). So a chunk
+buckets each draw by its set (the bucket of u counts the thresholds
+<= u), folds a trial's four buckets into one cell of the group's grid
+and adds the cells to the group's histogram. After the pass decide takes
+each occupied cell's least draws, weighted by the cell's trials: the
+rule only asks whether a draw lies below a threshold of its set (or one
+<= 0 or >= 1), and a bucket spans [T[b-1], T[b]), so every draw in it
+decides as its least one does. A group whose grid has more cells than a
+chunk has trials (rules that fire at many counts of a large k) is
+decided from each chunk's own draws. What a pass holds does not grow
+with r or the trial count: every chunk draws into one buffer, allocated
+once a pass, so the pages a chunk's draws fill are not faulted in again.
 """
 
 from __future__ import annotations
@@ -60,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminate import (CountLaw, DecisionRule, StateLabel, TrialOutcome, TrialTables,
-                           check_steps, decide, interior, run_trial, trial_tables)
+from .discriminate import (DecisionRule, StateLabel, TrialOutcome, TrialTables, check_steps,
+                           decide, draw_thresholds, run_trial, trial_tables)
 from .rng import batch_uniform, check_integer, check_seed, substream, substream_states
 from .walk import WalkParams
 
@@ -99,6 +76,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.states:
             raise ValueError("states must not be empty")
+        for state in self.states:
+            if not isinstance(state, StateLabel):
+                raise ValueError(f"states must hold StateLabel members, got {state!r}")
+        if not isinstance(self.rule, DecisionRule):
+            raise ValueError(f"rule must be a DecisionRule, got {self.rule!r}")
         object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -146,25 +128,6 @@ class PhasePoint:
 _Job = tuple[StateLabel, int, bool]
 
 
-def _few_interior(values: list[float]) -> np.ndarray:
-    """interior() of a list of floats, by a Python set: on the handful of
-    starts and step-k CDF entries of a small k, four times as fast as numpy."""
-    return np.array(sorted({v for v in values if 0.0 < v < 1.0}), dtype=float)
-
-
-def _threshold_sets(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
-    """The interior thresholds each draw of a mu group's jobs is compared
-    with: u0 with the starts' alpha^2, u1 with both step-k CDFs, u2 with
-    zero_after and u3 with the vote's below and through. The last two
-    grow with k, so their interiors are listed once with the tables, and
-    a pass only merges them."""
-    law = tables[0].law
-    return (_few_interior([t.zero_start for t in tables]),
-            _few_interior(law.step_k[0].cdf.tolist() + law.step_k[1].cdf.tolist()),
-            interior(np.concatenate([t.after_thresholds for t in tables])),
-            law.vote_thresholds)
-
-
 def _bucket(u: np.ndarray, thresholds: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """#{t in thresholds : t <= u} for each entry of u: by one compare a
     threshold, summed in int8 (at most _MAX_COMPARES < 128 of them), or
@@ -192,35 +155,22 @@ def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
     return code
 
 
-def _j0_of(law: CountLaw, u1: np.ndarray) -> np.ndarray:
-    """The count at step k that each draw u1 inverts to, per component."""
-    return np.stack([law.step_k[z].count(u1) for z in (0, 1)])
-
-
 def _tally_votes(tables: list[TrialTables], sets: tuple[np.ndarray, ...],
                  hist: np.ndarray) -> np.ndarray:
     """The votes of each job of a mu group, from the group's histogram
-    over threshold cells. The rule compares a draw only with thresholds
-    of its set, or ones <= 0 or >= 1, and a bucket spans [T[b-1], T[b]),
-    so every draw in it decides as its least draw does (0.0 in bucket
-    0): each job is decided once per occupied cell, at those draws."""
+    over threshold cells: each job decided once per occupied cell, at
+    its least draws (0.0 in bucket 0), weighted by the cell's trials."""
     cells = np.flatnonzero(hist)
     buckets = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
-    u0, u1, u2, u3 = (np.concatenate(([0.0], t))[b] for t, b in zip(sets, buckets))
-    one, h, one_or_tie = decide(tables, u0, _j0_of(tables[0].law, u1), u2, u3)
-    return (np.stack([one, h, one & h, one_or_tie]) @ hist[cells]).T
+    least = np.stack([np.concatenate(([0.0], t))[b] for t, b in zip(sets, buckets)])
+    return decide(tables, least, hist[cells])
 
 
 def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, int, int, int]]:
     """Counts of every job, (h_applied, success & h, success & no h,
     ties), from one serial pass over chunks of trials. Integers keep the
-    sum over chunks exact.
-
-    The jobs of one mu group compare the draws with few thresholds, so
-    a pass buckets each draw by the group's thresholds, tallies each
-    trial's cell in a histogram and decides every job once per occupied
-    cell after the pass. A group whose grid of cells outgrows a chunk
-    instead decides each trial of a chunk from its draws."""
+    sum over chunks exact. Each mu group is tallied by threshold cells,
+    or decided a chunk at a time if its grid outgrows a chunk."""
     tables = [trial_tables(state, WalkParams(mu), config.rule, config.r, phase)
               for state, mu, phase in jobs]
     by_mu: dict[int, list[int]] = {}
@@ -231,12 +181,12 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
     tallied, keyed = [], []
     for group in by_mu.values():
         group_tables = [tables[c] for c in group]
-        sets = _threshold_sets(group_tables)
+        sets = draw_thresholds(group_tables)
         cells = math.prod(len(t) + 1 for t in sets)
         if cells <= _MAX_CELLS:
             tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
         else:
-            keyed.append(group)
+            keyed.append((group, group_tables))
     # every chunk's draws, so their pages are faulted in once a pass
     buffer = np.empty((_DRAWS, min(_CHUNK_TRIALS, config.trials)))
     for start in range(0, config.trials, _CHUNK_TRIALS):
@@ -245,12 +195,8 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
                               buffer[:, :size])
         for _, _, sets, hist in tallied:
             hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
-        u0, u1, u2, u3 = draws
-        for group in keyed:
-            j0_of = _j0_of(tables[group[0]].law, u1)
-            for c in group:
-                one, h, one_or_tie = decide([tables[c]], u0, j0_of, u2, u3)
-                votes[c] += [np.count_nonzero(a) for a in (one, h, one & h, one_or_tie)]
+        for group, group_tables in keyed:
+            votes[group] += decide(group_tables, draws)
     for group, group_tables, sets, hist in tallied:
         votes[group] = _tally_votes(group_tables, sets, hist)
     counts = []

@@ -266,7 +266,7 @@ def reference_phase_success(state: StateLabel, config: ExperimentConfig) -> floa
 
 def threshold_sets(tables) -> list[list[float]]:
     """The thresholds each draw of a mu group's jobs is compared with
-    (experiment._threshold_sets), entry by entry in Python floats: the
+    (discriminate.draw_thresholds), entry by entry in Python floats: the
     sorted set of values strictly between 0 and 1 of the starts' alpha^2
     (u0), both step-k CDFs (u1), every zero_after entry (u2), and every
     below and through entry of the vote (u3)."""

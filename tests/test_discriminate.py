@@ -6,6 +6,7 @@ import pytest
 
 import qsdwalk.discriminate as discriminate
 from qsdwalk.discriminate import (
+    MODES,
     Binomial,
     DecisionRule,
     StateLabel,
@@ -13,6 +14,7 @@ from qsdwalk.discriminate import (
     run_trial,
     trial_tables,
 )
+from qsdwalk.experiment import ExperimentConfig, phase_report, run_experiment
 from qsdwalk.rng import substream
 from qsdwalk.walk import QubitState, WalkParams, WalkRow
 
@@ -101,6 +103,14 @@ def test_decision_rule_validation():
         DecisionRule(i1=-0.1)
     with pytest.raises(ValueError):
         DecisionRule(i2=1.1)
+    # a bound that is no real number raised a TypeError from a comparison,
+    # or was kept outside interval mode; numpy floats and ints pass
+    for name in ("i1", "i2"):
+        for bad in ("0.2", None, True, 0.5j, [0.5]):
+            for mode in MODES:
+                with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                    DecisionRule(mode=mode, **{name: bad})
+    DecisionRule(i1=np.float64(0.25), i2=np.int64(1))
 
 
 def test_run_trial_validates_iterations():
@@ -209,11 +219,13 @@ def _bits(row: WalkRow) -> tuple[str, str, str]:
     DecisionRule(k=4, mode="always-apply-h"),
     DecisionRule(k=7, i1=0.2, i2=0.8),
     DecisionRule(k=5, i1=0.1, i2=0.6),
+    DecisionRule(k=12, mode="always-apply-h"),  # k = r: no step follows H
 ])
 def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatch):
     # the row run_trial restarts in after H, for its own j0, is bit for
     # bit tables.restart[j0], whose alpha^2 is zero_after[:, j0], which
-    # decided the trial; a stack built for that count alone is the same row
+    # decided the trial (at k = r the component drawn first is kept); a
+    # stack built for that count alone is the same row
     params, r = WalkParams(mu), 12
     used = []
     trace_lists = discriminate._trace_lists
@@ -223,7 +235,8 @@ def test_trial_restarts_in_the_row_its_decision_read(rule, mu, phase, monkeypatc
         tables = trial_tables(state, params, rule, r, phase)
         for j0 in np.flatnonzero(tables.fires).tolist():
             row = tables.restart[j0]
-            assert [float(row.alpha2)] * 2 == tables.zero_after[:, j0].tolist()
+            assert tables.zero_after[:, j0].tolist() == \
+                ([float(row.alpha2)] * 2 if r > rule.k else [1.0, 0.0])
             assert _bits(restart_rows(tables.start, np.array([j0]), rule.k, phase)[0]) == \
                 _bits(row)
         for seed in range(40):
@@ -287,6 +300,33 @@ def test_tables_are_built_without_a_per_count_loop(monkeypatch):
         tables = trial_tables.__wrapped__(StateLabel.PLUS, WalkParams(3), rule, 20_000, phase)
         assert tables.restart.x0.shape == (10_001,)
         assert calls == {"states": 1, "amplitudes": 1}
+
+
+def test_a_pass_at_k_equal_r_builds_no_restart_stack(monkeypatch):
+    # at k = r no step follows H, so the decision never reads a restart
+    # row: a pass builds none, and a trace builds the stack once, on its
+    # first trial, for every trial after it
+    calls = []
+    stack = discriminate.restart_rows
+    monkeypatch.setattr(discriminate, "restart_rows",
+                        lambda *args: calls.append(args[2]) or stack(*args))
+    trial_tables.cache_clear()
+    try:
+        for mode in MODES:
+            config = ExperimentConfig(trials=500, r=300, mu=3,
+                                      rule=DecisionRule(k=300, mode=mode))
+            run_experiment(config)
+            phase_report(config)
+            assert calls == []
+        rule = DecisionRule(k=300, mode="always-apply-h")
+        for seed in range(5):
+            run_trial(StateLabel.PLUS, WalkParams(3), rule, 300, substream(seed, 0))
+        assert calls == [300]
+        # past k = r the tables read the stack as they are built
+        trial_tables(StateLabel.PLUS, WalkParams(3), rule, 301)
+        assert calls == [300, 300]
+    finally:
+        trial_tables.cache_clear()
 
 
 def test_run_trial_deterministic():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ import qsdwalk.discriminate as discriminate
 import qsdwalk.experiment as experiment
 from qsdwalk.cli import main
 from qsdwalk.discriminate import (MAX_STEPS, MODES, Binomial, DecisionRule, StateLabel,
-                                  count_law, run_trial, trial_tables)
+                                  count_law, decide, draw_thresholds, run_trial, trial_tables)
 from qsdwalk.experiment import (
     _CHUNK_TRIALS,
     ExperimentConfig,
@@ -58,6 +59,14 @@ def test_config_validation():
         ExperimentConfig(mu=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(r=1, rule=DecisionRule(k=2))
+    # a name or a code in place of a StateLabel was accepted, and the pass
+    # then died on an AttributeError; so did a rule that is no DecisionRule
+    for states in (("zero",), (0,), (StateLabel.PLUS, 3), "plus"):
+        with pytest.raises(ValueError, match="^states must hold StateLabel members, got "):
+            ExperimentConfig(states=states)
+    for rule in (None, "default", (2, 0.0, 1.0, "interval")):
+        with pytest.raises(ValueError, match="^rule must be a DecisionRule, got "):
+            ExperimentConfig(rule=rule)
 
 
 SIZES = {
@@ -801,8 +810,8 @@ def test_long_trial_decisions_equal_batch_decisions():
 @pytest.fixture
 def paths_run(monkeypatch):
     """Counts the mu groups a pass decides by the tally of threshold
-    cells, and the calls of the rule that decide one job's chunk from
-    its draws, as {"tally": n, "keyed": n}."""
+    cells, and the calls of the rule that decide one mu group's chunk
+    from its draws, as {"tally": n, "keyed": n}."""
     runs, tallying = {"tally": 0, "keyed": 0}, []
     tally, rule = experiment._tally_votes, experiment.decide
 
@@ -852,7 +861,8 @@ def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_ru
     assert _job_counts(config, jobs) == [summed_trial_counts(config, s, phase)
                                          for s, _, phase in jobs]
     if name == "past-the-grid":
-        assert paths_run == {"tally": 0, "keyed": 4 * len(jobs)}
+        # one call a chunk decides every job of the one mu group
+        assert paths_run == {"tally": 0, "keyed": 4}
     elif name == "default":
         assert paths_run == {"tally": 1, "keyed": 0}
 
@@ -862,7 +872,7 @@ def test_compare_and_searched_buckets_agree(monkeypatch):
     rng = np.random.default_rng(5)
     tables = [trial_tables(s, WalkParams(5), DecisionRule(k=7, i1=0.2, i2=0.8), 61)
               for s in ALL_STATES]
-    sets = list(experiment._threshold_sets(tables))
+    sets = list(draw_thresholds(tables))
     sets += [np.sort(rng.random(n)) for n in (1, 2, 16, 17, 64)]
     for thresholds in sets:
         u = np.concatenate([rng.random(1000), thresholds, np.nextafter(thresholds, 0.0),
@@ -897,7 +907,7 @@ def test_threshold_sets_equal_python_sets(mu, law_cap):
     for (k, r), rule, phase in groups:
         tables = [trial_tables(s, params, DecisionRule(k=k, **rule), r, phase)
                   for s in ALL_STATES]
-        assert [t.tobytes() for t in experiment._threshold_sets(tables)] == \
+        assert [t.tobytes() for t in draw_thresholds(tables)] == \
             [np.array(ref, dtype=float).tobytes() for ref in threshold_sets(tables)]
         if k > 1000:
             trial_tables.cache_clear()  # a table of k = 10^5 holds megabytes
@@ -913,7 +923,7 @@ def test_thresholds_of_a_large_k_are_listed_in_numpy(law_cap):
     tracemalloc.start()
     try:
         tables = [trial_tables(s, WalkParams(2), rule, 10**6) for s in ALL_STATES]
-        experiment._threshold_sets(tables)
+        draw_thresholds(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -974,22 +984,70 @@ def test_tally_decides_boundary_draws_as_the_rule_does(mu, rule):
     r = 60
     tables = [trial_tables(s, WalkParams(mu), rule, r, phase)
               for phase in (False, True) for s in ALL_STATES]
-    sets = experiment._threshold_sets(tables)
+    sets = draw_thresholds(tables)
     edges = [np.unique(np.concatenate([t, np.nextafter(t, 0.0), [0.0, 1.0 - 2.0**-53]]))
              for t in sets]
     draws = np.stack([a.ravel() for a in np.meshgrid(*edges, indexing="ij")])
     hist = np.bincount(experiment._cell_codes(draws, sets),
                        minlength=math.prod(len(t) + 1 for t in sets))
-    u0, u1, u2, u3 = draws
-    decided = discriminate.decide(tables, u0, experiment._j0_of(tables[0].law, u1), u2, u3)
-    one, h, one_or_tie = decided
-    by_draw = np.stack([np.count_nonzero(a, axis=1) for a in (one, h, one & h, one_or_tie)])
-    assert experiment._tally_votes(tables, sets, hist).tolist() == by_draw.T.tolist()
+    assert experiment._tally_votes(tables, sets, hist).tolist() == decide(tables, draws).tolist()
     # and the rule on those draws is run_trial's, at up to 500 of them
     n = draws.shape[1]
     for i in np.random.default_rng(mu).choice(n, min(n, 500), replace=False).tolist():
-        for t, job_decided in zip(tables, zip(*(a[:, i] for a in decided))):
-            assert scalar_votes(t, r, *draws[:, i].tolist()) == tuple(map(bool, job_decided))
+        for t, (one, h, both, one_or_tie) in zip(tables, decide(tables, draws[:, [i]]).tolist()):
+            assert both == (one and h)
+            assert scalar_votes(t, r, *draws[:, i].tolist()) == (one == 1, h == 1, one_or_tie == 1)
+
+
+def cell_rates(tables, sets) -> np.ndarray:
+    """decide's rates over every cell of the grid of `sets`, each at its
+    least draws and weighted by its mass, the product of its four bucket
+    widths: (votes bit 1, H applied, both, votes bit 1 or tie) per job,
+    as probabilities, with no sampling."""
+    edges = [np.concatenate(([0.0], t, [1.0])) for t in sets]
+    least = np.stack([a.ravel() for a in np.meshgrid(*(e[:-1] for e in edges), indexing="ij")])
+    mass = functools.reduce(np.multiply.outer, [np.diff(e) for e in edges]).ravel()
+    return decide(tables, least, mass)
+
+
+def exact_deviation(tables, sets) -> float:
+    """The largest distance of cell_rates from the exact rates of the
+    default rule: success and the H rate of every state, and the tie
+    identities success(zero) - success(one) = P(tie | zero) and the
+    same of plus and minus."""
+    rates = cell_rates(tables, sets).tolist()
+    success = {s: one if s.bit else 1.0 - one for s, (one, *_) in zip(ALL_STATES, rates)}
+    tie = {s: through - one for s, (one, _, _, through) in zip(ALL_STATES, rates)}
+    gaps = [success[s] - EXACT_TOTAL[s] for s in ALL_STATES]
+    gaps += [h - EXACT_P_H for _, h, _, _ in rates]
+    gaps += [success[a] - success[b] - tie[a] for a, b in ((StateLabel.ZERO, StateLabel.ONE),
+                                                            (StateLabel.PLUS, StateLabel.MINUS))]
+    return max(map(abs, gaps))
+
+
+def test_cells_weighted_by_their_mass_give_the_exact_rates():
+    # the tally is exact: decided at their least draws and weighted by
+    # their mass, the cells of draw_thresholds give the independently
+    # computed rates to 1e-15 (180 cells at the default rule, 360 at
+    # always-apply-h, mu = 1). Without any one threshold of the default
+    # grid, some rate moves past that
+    tables = [trial_tables(s, WalkParams(2), DecisionRule(), 100) for s in ALL_STATES]
+    sets = draw_thresholds(tables)
+    assert exact_deviation(tables, sets) <= 1e-15
+    assert math.prod(len(t) + 1 for t in sets) == 180
+    for d, thresholds in enumerate(sets):
+        for i in range(len(thresholds)):
+            fewer = sets[:d] + (np.delete(thresholds, i),) + sets[d + 1:]
+            assert exact_deviation(tables, fewer) > 1e-15, (d, i)
+    always = [trial_tables(s, WalkParams(1), DecisionRule(mode="always-apply-h"), 100)
+              for s in ALL_STATES]
+    sets = draw_thresholds(always)
+    for state, (one, h, both, _) in zip(ALL_STATES, cell_rates(always, sets).tolist()):
+        assert abs(h - 1.0) <= 1e-15 and both == one
+        if state in EXACT_ALWAYS_MU1:
+            success = one if state.bit else 1.0 - one
+            assert abs(success - EXACT_ALWAYS_MU1[state]) <= 1e-15
+    assert math.prod(len(t) + 1 for t in sets) == 360
 
 
 def test_rates_at_200k_trials_lie_within_4_sigma_of_exact():
