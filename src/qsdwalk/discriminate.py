@@ -370,28 +370,49 @@ def draw_thresholds(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
     return tuple(merged)
 
 
+def _votes(law: CountLaw, j0_of: tuple[np.ndarray, np.ndarray], draws: np.ndarray,
+           zero_start, zero_after: np.ndarray, fires: np.ndarray, at=0) -> tuple[np.ndarray, ...]:
+    """run_trial's rule, stated once: the trials that vote bit 1, that
+    apply H, both, and that vote bit 1 or tie, as bool arrays, for one
+    job or a stack of J jobs of one count law. j0_of holds the count j0
+    at step k of each trial under component 0 and 1. For one job,
+    zero_start is its float, zero_after and fires its tables and at 0.
+    For a stack, zero_start is a (J, 1) column, zero_after and fires the
+    jobs' tables flattened and concatenated, and at the (J, 1) column of
+    job j's offset j (k + 1) into fires (twice that into zero_after);
+    the arrays returned are (J, trials). Each table is read as it is, by
+    the flat index z (k + 1) + j0 of a component z and count j0."""
+    u0, _, u2, u3 = draws
+    width = law.below.shape[1]  # k + 1
+    z = u0 >= zero_start
+    j0 = np.where(z, j0_of[1], j0_of[0])
+    key = j0 + width * (u2 >= np.take(zero_after, j0 + width * z + 2 * at))
+    one, h = u3 < np.take(law.below, key), np.take(fires, j0 + at)
+    return one, h, one & h, u3 < np.take(law.through, key)
+
+
 def decide(tables: list[TrialTables], draws: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
     """run_trial's decision from its four draws, for many trials and the
     jobs of one (mu, k, r) at once. draws holds the rows u0..u3, one
     column a trial. Returns, per job, the trials that vote bit 1, that
-    apply H, both, and that vote bit 1 or tie: counts, or the sums of
-    `weights` (one per trial) over them. Each table is read as it is, by
-    the flat index z * (k + 1) + j0 of a component z and count j0."""
-    u0, u1, u2, u3 = draws
+    apply H, both, and that vote bit 1 or tie (_votes): counts, or the
+    sums of `weights` (one per trial) over them. The count j0 at step k
+    is searched once a call, for both components. Weighted, the jobs are
+    decided as one stack and summed in one product; counted, a job at a
+    time, which keeps the arrays a trial wide (a stack of the keyed
+    pass's jobs is J times a chunk)."""
     law = tables[0].law
-    width = law.below.shape[1]  # k + 1
-    j0_of = [law.step_k[z].count(u1) for z in (0, 1)]
-    votes = []
-    for t in tables:
-        z = u0 >= t.zero_start
-        j0 = np.where(z, j0_of[1], j0_of[0])
-        key = j0 + width * (u2 >= np.take(t.zero_after, j0 + width * z))
-        one, h = u3 < np.take(law.below, key), np.take(t.fires, j0)
-        votes.append((one, h, one & h, u3 < np.take(law.through, key)))
+    j0_of = (law.step_k[0].count(draws[1]), law.step_k[1].count(draws[1]))
     if weights is None:
-        return np.array([[np.count_nonzero(a) for a in job] for job in votes])
-    return np.array(votes) @ weights
+        return np.array([[np.count_nonzero(v) for v in
+                          _votes(law, j0_of, draws, t.zero_start, t.zero_after, t.fires)]
+                         for t in tables])
+    votes = _votes(law, j0_of, draws, np.array([[t.zero_start] for t in tables]),
+                   np.concatenate([t.zero_after.ravel() for t in tables]),
+                   np.concatenate([t.fires for t in tables]),
+                   law.below.shape[1] * np.arange(len(tables))[:, None])
+    return np.stack(votes, axis=1) @ weights
 
 
 def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:

@@ -18,14 +18,16 @@ chunks of _CHUNK_TRIALS trials that draws a chunk's four uniforms once.
 Each draw is only ever compared with a tabled threshold, and the jobs at
 one mu share few of them (discriminate.draw_thresholds). So a chunk
 buckets each draw by its set (the bucket of u counts the thresholds
-<= u), folds a trial's four buckets into one cell of the group's grid
-and adds the cells to the group's histogram. After the pass decide takes
-each occupied cell's least draws, weighted by the cell's trials: the
-rule only asks whether a draw lies below a threshold of its set (or one
-<= 0 or >= 1), and a bucket spans [T[b-1], T[b]), so every draw in it
-decides as its least one does. A group whose grid has more cells than a
-chunk has trials (rules that fire at many counts of a large k) is
-decided from each chunk's own draws. What a pass holds does not grow
+<= u, by one broadcast compare against a short set), folds a trial's
+four buckets into one cell of the group's grid and adds the cells to
+the group's histogram. After the pass one decide call takes each
+occupied cell's least draws, weighted by the cell's trials, and scores
+all the group's jobs as one stack: the rule only asks whether a draw
+lies below a threshold of its set (or one <= 0 or >= 1), and a bucket
+spans [T[b-1], T[b]), so every draw in it decides as its least one does.
+A group whose grid has more cells than a chunk has trials (rules that
+fire at many counts of a large k) is decided from each chunk's own
+draws, one job at a time. What a pass holds does not grow
 with r or the trial count: every chunk draws into one buffer, allocated
 once a pass, so the pages a chunk's draws fill are not faulted in again.
 """
@@ -57,10 +59,13 @@ _DRAWS = 4
 # always-apply-h, k = 30 (253,760 cells), 4 x 100k trials took 15-19 ms
 # tallied and 15-17 ms decided trial by trial (medians, 2-core VM).
 _MAX_CELLS = _CHUNK_TRIALS
-# Thresholds a draw is bucketed against by one compare each; a longer
-# set is searched. On 16k random draws 64 compare-adds took 0.28 ms and
-# one searchsorted over those 64 thresholds 0.75 ms. Compare buckets are
-# int8, so this stays below 128.
+# Thresholds a draw is bucketed against by one broadcast compare; a
+# longer set is searched. On 16k random draws the compare beat
+# searchsorted at every length up to 127 (8: 26 against 306 us; 64: 185
+# against 730 us; 127: 399 against 923 us; numpy 2.4, 2-core VM), so no
+# crossover sets the cap: the compare's bool temporary does, a byte per
+# threshold and draw (1 MiB over a chunk at 64). Its buckets are int8,
+# so the cap stays below 128 in any case.
 _MAX_COMPARES = 64
 
 
@@ -128,18 +133,13 @@ class PhasePoint:
 _Job = tuple[StateLabel, int, bool]
 
 
-def _bucket(u: np.ndarray, thresholds: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """#{t in thresholds : t <= u} for each entry of u: by one compare a
-    threshold, summed in int8 (at most _MAX_COMPARES < 128 of them), or
-    by searchsorted for a longer set. `hit`, a bool array of u's shape,
-    is overwritten."""
+def _bucket(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """#{t in thresholds : t <= u} for each entry of u: one broadcast
+    compare against the whole set, summed in int8 (at most
+    _MAX_COMPARES < 128 of them), or searchsorted for a longer set."""
     if len(thresholds) > _MAX_COMPARES:
         return np.searchsorted(thresholds, u, side="right")
-    first, *rest = thresholds.tolist()
-    bucket = np.greater_equal(u, first).view(np.int8)
-    for t in rest:
-        bucket += np.greater_equal(u, t, out=hit)
-    return bucket
+    return (u >= thresholds[:, None]).sum(axis=0, dtype=np.int8)
 
 
 def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -147,11 +147,10 @@ def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
     row-major over the grid of (len(T) + 1 for T in sets). The index is
     built in intp, since a product in a narrow dtype would wrap."""
     code = np.zeros(draws.shape[1], dtype=np.intp)
-    hit = np.empty(draws.shape[1], dtype=bool)
     for u, thresholds in zip(draws, sets):
         if len(thresholds):
             code *= len(thresholds) + 1
-            code += _bucket(u, thresholds, hit)
+            code += _bucket(u, thresholds)
     return code
 
 
@@ -171,11 +170,12 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
     ties), from one serial pass over chunks of trials. Integers keep the
     sum over chunks exact. Each mu group is tallied by threshold cells,
     or decided a chunk at a time if its grid outgrows a chunk."""
-    tables = [trial_tables(state, WalkParams(mu), config.rule, config.r, phase)
-              for state, mu, phase in jobs]
     by_mu: dict[int, list[int]] = {}
     for c, (_, mu, _) in enumerate(jobs):
         by_mu.setdefault(mu, []).append(c)
+    params = {mu: WalkParams(mu) for mu in by_mu}
+    tables = [trial_tables(state, params[mu], config.rule, config.r, phase)
+              for state, mu, phase in jobs]
     # per job: trials voting bit 1, with H applied, both, and voting bit 1 or tied
     votes = np.zeros((len(jobs), 4), dtype=np.int64)
     tallied, keyed = [], []
@@ -251,17 +251,13 @@ def sweep_mu(base: ExperimentConfig, mu_values) -> list[SweepPoint]:
     if not mu_values:
         raise ValueError("mu_values must not be empty")
     jobs = [(s, mu, False) for mu in mu_values for s in _ALL_STATES]
-    counts = _job_counts(base, jobs)
-    points = []
-    for i, mu in enumerate(mu_values):
-        ts = {s: _build_report(s, base, c).total_success
-              for s, c in zip(_ALL_STATES, counts[4 * i:4 * i + 4])}
-        points.append(SweepPoint(
-            mu=mu,
-            success_computational=(ts[StateLabel.ZERO] + ts[StateLabel.ONE]) / 2,
-            success_hadamard=(ts[StateLabel.PLUS] + ts[StateLabel.MINUS]) / 2,
-        ))
-    return points
+    # each job's total success, as its StateReport states it; the four
+    # jobs of a mu come in _ALL_STATES order: zero, one, plus, minus
+    ts = [(succ_h + succ_noh) / base.trials
+          for _, succ_h, succ_noh, _ in _job_counts(base, jobs)]
+    return [SweepPoint(mu=mu, success_computational=(ts[i] + ts[i + 1]) / 2,
+                       success_hadamard=(ts[i + 2] + ts[i + 3]) / 2)
+            for mu, i in zip(mu_values, range(0, len(ts), 4))]
 
 
 def collect_traces(config: ExperimentConfig, sample_count: int) -> list[TrialOutcome]:

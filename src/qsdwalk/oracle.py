@@ -42,6 +42,11 @@ _MU_CAP = 20
 # are held at once (in a fresh process 100k cases peaked at 46 MiB and
 # 2^20 at 77 MiB, in 17 s; 2e9 would not fit in memory).
 MAX_CASES = 2**20
+# The longest walk a case may take, the bound `qsdwalk trial` puts on r:
+# a case is stepped one step a loop, so its time grows with its length
+# (one case of 63,686 steps took 16 s on a 2-core VM), and a bound past 2^63
+# would overflow the integer lengths the cases are drawn as.
+MAX_CASE_STEPS = 2**20
 _NORM_TOL = 1e-10
 _ENTROPY_TOL = 1e-9
 _PHASE_FLOOR = 1e-12
@@ -279,12 +284,12 @@ def _race_stack(states: np.ndarray, angles: np.ndarray, lengths: np.ndarray,
 
 def check_agreement_sizes(cases: int, mu_max: int, max_steps: int) -> None:
     """Refuse walk_agreement's sizes unless cases is in 1..MAX_CASES,
-    mu_max in 0.._MU_CAP and max_steps at least 1, all integers."""
+    mu_max in 0.._MU_CAP and max_steps in 1..MAX_CASE_STEPS, all integers."""
     _check_mu_max(mu_max)
     if not 1 <= check_integer(cases, "cases") <= MAX_CASES:
         raise ValueError(f"cases must be in 1..{MAX_CASES}, got {cases}")
-    if check_integer(max_steps, "max_steps") < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if not 1 <= check_integer(max_steps, "max_steps") <= MAX_CASE_STEPS:
+        raise ValueError(f"max_steps must be in 1..{MAX_CASE_STEPS}, got {max_steps}")
 
 
 def walk_agreement(cases: int, mu_max: int, max_steps: int,
@@ -299,7 +304,8 @@ def walk_agreement(cases: int, mu_max: int, max_steps: int,
     state (the rows every package path shares) at its net count
     n = j0 - j1, and takes the outcome that case's draw picks from the
     row's p0. Memory grows with the cases, not with their steps, and
-    cases past MAX_CASES are refused before any draw (check_agreement_sizes).
+    cases past MAX_CASES or walks past MAX_CASE_STEPS are refused before
+    any draw (check_agreement_sizes).
     Returns the worst disagreement seen in (ax probabilities,
     post-measurement amplitude moduli).
     """

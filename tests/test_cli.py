@@ -218,6 +218,45 @@ def test_sweep_single_and_list(capsys):
     assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["1", "3"]
 
 
+SWEEP_PINS = {
+    # every mu group of one pass tallied by threshold cells, mu = 0 too
+    ("--mu", "0..10"): """\
+mu,success_computational,success_hadamard
+0,1,0.5
+1,0.81850000000000001,0.68700000000000006
+2,0.77600000000000002,0.73049999999999993
+3,0.75550000000000006,0.73350000000000004
+4,0.73625000000000007,0.72399999999999998
+5,0.71299999999999997,0.70499999999999996
+6,0.6875,0.68825000000000003
+7,0.67825000000000002,0.67174999999999996
+8,0.66199999999999992,0.65700000000000003
+9,0.64850000000000008,0.64224999999999999
+10,0.63874999999999993,0.63100000000000001
+""",
+    # a mu listed twice is two groups of the same tables
+    ("--mu", "2,2"): """\
+mu,success_computational,success_hadamard
+2,0.77600000000000002,0.73049999999999993
+2,0.77600000000000002,0.73049999999999993
+""",
+    # grids past a chunk: every group decided from each chunk's draws
+    ("--mu", "1..3", "--k", "30", "--mode", "always-apply-h"): """\
+mu,success_computational,success_hadamard
+1,0.50524999999999998,0.50549999999999995
+2,0.55099999999999993,0.60375000000000001
+3,0.58450000000000002,0.69825000000000004
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(SWEEP_PINS), ids=["tallied", "repeated-mu", "keyed"])
+def test_sweep_output_pinned(args, capsys):
+    # every digit the sweep prints, where the demos show rounded rates
+    code, out, err = run_cli(capsys, "sweep", *args, "--trials", "2000", "--seed", "1")
+    assert (code, out, err) == (0, SWEEP_PINS[args], "")
+
+
 @pytest.mark.parametrize("text,problem", [
     ("1..", ""), ("..3", ""), ("1,,2", ""), (",", ""), ("", ""), ("x", ""),
     ("1..x", ""), ("1.5", ""), ("1..2..3", ""), ("5..1", "the empty range "),
@@ -262,6 +301,19 @@ def test_oracle_check_cases_past_the_bound_are_a_usage_error(cases, capsys, monk
     assert code == 2
     assert out == ""
     assert err == f"error: cases must be in 1..1048576, got {cases}\n"
+
+
+@pytest.mark.parametrize("steps", ["1048577", str(10**8), str(10**30)])
+def test_oracle_check_walks_past_the_bound_are_a_usage_error(steps, capsys, monkeypatch):
+    # 10**30 overflowed the drawn walk lengths and printed "status: ok"
+    # after checking nothing; 10**8 ran for hours
+    def no_streams(*args):
+        raise AssertionError("streams drawn")
+
+    monkeypatch.setattr(oracle, "substream_states", no_streams)
+    code, out, err = run_cli(capsys, "oracle-check", "--cases", "3", "--max-steps", steps)
+    assert (code, out) == (2, "")
+    assert err == f"error: max_steps must be in 1..1048576, got {steps}\n"
 
 
 @pytest.mark.parametrize("argv,problem", [

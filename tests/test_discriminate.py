@@ -10,6 +10,8 @@ from qsdwalk.discriminate import (
     Binomial,
     DecisionRule,
     StateLabel,
+    decide,
+    draw_thresholds,
     restart_rows,
     run_trial,
     trial_tables,
@@ -458,3 +460,65 @@ def test_count_laws_are_point_masses_at_mu_0():
         assert [(b.lo, b.cdf.tolist()) for b in law.after_k] == [(r - k, [1.0]), (0, [1.0])]
         for u in (0.0, 0.5, 1 - 2.0**-53):
             assert [int(b.count(u)) for b in law.after_k] == [r - k, 0]
+
+
+def job_votes(tables, draws) -> np.ndarray:
+    """One job's (votes bit 1, H applied, both, votes bit 1 or tie) per
+    trial, as a (4, trials) bool array: the four-draw rule evaluated for
+    this job alone, entry by entry of its tables."""
+    u0, u1, u2, u3 = draws
+    law = tables.law
+    z = (u0 >= tables.zero_start).astype(int)
+    j0 = np.where(z, law.step_k[1].count(u1), law.step_k[0].count(u1))
+    after = (u2 >= tables.zero_after[z, j0]).astype(int)
+    one, h = u3 < law.below[after, j0], tables.fires[j0]
+    return np.array([one, h, one & h, u3 < law.through[after, j0]])
+
+
+STACKS = {
+    "one-job": [(StateLabel.PLUS, False)],
+    "duplicates-and-phase": [(StateLabel.ZERO, False), (StateLabel.PLUS, True),
+                             (StateLabel.PLUS, False), (StateLabel.ZERO, False)],
+    "all-eight": [(s, phase) for phase in (False, True) for s in ALL_STATES],
+}
+
+
+def assert_stack_decides_as_each_job(tables, rng):
+    draws = rng.random((4, 3000))
+    for row, thresholds in zip(draws, draw_thresholds(tables)):
+        if len(thresholds):
+            row[:1000] = rng.choice(thresholds, 1000)
+    each = [job_votes(t, draws) for t in tables]
+    assert decide(tables, draws).tolist() == [v.sum(axis=1).tolist() for v in each]
+    for weights in (rng.integers(0, 10**6, 3000), rng.random(3000)):
+        expected = np.array([v @ weights for v in each])
+        got = decide(tables, draws, weights)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mu", range(11))
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_a_stack_of_jobs_decides_as_each_job_alone(stack, mu):
+    # decide scores a weighted group as one stack, with its tables
+    # concatenated and read at per-job offsets, and a counted group a job
+    # at a time; both must give, bit for bit, what each job's own rule
+    # gives: counts, integer histograms and float masses, over random
+    # draws and draws that lie on a threshold of their set
+    rng = np.random.default_rng(mu)
+    for rule, r in ((DecisionRule(), 100), (DecisionRule(k=7, i1=0.2, i2=0.8), 61),
+                    (DecisionRule(k=5, mode="always-apply-h"), 30),
+                    (DecisionRule(k=4, mode="never-apply-h"), 9)):
+        tables = [trial_tables(s, WalkParams(mu), rule, r, phase) for s, phase in STACKS[stack]]
+        assert_stack_decides_as_each_job(tables, rng)
+
+
+@pytest.mark.parametrize("mu", [0, 1, 2, 5])
+def test_a_stack_of_rules_of_one_k_decides_as_each_job_alone(mu):
+    # the jobs of a pass share a rule, so their `fires` agree; a stack of
+    # rules of one k reads each job's own, at its offset
+    rng = np.random.default_rng(100 + mu)
+    rules = [DecisionRule(k=6, mode=mode) for mode in MODES] + [DecisionRule(k=6, i1=0.4)]
+    tables = [trial_tables(s, WalkParams(mu), rule, 40, phase)
+              for rule in rules for s, phase in ((StateLabel.PLUS, True), (StateLabel.ONE, False))]
+    assert len({t.fires.tobytes() for t in tables}) == 4
+    assert_stack_decides_as_each_job(tables, rng)

@@ -868,21 +868,24 @@ def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_ru
 
 
 def test_compare_and_searched_buckets_agree(monkeypatch):
-    # draws at random, on every threshold, and at both ends of [0, 1)
+    # draws at random, on every threshold, just below one, and at both
+    # ends of [0, 1), over sets on both sides of _MAX_COMPARES (64) and
+    # the longest an int8 bucket holds, each bucketed by the broadcast
+    # compare (a cap of 127), by searchsorted (a cap of 0) and as a run
+    # buckets it
     rng = np.random.default_rng(5)
     tables = [trial_tables(s, WalkParams(5), DecisionRule(k=7, i1=0.2, i2=0.8), 61)
               for s in ALL_STATES]
-    sets = list(draw_thresholds(tables))
-    sets += [np.sort(rng.random(n)) for n in (1, 2, 16, 17, 64)]
+    sets = [t for t in draw_thresholds(tables) if len(t)]
+    sets += [np.sort(rng.random(n)) for n in (1, 8, 63, 64, 65, 127)]
     for thresholds in sets:
         u = np.concatenate([rng.random(1000), thresholds, np.nextafter(thresholds, 0.0),
                             [0.0, 1.0 - 2.0**-53]])
-        buckets = []
+        expected = np.searchsorted(thresholds, u, side="right").tolist()
+        assert experiment._bucket(u, thresholds).tolist() == expected
         for most in (0, 127):
             monkeypatch.setattr(experiment, "_MAX_COMPARES", most)
-            buckets.append(experiment._bucket(u, thresholds, np.empty(u.size, dtype=bool)))
-        assert buckets[0].tolist() == buckets[1].tolist()
-        assert buckets[0].tolist() == np.searchsorted(thresholds, u, side="right").tolist()
+            assert experiment._bucket(u, thresholds).tolist() == expected
 
 
 @pytest.mark.parametrize("mu", range(11))

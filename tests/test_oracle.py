@@ -256,6 +256,26 @@ def test_walk_agreement_validates_args():
         walk_agreement(0, 4, 5, 0)
 
 
+@pytest.mark.parametrize("max_steps", [0, 2**20 + 1, 10**8, 10**30])
+def test_walks_past_the_step_bound_are_refused_before_any_draw(max_steps, monkeypatch):
+    # 10**30 overflowed the lengths drawn as integers, so no case walked
+    # and the check reported agreement; 10**8 walked for hours
+    def no_streams(*args):
+        raise AssertionError("streams drawn")
+
+    monkeypatch.setattr(oracle, "substream_states", no_streams)
+    message = f"max_steps must be in 1..1048576, got {max_steps}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        walk_agreement(3, 4, max_steps, 1)
+
+
+def test_walks_up_to_the_step_bound_are_accepted():
+    # a case may walk as far as `qsdwalk trial` traces, 2^20 steps
+    assert oracle.MAX_CASE_STEPS == 2**20
+    for max_steps in (1, 2**20, np.int64(2**20)):
+        oracle.check_agreement_sizes(1, 4, max_steps)
+
+
 @pytest.mark.parametrize("mu_max", [-1, -7])
 def test_negative_mu_max_is_refused(mu_max):
     message = f"mu_max must be in 0..20, got {mu_max}"
