@@ -29,8 +29,7 @@ that law in four draws, and its steps are laid out after:
   the CDF at r/2 - j0 but not the first.
 
 trial_tables holds what each draw is compared with; decide is the rule
-over arrays of draws (stacked_votes its per-trial votes), and run_trial
-the same rule one trial at a time.
+over arrays of draws, and run_trial the same rule one trial at a time.
 """
 
 from __future__ import annotations
@@ -305,7 +304,7 @@ def restart_rows(start: WalkRow, j0: np.ndarray, k: int, phase: bool = False) ->
     return WalkRow.of((alpha + beta) / SQRT2, (alpha - beta) / SQRT2, start.params)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrialTables:
     """Everything a trial of one walk reads: the count laws of its mu,
     its start row and zero_start, alpha^2 there (the chance of component
@@ -317,10 +316,7 @@ class TrialTables:
     its first read: at k = r no step follows H, so only a trace reads it.
     thresholds lists, per draw u0..u3, the interior of the values decide
     compares it with: zero_start, both step-k CDFs (the law's array),
-    zero_after, and the vote's below and through (the law's array).
-    Tables compare and hash by identity: trial_tables builds each walk's
-    once, and the experiment keeps what it builds from a mu's tables
-    keyed by those tables."""
+    zero_after, and the vote's below and through (the law's array)."""
 
     law: CountLaw
     start: WalkRow
@@ -395,43 +391,28 @@ def _votes(law: CountLaw, j0_of: tuple[np.ndarray, np.ndarray], draws: np.ndarra
     return one, h, one & h, u3 < np.take(law.through, key)
 
 
-def _j0_of(law: CountLaw, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The count j0 at step k that each draw u1 gives under component 0
-    and under component 1."""
-    return law.step_k[0].count(u1), law.step_k[1].count(u1)
-
-
-def stacked_votes(tables: list[TrialTables], draws: np.ndarray) -> np.ndarray:
-    """_votes of the jobs of one (mu, k, r), scored as one stack: a
-    (J, 4, trials) bool array, job by job the trials that vote bit 1,
-    that apply H, both, and that vote bit 1 or tie. draws holds the rows
-    u0..u3, one column a trial."""
-    law = tables[0].law
-    votes = _votes(law, _j0_of(law, draws[1]), draws, np.array([[t.zero_start] for t in tables]),
-                   np.concatenate([t.zero_after.ravel() for t in tables]),
-                   np.concatenate([t.fires for t in tables]),
-                   law.below.shape[1] * np.arange(len(tables))[:, None])
-    return np.stack(votes, axis=1)
-
-
 def decide(tables: list[TrialTables], draws: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
     """run_trial's decision from its four draws, for many trials and the
     jobs of one (mu, k, r) at once. draws holds the rows u0..u3, one
     column a trial. Returns, per job, the trials that vote bit 1, that
     apply H, both, and that vote bit 1 or tie (_votes): counts, or the
-    sums of `weights` (one per trial) over them. Weighted, the jobs are
-    scored as one stack (stacked_votes) and summed in one product;
-    counted, a job at a time, with j0 searched once for all of them,
-    which keeps the arrays a trial wide (a stack of the keyed pass's
-    jobs is J times a chunk)."""
-    if weights is not None:
-        return stacked_votes(tables, draws) @ weights
+    sums of `weights` (one per trial) over them. The count j0 at step k
+    is searched once a call, for both components. Weighted, the jobs are
+    decided as one stack and summed in one product; counted, a job at a
+    time, which keeps the arrays a trial wide (a stack of the keyed
+    pass's jobs is J times a chunk)."""
     law = tables[0].law
-    j0_of = _j0_of(law, draws[1])
-    return np.array([[np.count_nonzero(v) for v in
-                      _votes(law, j0_of, draws, t.zero_start, t.zero_after, t.fires)]
-                     for t in tables])
+    j0_of = (law.step_k[0].count(draws[1]), law.step_k[1].count(draws[1]))
+    if weights is None:
+        return np.array([[np.count_nonzero(v) for v in
+                          _votes(law, j0_of, draws, t.zero_start, t.zero_after, t.fires)]
+                         for t in tables])
+    votes = _votes(law, j0_of, draws, np.array([[t.zero_start] for t in tables]),
+                   np.concatenate([t.zero_after.ravel() for t in tables]),
+                   np.concatenate([t.fires for t in tables]),
+                   law.below.shape[1] * np.arange(len(tables))[:, None])
+    return np.stack(votes, axis=1) @ weights
 
 
 def _trace_lists(row: WalkRow, reach: int) -> tuple[list[float], list[float]]:

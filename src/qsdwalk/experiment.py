@@ -20,31 +20,27 @@ one mu share few of them (discriminate.draw_thresholds). So a chunk
 buckets each draw by its set (the bucket of u counts the thresholds
 <= u, by one broadcast compare against a short set), folds a trial's
 four buckets into one cell of the group's grid and adds the cells to
-the group's histogram. Each job's votes in every cell are decided once,
-at the cell's least draws, all the group's jobs as one stack: the rule
-only asks whether a draw lies below a threshold of its set (or one <= 0
-or >= 1), and a bucket spans [T[b-1], T[b]), so every draw in it
-decides as its least one does. A group's sets and cell votes are built
-from its tables on first use and kept for later passes over the same
-walks (_group); after the pass the occupied cells' votes are weighted
-by their trials in one product. A group whose grid has more cells than
-a chunk has trials (rules that fire at many counts of a large k) is
-decided from each chunk's own draws, one job at a time. What a pass
-holds does not grow with r or the trial count: every chunk draws into
-one buffer, allocated once a pass, so the pages a chunk's draws fill
-are not faulted in again.
+the group's histogram. After the pass one decide call takes each
+occupied cell's least draws, weighted by the cell's trials, and scores
+all the group's jobs as one stack: the rule only asks whether a draw
+lies below a threshold of its set (or one <= 0 or >= 1), and a bucket
+spans [T[b-1], T[b]), so every draw in it decides as its least one does.
+A group whose grid has more cells than a chunk has trials (rules that
+fire at many counts of a large k) is decided from each chunk's own
+draws, one job at a time. What a pass holds does not grow
+with r or the trial count: every chunk draws into one buffer, allocated
+once a pass, so the pages a chunk's draws fill are not faulted in again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .discriminate import (DecisionRule, StateLabel, TrialOutcome, TrialTables, check_steps,
-                           decide, draw_thresholds, run_trial, stacked_votes, trial_tables)
+                           decide, draw_thresholds, run_trial, trial_tables)
 from .rng import batch_uniform, check_integer, check_seed, substream, substream_states
 from .walk import WalkParams
 
@@ -58,10 +54,8 @@ _CHUNK_TRIALS = 1 << 14
 # after step k, the vote.
 _DRAWS = 4
 # Cells a mu group's histogram may hold: no more than a chunk has
-# trials, so a group's histogram, a chunk's bincount and the cell votes
-# kept for the group (4 bytes a job and cell) stay the size of a chunk's
-# buffers, and a cell's index fits int16. The bound rests on that
-# memory alone: at
+# trials, so a group's histogram and a chunk's bincount stay the size
+# of a chunk's buffers. The bound rests on that memory alone: at
 # always-apply-h, k = 30 (253,760 cells), 4 x 100k trials took 15-19 ms
 # tallied and 15-17 ms decided trial by trial (medians, 2-core VM).
 _MAX_CELLS = _CHUNK_TRIALS
@@ -148,55 +142,27 @@ def _bucket(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (u >= thresholds[:, None]).sum(axis=0, dtype=np.int8)
 
 
-@dataclass(frozen=True, eq=False)
-class _Group:
-    """The jobs of one mu: their tables, the thresholds each draw is
-    compared with (draw_thresholds) and the size of the grid of cells
-    those sets span."""
-
-    tables: tuple[TrialTables, ...]
-    sets: tuple[np.ndarray, ...]
-    cells: int
-
-    @cached_property
-    def cell_votes(self) -> np.ndarray:
-        """Each job's votes in every cell of the grid, (J, 4, cells) as
-        stacked_votes gives them, decided at the cell's least draws (0.0
-        in bucket 0). The rule only asks whether a draw lies below a
-        threshold of its set (or one <= 0 or >= 1), and a bucket spans
-        [T[b-1], T[b]), so every draw in a cell decides as its least ones
-        do. Built on the first tally of the group."""
-        least = np.meshgrid(*(np.concatenate(([0.0], t)) for t in self.sets), indexing="ij")
-        return stacked_votes(self.tables, np.stack([a.ravel() for a in least]))
-
-
-@lru_cache(maxsize=32)
-def _group(tables: tuple[TrialTables, ...]) -> _Group:
-    """The group of these tables, built once: a pass reads its sets each
-    chunk, and repeated passes over the same walks share them."""
-    sets = draw_thresholds(tables)
-    return _Group(tables, sets, math.prod(len(t) + 1 for t in sets))
-
-
-def _cell_codes(draws: np.ndarray, group: _Group) -> np.ndarray:
+def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
     """Each trial's cell: the buckets of its four draws as one index,
     row-major over the grid of (len(T) + 1 for T in sets). The index is
-    built in the narrowest signed integer that holds every cell, since
-    each partial index is below the cells of the draws it has read."""
-    code = np.zeros(draws.shape[1], dtype=np.min_scalar_type(-group.cells))
-    for u, thresholds in zip(draws, group.sets):
+    built in intp, since a product in a narrow dtype would wrap."""
+    code = np.zeros(draws.shape[1], dtype=np.intp)
+    for u, thresholds in zip(draws, sets):
         if len(thresholds):
             code *= len(thresholds) + 1
             code += _bucket(u, thresholds)
     return code
 
 
-def _tally_votes(group: _Group, hist: np.ndarray) -> np.ndarray:
+def _tally_votes(tables: list[TrialTables], sets: tuple[np.ndarray, ...],
+                 hist: np.ndarray) -> np.ndarray:
     """The votes of each job of a mu group, from the group's histogram
-    over threshold cells: each occupied cell's votes weighted by its
-    trials."""
+    over threshold cells: each job decided once per occupied cell, at
+    its least draws (0.0 in bucket 0), weighted by the cell's trials."""
     cells = np.flatnonzero(hist)
-    return group.cell_votes[..., cells] @ hist[cells]
+    buckets = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
+    least = np.stack([np.concatenate(([0.0], t))[b] for t, b in zip(sets, buckets)])
+    return decide(tables, least, hist[cells])
 
 
 def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, int, int, int]]:
@@ -207,29 +173,32 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
     by_mu: dict[int, list[int]] = {}
     for c, (_, mu, _) in enumerate(jobs):
         by_mu.setdefault(mu, []).append(c)
+    params = {mu: WalkParams(mu) for mu in by_mu}
+    tables = [trial_tables(state, params[mu], config.rule, config.r, phase)
+              for state, mu, phase in jobs]
     # per job: trials voting bit 1, with H applied, both, and voting bit 1 or tied
     votes = np.zeros((len(jobs), 4), dtype=np.int64)
     tallied, keyed = [], []
-    for mu, members in by_mu.items():
-        params = WalkParams(mu)
-        group = _group(tuple(trial_tables(jobs[c][0], params, config.rule, config.r, jobs[c][2])
-                             for c in members))
-        if group.cells <= _MAX_CELLS:
-            tallied.append((members, group, np.zeros(group.cells, dtype=np.int64)))
+    for group in by_mu.values():
+        group_tables = [tables[c] for c in group]
+        sets = draw_thresholds(group_tables)
+        cells = math.prod(len(t) + 1 for t in sets)
+        if cells <= _MAX_CELLS:
+            tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
         else:
-            keyed.append((members, group.tables))
+            keyed.append((group, group_tables))
     # every chunk's draws, so their pages are faulted in once a pass
     buffer = np.empty((_DRAWS, min(_CHUNK_TRIALS, config.trials)))
     for start in range(0, config.trials, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, config.trials - start)
         draws = batch_uniform(substream_states(config.master_seed, start, size),
                               buffer[:, :size])
-        for _, group, hist in tallied:
-            hist += np.bincount(_cell_codes(draws, group), minlength=hist.size)
-        for members, tables in keyed:
-            votes[members] += decide(tables, draws)
-    for members, group, hist in tallied:
-        votes[members] = _tally_votes(group, hist)
+        for _, _, sets, hist in tallied:
+            hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
+        for group, group_tables in keyed:
+            votes[group] += decide(group_tables, draws)
+    for group, group_tables, sets, hist in tallied:
+        votes[group] = _tally_votes(group_tables, sets, hist)
     counts = []
     for (state, _, _), (n_one, n_h, n_one_h, n_through) in zip(jobs, votes.tolist()):
         # successes are the votes that name the prepared state's bit

@@ -987,46 +987,19 @@ def test_tally_decides_boundary_draws_as_the_rule_does(mu, rule):
     r = 60
     tables = [trial_tables(s, WalkParams(mu), rule, r, phase)
               for phase in (False, True) for s in ALL_STATES]
-    group = experiment._group(tuple(tables))
+    sets = draw_thresholds(tables)
     edges = [np.unique(np.concatenate([t, np.nextafter(t, 0.0), [0.0, 1.0 - 2.0**-53]]))
-             for t in group.sets]
+             for t in sets]
     draws = np.stack([a.ravel() for a in np.meshgrid(*edges, indexing="ij")])
-    hist = np.bincount(experiment._cell_codes(draws, group), minlength=group.cells)
-    assert experiment._tally_votes(group, hist).tolist() == decide(tables, draws).tolist()
+    hist = np.bincount(experiment._cell_codes(draws, sets),
+                       minlength=math.prod(len(t) + 1 for t in sets))
+    assert experiment._tally_votes(tables, sets, hist).tolist() == decide(tables, draws).tolist()
     # and the rule on those draws is run_trial's, at up to 500 of them
     n = draws.shape[1]
     for i in np.random.default_rng(mu).choice(n, min(n, 500), replace=False).tolist():
         for t, (one, h, both, one_or_tie) in zip(tables, decide(tables, draws[:, [i]]).tolist()):
             assert both == (one and h)
             assert scalar_votes(t, r, *draws[:, i].tolist()) == (one == 1, h == 1, one_or_tie == 1)
-
-
-def test_a_group_decides_its_cells_once_per_set_of_walks(monkeypatch):
-    # a sweep's groups decide every cell of their grids on first use and
-    # keep them: a second pass over the same walks, with another seed and
-    # trial count, decides no cell again and counts as its own first pass
-    # would, and tables rebuilt from cold caches make a new group
-    decided = []
-
-    def spied(tables, draws):
-        decided.append(draws.shape[1])
-        return discriminate.stacked_votes(tables, draws)
-
-    monkeypatch.setattr(experiment, "stacked_votes", spied)
-    rule = DecisionRule(k=3, i1=0.2, i2=0.8)
-    first = ExperimentConfig(trials=3000, r=40, rule=rule, master_seed=8)
-    second = dataclasses.replace(first, trials=500, master_seed=9)
-    mus = [7, 1, 6]
-    trial_tables.cache_clear()
-    sweep_mu(first, mus)
-    cells = [experiment._group(tuple(trial_tables(s, WalkParams(mu), rule, 40)
-                                     for s in ALL_STATES)).cells for mu in mus]
-    assert decided == cells
-    expected = sweep_mu(second, mus)
-    assert decided == cells
-    trial_tables.cache_clear()
-    assert sweep_mu(second, mus) == expected
-    assert decided == cells * 2
 
 
 def cell_rates(tables, sets) -> np.ndarray:
