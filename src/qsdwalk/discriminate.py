@@ -49,6 +49,9 @@ from .walk import QubitState, WalkParams, WalkRow, walk_lists
 MODES = ("interval", "never-apply-h", "always-apply-h")
 # The most steps a trial takes, in run_trial and in a run alike.
 MAX_STEPS = 2**30 - 1
+# The most steps a traced trial takes: its trace holds a row a step (~400 MiB at 2^20).
+MAX_TRACE_STEPS = 2**20
+MAX_K = 2**20  # the largest decision iteration k: a run's tables take ~115 B a count
 
 
 class StateLabel(enum.IntEnum):
@@ -117,6 +120,8 @@ class DecisionRule:
         object.__setattr__(self, "k", check_integer(self.k, "decision iteration k"))
         if self.k < 1:
             raise ValueError(f"decision iteration k must be >= 1, got {self.k}")
+        if self.k > MAX_K:
+            raise ValueError(f"decision iteration k must be <= {MAX_K}, got {self.k}")
         for name in ("i1", "i2"):
             bound = getattr(self, name)
             if isinstance(bound, bool) or not isinstance(bound, (int, float, np.integer,
@@ -169,6 +174,15 @@ def check_steps(r: int, rule: DecisionRule) -> int:
         raise ValueError(f"decision iteration k={rule.k} exceeds r={r}; need k <= r")
     if r > MAX_STEPS:
         raise ValueError(f"r={r} is too large: a trial takes at most {MAX_STEPS} steps")
+    return r
+
+
+def check_trace_steps(r: int, rule: DecisionRule) -> int:
+    """check_steps, and r at most MAX_TRACE_STEPS, for a traced trial."""
+    r = check_steps(r, rule)
+    if r > MAX_TRACE_STEPS:
+        raise ValueError(f"r={r} is too large for trial: its trace holds at most "
+                         f"{MAX_TRACE_STEPS} steps")
     return r
 
 
@@ -314,9 +328,8 @@ class TrialTables:
     the component drawn at the start is kept (1 for z = 0, 0 for z = 1).
     restart, the stack of rows restart_rows gives at each j0, is built on
     its first read: at k = r no step follows H, so only a trace reads it.
-    thresholds lists, per draw u0..u3, the interior of the values decide
-    compares it with: zero_start, both step-k CDFs (the law's array),
-    zero_after, and the vote's below and through (the law's array)."""
+    after_thresholds, the interior of zero_after, is listed once a walk
+    for draw_thresholds."""
 
     law: CountLaw
     start: WalkRow
@@ -331,15 +344,14 @@ class TrialTables:
         return restart_rows(self.start, np.arange(k + 1), k, self.phase)
 
     @cached_property
-    def thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (_start_thresholds(self.zero_start), self.law.step_thresholds,
-                interior(self.zero_after), self.law.vote_thresholds)
+    def after_thresholds(self) -> np.ndarray:
+        return interior(self.zero_after)
 
 
 @lru_cache(maxsize=64)
-def _start_thresholds(zero_start: float) -> np.ndarray:
-    """interior() of one start's alpha^2, one array for equal starts."""
-    return interior(np.array([zero_start]))
+def _start_thresholds(zero_starts: tuple[float, ...]) -> np.ndarray:
+    """interior() of the starts' alpha^2, one array for equal starts."""
+    return interior(np.array(zero_starts))
 
 
 @lru_cache(maxsize=64)
@@ -359,59 +371,50 @@ def trial_tables(state: StateLabel, params: WalkParams, rule: DecisionRule, r: i
 
 
 def draw_thresholds(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
-    """The thresholds each draw of one mu group's jobs is compared with:
-    per draw, the union of the jobs' TrialTables.thresholds. Where the
-    non-empty sets are one array (the law's, or equal starts'), it is
-    read as it is."""
-    merged = []
-    for sets in zip(*(t.thresholds for t in tables)):
-        shared = {id(s): s for s in sets if len(s)}
-        merged.append(shared.popitem()[1] if len(shared) == 1 else interior(np.concatenate(sets)))
-    return tuple(merged)
+    """The thresholds each draw u0..u3 of one mu group's jobs (of one count
+    law) is compared with: the starts' alpha^2 (cached per tuple of starts),
+    the law's step_thresholds, the walks' after_thresholds, merged, and the
+    law's vote_thresholds."""
+    law = tables[0].law
+    return (_start_thresholds(tuple(t.zero_start for t in tables)), law.step_thresholds,
+            interior(np.concatenate([t.after_thresholds for t in tables])),
+            law.vote_thresholds)
 
 
-def _votes(law: CountLaw, j0_of: tuple[np.ndarray, np.ndarray], draws: np.ndarray,
-           zero_start, zero_after: np.ndarray, fires: np.ndarray, at=0) -> tuple[np.ndarray, ...]:
+def _votes(tables: list[TrialTables], j0_of: list[np.ndarray], draws: np.ndarray,
+           zero_after: np.ndarray) -> tuple[np.ndarray, ...]:
     """run_trial's rule, stated once: the trials that vote bit 1, that
-    apply H, both, and that vote bit 1 or tie, as bool arrays, for one
-    job or a stack of J jobs of one count law. j0_of holds the count j0
-    at step k of each trial under component 0 and 1. For one job,
-    zero_start is its float, zero_after and fires its tables and at 0.
-    For a stack, zero_start is a (J, 1) column, zero_after and fires the
-    jobs' tables flattened and concatenated, and at the (J, 1) column of
-    job j's offset j (k + 1) into fires (twice that into zero_after);
-    the arrays returned are (J, trials). Each table is read as it is, by
-    the flat index z (k + 1) + j0 of a component z and count j0."""
+    apply H, both, and that vote bit 1 or tie, as (J, trials) bool arrays,
+    for a stack of J >= 1 jobs of one count law and one rule, whose below,
+    through and fires are read once. j0_of holds each trial's count j0 at
+    step k under component 0 and 1. zero_after is the jobs' tables flattened
+    and concatenated, job j's read at 2 j (k + 1) + z (k + 1) + j0."""
     u0, _, u2, u3 = draws
-    width = law.below.shape[1]  # k + 1
-    z = u0 >= zero_start
+    law, fires = tables[0].law, tables[0].fires
+    width = len(fires)  # k + 1
+    z = u0 >= np.array([[t.zero_start] for t in tables])
     j0 = np.where(z, j0_of[1], j0_of[0])
-    key = j0 + width * (u2 >= np.take(zero_after, j0 + width * z + 2 * at))
-    one, h = u3 < np.take(law.below, key), np.take(fires, j0 + at)
+    at = 2 * width * np.arange(len(tables))[:, None]
+    key = j0 + width * (u2 >= np.take(zero_after, j0 + width * z + at))
+    one, h = u3 < np.take(law.below, key), np.take(fires, j0)
     return one, h, one & h, u3 < np.take(law.through, key)
 
 
 def decide(tables: list[TrialTables], draws: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
-    """run_trial's decision from its four draws, for many trials and the
-    jobs of one (mu, k, r) at once. draws holds the rows u0..u3, one
-    column a trial. Returns, per job, the trials that vote bit 1, that
-    apply H, both, and that vote bit 1 or tie (_votes): counts, or the
-    sums of `weights` (one per trial) over them. The count j0 at step k
-    is searched once a call, for both components. Weighted, the jobs are
-    decided as one stack and summed in one product; counted, a job at a
-    time, which keeps the arrays a trial wide (a stack of the keyed
-    pass's jobs is J times a chunk)."""
-    law = tables[0].law
-    j0_of = (law.step_k[0].count(draws[1]), law.step_k[1].count(draws[1]))
+    """run_trial's decision from its four draws u0..u3 (rows; one column a
+    trial), for the jobs of one (mu, k, r) and one rule, as a pass's jobs
+    at one mu are. Returns, per job, the trials that vote bit 1, that apply
+    H, both, and that vote bit 1 or tie (_votes): counts, or the sums of
+    `weights` (one per trial) over them. j0 at step k is searched once a
+    call. Weighted (the tally's cells), the jobs are one stack, summed in
+    one product. Counted (a keyed chunk), each job is a stack of one: a
+    stack of J is J chunks wide, and ran at 0.70-0.82x."""
+    j0_of = [law.count(draws[1]) for law in tables[0].law.step_k]
     if weights is None:
-        return np.array([[np.count_nonzero(v) for v in
-                          _votes(law, j0_of, draws, t.zero_start, t.zero_after, t.fires)]
+        return np.array([[np.count_nonzero(v) for v in _votes([t], j0_of, draws, t.zero_after)]
                          for t in tables])
-    votes = _votes(law, j0_of, draws, np.array([[t.zero_start] for t in tables]),
-                   np.concatenate([t.zero_after.ravel() for t in tables]),
-                   np.concatenate([t.fires for t in tables]),
-                   law.below.shape[1] * np.arange(len(tables))[:, None])
+    votes = _votes(tables, j0_of, draws, np.concatenate([t.zero_after.ravel() for t in tables]))
     return np.stack(votes, axis=1) @ weights
 
 
@@ -445,7 +448,7 @@ def run_trial(initial: StateLabel, params: WalkParams, rule: DecisionRule,
     whose alpha^2 the decision read from zero_after where steps follow.
     phase=True walks the phase-tracking variant after H (restart_rows).
     """
-    r = check_steps(r, rule)
+    r = check_trace_steps(r, rule)
     k = rule.k
     tables = trial_tables(initial, params, rule, r, phase)
     law = tables.law

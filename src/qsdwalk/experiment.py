@@ -12,8 +12,10 @@ cached tables, so scalar and batch decisions are equal by construction.
 Every run is one pass. A job is one walk that every trial runs: a start
 state, a mu, and the real or phase-tracking restart after H.
 run_experiment passes its states, sweep_mu every mu times the four
-states, phase_report every state twice. The pass is a serial loop over
-chunks of _CHUNK_TRIALS trials that draws a chunk's four uniforms once.
+states, phase_report every state twice. The jobs of a pass share its
+rule, and those at one mu (a group) one count law, as decide asks. The
+pass is a serial loop over chunks of _CHUNK_TRIALS trials that draws a
+chunk's four uniforms once.
 
 Each draw is only ever compared with a tabled threshold, and the jobs at
 one mu share few of them (discriminate.draw_thresholds). So a chunk
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discriminate import (DecisionRule, StateLabel, TrialOutcome, TrialTables, check_steps,
-                           decide, draw_thresholds, run_trial, trial_tables)
+                           check_trace_steps, decide, draw_thresholds, run_trial, trial_tables)
 from .rng import batch_uniform, check_integer, check_seed, substream, substream_states
 from .walk import WalkParams
 
@@ -262,7 +264,9 @@ def sweep_mu(base: ExperimentConfig, mu_values) -> list[SweepPoint]:
 
 def collect_traces(config: ExperimentConfig, sample_count: int) -> list[TrialOutcome]:
     """Full traces of the first sample_count trials, per state in config
-    order. Trial i here decides as trial i of run_experiment."""
+    order. Trial i here decides as trial i of run_experiment. An r past
+    discriminate.MAX_TRACE_STEPS is refused before any draw."""
+    check_trace_steps(config.r, config.rule)
     sample_count = check_integer(sample_count, "sample_count")
     if sample_count < 0 or sample_count > config.trials:
         raise ValueError(

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .discriminate import StateLabel
+from .discriminate import MAX_TRACE_STEPS, StateLabel
 from .gates import v_root
 from .rng import batch_uniform, check_integer, substream_states
 from .walk import QubitState, WalkParams, WalkRow
@@ -42,11 +42,11 @@ _MU_CAP = 20
 # are held at once (in a fresh process 100k cases peaked at 46 MiB and
 # 2^20 at 77 MiB, in 17 s; 2e9 would not fit in memory).
 MAX_CASES = 2**20
-# The longest walk a case may take, the bound `qsdwalk trial` puts on r:
+# The longest walk a case may take, the bound a traced trial puts on r:
 # a case is stepped one step a loop, so its time grows with its length
 # (one case of 63,686 steps took 16 s on a 2-core VM), and a bound past 2^63
 # would overflow the integer lengths the cases are drawn as.
-MAX_CASE_STEPS = 2**20
+MAX_CASE_STEPS = MAX_TRACE_STEPS
 _NORM_TOL = 1e-10
 _ENTROPY_TOL = 1e-9
 _PHASE_FLOOR = 1e-12

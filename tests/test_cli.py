@@ -322,10 +322,17 @@ def test_oracle_check_walks_past_the_bound_are_a_usage_error(steps, capsys, monk
     (["sweep", "--mu", "1,-1"], "mu must be non-negative, got -1"),
     (["oracle-check", "--cases", "0"], "cases must be in 1..1048576, got 0"),
     (["trial", "--state", "plus", "--r", "1"], "decision iteration k=2 exceeds r=1; need k <= r"),
+    (["trial", "--state", "plus", "--r", "1048577"],
+     "r=1048577 is too large for trial: its trace holds at most 1048576 steps"),
+    (["experiment", "--k", "1048577", "--r", "1048577", "--mode", "always-apply-h"],
+     "decision iteration k must be <= 1048576, got 1048577"),
+    (["sweep", "--mu", "1", "--k", "100000000", "--r", "100000000"],
+     "decision iteration k must be <= 1048576, got 100000000"),
 ])
-def test_bad_sizes_are_refused_before_a_seed_is_drawn(argv, problem, capsys):
+def test_bad_sizes_are_refused_before_a_seed_is_drawn(argv, problem, capsys, monkeypatch):
     # with no --seed and no QSD_SEED a command announces the seed it
     # draws; a usage error comes first, and alone
+    monkeypatch.delenv("QSD_SEED", raising=False)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {problem}\n"

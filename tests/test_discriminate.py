@@ -97,8 +97,14 @@ def test_decision_rule_validation():
     DecisionRule(mode="never-apply-h", i1=0.9, i2=0.1)
     with pytest.raises(ValueError):
         DecisionRule(mode="sometimes")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^decision iteration k must be >= 1, got 0$"):
         DecisionRule(k=0)
+    # tables grow by about 115 B a count, so k stops at 2^20
+    assert DecisionRule(k=2**20).k == 2**20
+    for k in (2**20 + 1, 10**8, 2**30 - 1):
+        message = f"decision iteration k must be <= 1048576, got {k}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DecisionRule(k=k)
     with pytest.raises(ValueError):
         DecisionRule(i1=0.5, i2=0.5)
     with pytest.raises(ValueError):
@@ -128,6 +134,16 @@ def test_run_trial_refuses_r_past_the_index_range():
     message = "r=1073741824 is too large: a trial takes at most 1073741823 steps"
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), 2**30, rng)
+
+
+@pytest.mark.parametrize("r", [2**20 + 1, 2**30 - 1])
+def test_run_trial_refuses_r_past_the_trace_bound(r):
+    # a trial keeps a trace row per step, so it takes at most 2^20 steps;
+    # the refusal comes before any draw
+    rng = SimpleNamespace(uniform=lambda: pytest.fail("drew past the bound"))
+    message = f"r={r} is too large for trial: its trace holds at most 1048576 steps"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_trial(StateLabel.PLUS, WalkParams(2), DecisionRule(), r, rng)
 
 
 @pytest.mark.parametrize("state", ALL_STATES)
@@ -512,13 +528,16 @@ def test_a_stack_of_jobs_decides_as_each_job_alone(stack, mu):
         assert_stack_decides_as_each_job(tables, rng)
 
 
-@pytest.mark.parametrize("mu", [0, 1, 2, 5])
-def test_a_stack_of_rules_of_one_k_decides_as_each_job_alone(mu):
-    # the jobs of a pass share a rule, so their `fires` agree; a stack of
-    # rules of one k reads each job's own, at its offset
-    rng = np.random.default_rng(100 + mu)
-    rules = [DecisionRule(k=6, mode=mode) for mode in MODES] + [DecisionRule(k=6, i1=0.4)]
-    tables = [trial_tables(s, WalkParams(mu), rule, 40, phase)
-              for rule in rules for s, phase in ((StateLabel.PLUS, True), (StateLabel.ONE, False))]
-    assert len({t.fires.tobytes() for t in tables}) == 4
-    assert_stack_decides_as_each_job(tables, rng)
+def test_draw_thresholds_read_the_law_and_share_equal_starts():
+    # u1 and u3 meet the count law's own arrays, and groups of equal
+    # starts (the mu groups of a sweep, a real and a phase group) share
+    # one array of u0 thresholds
+    rule = DecisionRule(k=7, i1=0.2, i2=0.8)
+    groups = [[trial_tables(s, WalkParams(mu), rule, 61, phase) for s in ALL_STATES]
+              for mu in (1, 2, 5) for phase in (False, True)]
+    sets = [draw_thresholds(tables) for tables in groups]
+    for tables, (u0, u1, _, u3) in zip(groups, sets):
+        assert u1 is tables[0].law.step_thresholds and u3 is tables[0].law.vote_thresholds
+        assert u0 is sets[0][0]
+    assert sets[0][0].tolist() == [0.5]
+    assert draw_thresholds(groups[0][:2])[0] is not sets[0][0]

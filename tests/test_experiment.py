@@ -256,6 +256,20 @@ def test_collect_traces_shapes():
         collect_traces(config, 101)
 
 
+@pytest.mark.parametrize("r", [2**20 + 1, 2**30 - 1])
+def test_collect_traces_refuses_r_past_the_trace_bound(r, monkeypatch):
+    # every traced trial would keep r rows (2^30 - 1 of them about 400
+    # GiB), so the bound is checked once, before any substream is drawn
+    def draw(*args):
+        raise AssertionError("drew past the bound")
+
+    monkeypatch.setattr(experiment, "substream", draw)
+    message = f"r={r} is too large for trial: its trace holds at most 1048576 steps"
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            collect_traces(ExperimentConfig(r=r, trials=1), samples)
+
+
 def test_collect_traces_minus_bias():
     config = ExperimentConfig(states=(StateLabel.MINUS,), trials=100, master_seed=2)
     outcomes = collect_traces(config, 100)
@@ -501,8 +515,11 @@ def test_trial_and_experiment_share_one_range_of_r():
             ExperimentConfig(r=r, rule=rule)
         assert str(run.value) == str(trial.value)
     assert str(trial.value) == "decision iteration k=200 exceeds r=100; need k <= r"
-    # both take the largest r: the trial runs up to its first draw
+    # a run takes the largest r; a trial, which keeps a trace row a step,
+    # takes 2^20 and runs up to its first draw
     ExperimentConfig(r=2**30 - 1)
+    with pytest.raises(ValueError, match="^r=1073741823 is too large for trial: "):
+        run_trial(StateLabel.PLUS, params, DecisionRule(), 2**30 - 1, None)
 
     class FirstDraw(Exception):
         pass
@@ -511,7 +528,7 @@ def test_trial_and_experiment_share_one_range_of_r():
         raise FirstDraw
 
     with pytest.raises(FirstDraw):
-        run_trial(StateLabel.PLUS, params, DecisionRule(), 2**30 - 1,
+        run_trial(StateLabel.PLUS, params, DecisionRule(), 2**20,
                   SimpleNamespace(uniform=uniform))
 
 
