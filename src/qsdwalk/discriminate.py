@@ -381,40 +381,26 @@ def draw_thresholds(tables: list[TrialTables]) -> tuple[np.ndarray, ...]:
             law.vote_thresholds)
 
 
-def _votes(tables: list[TrialTables], j0_of: list[np.ndarray], draws: np.ndarray,
-           zero_after: np.ndarray) -> tuple[np.ndarray, ...]:
-    """run_trial's rule, stated once: the trials that vote bit 1, that
-    apply H, both, and that vote bit 1 or tie, as (J, trials) bool arrays,
-    for a stack of J >= 1 jobs of one count law and one rule, whose below,
-    through and fires are read once. j0_of holds each trial's count j0 at
-    step k under component 0 and 1. zero_after is the jobs' tables flattened
-    and concatenated, job j's read at 2 j (k + 1) + z (k + 1) + j0."""
-    u0, _, u2, u3 = draws
+def decide(tables: list[TrialTables], draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """run_trial's rule, stated once: from the four draws u0..u3 (rows; one
+    column a trial, or a tally's cell at its least draws), per job the sums
+    of `weights` (one per column: a cell's trials, or its mass) over the
+    trials that vote bit 1, that apply H, both, and that vote bit 1 or tie.
+    The jobs are a stack of J >= 1 of one (mu, k, r) and one rule, as a
+    pass's jobs at one mu are: j0 at step k is searched once a call, the
+    law's below, through and fires are read once for the stack, and each
+    job's zero_after is read in place, so a call holds no k-sized table
+    a job."""
+    u0, u1, u2, u3 = draws
     law, fires = tables[0].law, tables[0].fires
     width = len(fires)  # k + 1
+    j0_of = [step.count(u1) for step in law.step_k]
     z = u0 >= np.array([[t.zero_start] for t in tables])
     j0 = np.where(z, j0_of[1], j0_of[0])
-    at = 2 * width * np.arange(len(tables))[:, None]
-    key = j0 + width * (u2 >= np.take(zero_after, j0 + width * z + at))
+    after = np.stack([np.take(t.zero_after, j + width * zj) for t, j, zj in zip(tables, j0, z)])
+    key = j0 + width * (u2 >= after)
     one, h = u3 < np.take(law.below, key), np.take(fires, j0)
-    return one, h, one & h, u3 < np.take(law.through, key)
-
-
-def decide(tables: list[TrialTables], draws: np.ndarray,
-           weights: np.ndarray | None = None) -> np.ndarray:
-    """run_trial's decision from its four draws u0..u3 (rows; one column a
-    trial), for the jobs of one (mu, k, r) and one rule, as a pass's jobs
-    at one mu are. Returns, per job, the trials that vote bit 1, that apply
-    H, both, and that vote bit 1 or tie (_votes): counts, or the sums of
-    `weights` (one per trial) over them. j0 at step k is searched once a
-    call. Weighted (the tally's cells), the jobs are one stack, summed in
-    one product. Counted (a keyed chunk), each job is a stack of one: a
-    stack of J is J chunks wide, and ran at 0.70-0.82x."""
-    j0_of = [law.count(draws[1]) for law in tables[0].law.step_k]
-    if weights is None:
-        return np.array([[np.count_nonzero(v) for v in _votes([t], j0_of, draws, t.zero_after)]
-                         for t in tables])
-    votes = _votes(tables, j0_of, draws, np.concatenate([t.zero_after.ravel() for t in tables]))
+    votes = (one, h, one & h, u3 < np.take(law.through, key))
     return np.stack(votes, axis=1) @ weights
 
 

@@ -20,18 +20,18 @@ chunk's four uniforms once.
 Each draw is only ever compared with a tabled threshold, and the jobs at
 one mu share few of them (discriminate.draw_thresholds). So a chunk
 buckets each draw by its set (the bucket of u counts the thresholds
-<= u, by one broadcast compare against a short set), folds a trial's
-four buckets into one cell of the group's grid and adds the cells to
-the group's histogram. After the pass one decide call takes each
-occupied cell's least draws, weighted by the cell's trials, and scores
-all the group's jobs as one stack: the rule only asks whether a draw
-lies below a threshold of its set (or one <= 0 or >= 1), and a bucket
-spans [T[b-1], T[b]), so every draw in it decides as its least one does.
-A group whose grid has more cells than a chunk has trials (rules that
-fire at many counts of a large k) is decided from each chunk's own
-draws, one job at a time. What a pass holds does not grow
-with r or the trial count: every chunk draws into one buffer, allocated
-once a pass, so the pages a chunk's draws fill are not faulted in again.
+<= u, by one broadcast compare against a short set) and folds a trial's
+four buckets into one cell of the group's grid. One weighted reduction
+decides every group, with two ways to count its cells: a histogram over
+the pass for a grid of at most _MAX_CELLS cells, else each chunk's codes
+sorted into distinct cells. One decide call then takes each occupied
+cell's least draws, weighted by its trials, and scores all the group's
+jobs as one stack: the rule only asks whether a draw lies below a
+threshold of its set (or one <= 0 or >= 1), and a bucket spans
+[T[b-1], T[b]), so every draw in it decides as its least one does. What
+a pass holds does not grow with r or the trial count: every chunk draws
+into one buffer, allocated once a pass, so the pages a chunk's draws
+fill are not faulted in again.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ _CHUNK_TRIALS = 1 << 14
 _DRAWS = 4
 # Cells a mu group's histogram may hold: no more than a chunk has
 # trials, so a group's histogram and a chunk's bincount stay the size
-# of a chunk's buffers. The bound rests on that memory alone: at
-# always-apply-h, k = 30 (253,760 cells), 4 x 100k trials took 15-19 ms
-# tallied and 15-17 ms decided trial by trial (medians, 2-core VM).
+# of a chunk's buffers. A larger grid is counted a chunk at a time by
+# sorting its cell codes. The bound rests on that memory alone: at
+# always-apply-h, k = 30 (253,760 cells), 4 x 100k trials took 14-15 ms
+# in one histogram and 16-17 ms sorted (medians, 2-core VM).
 _MAX_CELLS = _CHUNK_TRIALS
 # Thresholds a draw is bucketed against by one broadcast compare; a
 # longer set is searched. On 16k random draws the compare beat
@@ -144,11 +145,12 @@ def _bucket(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (u >= thresholds[:, None]).sum(axis=0, dtype=np.int8)
 
 
-def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
+def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...], cells: int) -> np.ndarray:
     """Each trial's cell: the buckets of its four draws as one index,
-    row-major over the grid of (len(T) + 1 for T in sets). The index is
-    built in intp, since a product in a narrow dtype would wrap."""
-    code = np.zeros(draws.shape[1], dtype=np.intp)
+    row-major over the grid of (len(T) + 1 for T in sets), of `cells`
+    cells. Built in int16 where the grid fits (every histogram's), else
+    in int64, which holds every grid a caller can build."""
+    code = np.zeros(draws.shape[1], dtype=np.int16 if cells <= 2**15 - 1 else np.int64)
     for u, thresholds in zip(draws, sets):
         if len(thresholds):
             code *= len(thresholds) + 1
@@ -156,22 +158,31 @@ def _cell_codes(draws: np.ndarray, sets: tuple[np.ndarray, ...]) -> np.ndarray:
     return code
 
 
+def _sorted_cells(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cells among a chunk's codes, sorted in place, and the
+    trials in each: no wider than the chunk, whatever the grid."""
+    codes.sort()
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return codes[starts], np.diff(starts, append=len(codes))
+
+
 def _tally_votes(tables: list[TrialTables], sets: tuple[np.ndarray, ...],
-                 hist: np.ndarray) -> np.ndarray:
-    """The votes of each job of a mu group, from the group's histogram
-    over threshold cells: each job decided once per occupied cell, at
-    its least draws (0.0 in bucket 0), weighted by the cell's trials."""
-    cells = np.flatnonzero(hist)
+                 cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The votes of each job of a mu group over the given cells of its
+    grid: each job decided once per cell, at its least draws (0.0 in
+    bucket 0), weighted by the cell's trials."""
     buckets = np.unravel_index(cells, tuple(len(t) + 1 for t in sets))
     least = np.stack([np.concatenate(([0.0], t))[b] for t, b in zip(sets, buckets)])
-    return decide(tables, least, hist[cells])
+    return decide(tables, least, weights)
 
 
 def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, int, int, int]]:
     """Counts of every job, (h_applied, success & h, success & no h,
     ties), from one serial pass over chunks of trials. Integers keep the
-    sum over chunks exact. Each mu group is tallied by threshold cells,
-    or decided a chunk at a time if its grid outgrows a chunk."""
+    sum over chunks exact. Each mu group's cells are counted in a
+    histogram, or sorted a chunk at a time if its grid outgrows a chunk."""
     by_mu: dict[int, list[int]] = {}
     for c, (_, mu, _) in enumerate(jobs):
         by_mu.setdefault(mu, []).append(c)
@@ -180,27 +191,29 @@ def _job_counts(config: ExperimentConfig, jobs: list[_Job]) -> list[tuple[int, i
               for state, mu, phase in jobs]
     # per job: trials voting bit 1, with H applied, both, and voting bit 1 or tied
     votes = np.zeros((len(jobs), 4), dtype=np.int64)
-    tallied, keyed = [], []
+    groups = []
     for group in by_mu.values():
         group_tables = [tables[c] for c in group]
         sets = draw_thresholds(group_tables)
         cells = math.prod(len(t) + 1 for t in sets)
-        if cells <= _MAX_CELLS:
-            tallied.append((group, group_tables, sets, np.zeros(cells, dtype=np.int64)))
-        else:
-            keyed.append((group, group_tables))
+        hist = np.zeros(cells, dtype=np.int64) if cells <= _MAX_CELLS else None
+        groups.append((group, group_tables, sets, cells, hist))
     # every chunk's draws, so their pages are faulted in once a pass
     buffer = np.empty((_DRAWS, min(_CHUNK_TRIALS, config.trials)))
     for start in range(0, config.trials, _CHUNK_TRIALS):
         size = min(_CHUNK_TRIALS, config.trials - start)
         draws = batch_uniform(substream_states(config.master_seed, start, size),
                               buffer[:, :size])
-        for _, _, sets, hist in tallied:
-            hist += np.bincount(_cell_codes(draws, sets), minlength=hist.size)
-        for group, group_tables in keyed:
-            votes[group] += decide(group_tables, draws)
-    for group, group_tables, sets, hist in tallied:
-        votes[group] = _tally_votes(group_tables, sets, hist)
+        for group, group_tables, sets, cells, hist in groups:
+            codes = _cell_codes(draws, sets, cells)
+            if hist is None:
+                votes[group] += _tally_votes(group_tables, sets, *_sorted_cells(codes))
+            else:
+                hist += np.bincount(codes, minlength=cells)
+    for group, group_tables, sets, _, hist in groups:
+        if hist is not None:
+            occupied = np.flatnonzero(hist)
+            votes[group] = _tally_votes(group_tables, sets, occupied, hist[occupied])
     counts = []
     for (state, _, _), (n_one, n_h, n_one_h, n_through) in zip(jobs, votes.tolist()):
         # successes are the votes that name the prepared state's bit

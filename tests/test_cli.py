@@ -240,7 +240,7 @@ mu,success_computational,success_hadamard
 2,0.77600000000000002,0.73049999999999993
 2,0.77600000000000002,0.73049999999999993
 """,
-    # grids past a chunk: every group decided from each chunk's draws
+    # grids past a chunk: every group's cells sorted a chunk at a time
     ("--mu", "1..3", "--k", "30", "--mode", "always-apply-h"): """\
 mu,success_computational,success_hadamard
 1,0.50524999999999998,0.50549999999999995

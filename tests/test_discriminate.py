@@ -505,7 +505,8 @@ def assert_stack_decides_as_each_job(tables, rng):
         if len(thresholds):
             row[:1000] = rng.choice(thresholds, 1000)
     each = [job_votes(t, draws) for t in tables]
-    assert decide(tables, draws).tolist() == [v.sum(axis=1).tolist() for v in each]
+    counted = decide(tables, draws, np.ones(draws.shape[1], np.int64))
+    assert counted.tolist() == [v.sum(axis=1).tolist() for v in each]
     for weights in (rng.integers(0, 10**6, 3000), rng.random(3000)):
         expected = np.array([v @ weights for v in each])
         got = decide(tables, draws, weights)
@@ -515,11 +516,10 @@ def assert_stack_decides_as_each_job(tables, rng):
 @pytest.mark.parametrize("mu", range(11))
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_a_stack_of_jobs_decides_as_each_job_alone(stack, mu):
-    # decide scores a weighted group as one stack, with its tables
-    # concatenated and read at per-job offsets, and a counted group a job
-    # at a time; both must give, bit for bit, what each job's own rule
-    # gives: counts, integer histograms and float masses, over random
-    # draws and draws that lie on a threshold of their set
+    # decide scores a group as one stack, reading each job's zero_after in
+    # place; it must give, bit for bit, what each job's own rule gives:
+    # counts (unit weights), integer histograms and float masses, over
+    # random draws and draws that lie on a threshold of their set
     rng = np.random.default_rng(mu)
     for rule, r in ((DecisionRule(), 100), (DecisionRule(k=7, i1=0.2, i2=0.8), 61),
                     (DecisionRule(k=5, mode="always-apply-h"), 30),

@@ -826,26 +826,24 @@ def test_long_trial_decisions_equal_batch_decisions():
 
 @pytest.fixture
 def paths_run(monkeypatch):
-    """Counts the mu groups a pass decides by the tally of threshold
-    cells, and the calls of the rule that decide one mu group's chunk
-    from its draws, as {"tally": n, "keyed": n}."""
-    runs, tallying = {"tally": 0, "keyed": 0}, []
-    tally, rule = experiment._tally_votes, experiment.decide
+    """Counts a pass's tallies of mu groups by how their cells were
+    counted, as {"dense": n, "sorted": n}: a tally fed by _sorted_cells
+    (a chunk's, past _MAX_CELLS) is sorted, any other dense (a pass's
+    histogram)."""
+    runs, sorted_cells = {"dense": 0, "sorted": 0}, []
+    tally, count = experiment._tally_votes, experiment._sorted_cells
+
+    def counted_sort(codes):
+        sorted_cells.append(True)
+        return count(codes)
 
     def counted_tally(*args):
-        runs["tally"] += 1
-        tallying.append(True)
-        try:
-            return tally(*args)
-        finally:
-            tallying.pop()
-
-    def counted_rule(*args):
-        runs["keyed"] += not tallying
-        return rule(*args)
+        runs["sorted" if sorted_cells else "dense"] += 1
+        sorted_cells.clear()
+        return tally(*args)
 
     monkeypatch.setattr(experiment, "_tally_votes", counted_tally)
-    monkeypatch.setattr(experiment, "decide", counted_rule)
+    monkeypatch.setattr(experiment, "_sorted_cells", counted_sort)
     return runs
 
 
@@ -870,7 +868,8 @@ PAST_THE_GRID = dict(rule=DecisionRule(k=30, mode="always-apply-h"))
 def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_run):
     # 170 trials run as four chunks, the last one short: every job, the
     # phase-tracking ones too, counts what run_trial decides trial by
-    # trial, whether its mu group is tallied by cells or decided by keys
+    # trial, whether its mu group's cells are counted in a histogram or
+    # sorted a chunk at a time
     settings = PAST_THE_GRID if name == "past-the-grid" else IDENTITY_CONFIGS[name]
     config = ExperimentConfig(trials=170, master_seed=31, **settings)
     with_chunks(monkeypatch, 50)
@@ -878,10 +877,10 @@ def test_summed_trial_decisions_equal_a_chunked_pass(name, monkeypatch, paths_ru
     assert _job_counts(config, jobs) == [summed_trial_counts(config, s, phase)
                                          for s, _, phase in jobs]
     if name == "past-the-grid":
-        # one call a chunk decides every job of the one mu group
-        assert paths_run == {"tally": 0, "keyed": 4}
+        # one tally a chunk decides every job of the one mu group
+        assert paths_run == {"dense": 0, "sorted": 4}
     elif name == "default":
-        assert paths_run == {"tally": 1, "keyed": 0}
+        assert paths_run == {"dense": 1, "sorted": 0}
 
 
 def test_compare_and_searched_buckets_agree(monkeypatch):
@@ -955,9 +954,10 @@ def test_thresholds_of_a_large_k_are_listed_in_numpy(law_cap):
 
 @pytest.mark.parametrize("mu", [0, 1, 2, 5])
 def test_tallied_and_keyed_passes_count_alike(mu, monkeypatch, paths_run):
-    # every mu group decided by keys (a grid limit of 0 cells) and every
-    # group tallied by cells (no limit), over rules whose grids run from
-    # a few cells to 253,760, and over passes of several mu
+    # every mu group's cells sorted a chunk at a time (a grid limit of 0
+    # cells) and every group's counted in a histogram (no limit), over
+    # rules whose grids run from a few cells to 253,760, and over passes
+    # of several mu
     with_chunks(monkeypatch, 1000)
     rules = [DecisionRule(), DecisionRule(mode="never-apply-h"),
              DecisionRule(k=5, mode="always-apply-h"), DecisionRule(k=7, i1=0.2, i2=0.8),
@@ -967,7 +967,7 @@ def test_tallied_and_keyed_passes_count_alike(mu, monkeypatch, paths_run):
         jobs = [(s, m, phase) for m in (mu, mu + 1) for phase in (False, True)
                 for s in ALL_STATES]
         counts = []
-        for cells, path in ((0, "keyed"), (2**62, "tally")):
+        for cells, path in ((0, "sorted"), (2**62, "dense")):
             monkeypatch.setattr(experiment, "_MAX_CELLS", cells)
             before = dict(paths_run)
             counts.append(_job_counts(config, jobs))
@@ -975,6 +975,73 @@ def test_tallied_and_keyed_passes_count_alike(mu, monkeypatch, paths_run):
             assert sum(paths_run.values()) - sum(before.values()) == \
                 paths_run[path] - before[path]
         assert counts[0] == counts[1]
+
+
+def test_sorted_pass_memory_does_not_grow_with_trials(paths_run):
+    # always-apply-h at k = 30 has a grid of 253,760 cells, past
+    # _MAX_CELLS: each chunk's cells are sorted and decided at once, so a
+    # pass of 4 x 100k trials peaks no higher than one of 4 x 20k, but for
+    # how many distinct cells its fullest chunk holds (a few hundred
+    # either way, at about 150 bytes a cell); keeping every chunk's cells
+    # would add 16 bytes a trial
+    config = ExperimentConfig(trials=20_000, rule=DecisionRule(k=30, mode="always-apply-h"),
+                              master_seed=2)
+    fewer = traced_peak(config)
+    more = traced_peak(dataclasses.replace(config, trials=100_000))
+    assert paths_run["dense"] == 0 and paths_run["sorted"] > 0
+    assert more <= fewer + 8 * _CHUNK_TRIALS
+
+
+def test_duplicate_jobs_add_no_tables_to_a_pass(law_cap):
+    # at k = 10^5 a walk's zero_after holds 16 (k + 1) bytes. A pass that
+    # runs one walk 32 times peaks within one such table of a pass that
+    # runs it once: decide reads each job's table in place, not a copy of
+    # all 32 a call. Few trials keep the per-cell arrays, about 40 bytes a
+    # job and cell, well under one table
+    law_cap(None)
+    k = 10**5
+    config = ExperimentConfig(states=(StateLabel.ZERO,), trials=250, r=k, master_seed=1,
+                              rule=DecisionRule(k=k, mode="never-apply-h"))
+    once = traced_peak(config)
+    repeated = traced_peak(dataclasses.replace(config, states=(StateLabel.ZERO,) * 32))
+    assert repeated - once < 16 * (k + 1)
+
+
+def law_window(n: int) -> int:
+    """The most counts Binomial.of(n, q) keeps at any q: `reach` either
+    side of the mode, and the mode."""
+    return 2 * (math.ceil(math.sqrt(discriminate._HOEFFDING * n)) + 2) + 1
+
+
+def test_cell_codes_fit_int64_at_every_grid(law_cap):
+    # A grid has prod(len(T) + 1) cells over the four draws' sets, and a
+    # sorted tally codes them in int64. Each set is bounded by the laws'
+    # windows, which grow with their n:
+    # - u0 meets the starts' alpha^2, 1, 0 and 1/2: one interior value;
+    # - u1 the interiors of the two step-k CDFs: 2 law_window(k);
+    # - u2 each walk's zero_after, whose rows are 1 and 0 where H does not
+    #   fire and both alpha^2 of the restart where it does: k + 1 values,
+    #   for at most 8 distinct walks a group (4 states, real or phase);
+    # - u3 below and through, each read off the two after-k CDFs:
+    #   2 law_window(r - k).
+    # So k = MAX_K and r - k < MAX_STEPS bound every grid a caller builds.
+    law_cap(None)
+    for n in (discriminate.MAX_K, MAX_STEPS):
+        for q in (0.5, 0.9, 1e-6):
+            assert len(Binomial.of(n, q).cdf) <= law_window(n)
+    for mu, (k, r), rule in itertools.product(
+            (0, 1, 5), ((2, 100), (30, 61), (1000, 10**4)),
+            (dict(mode="always-apply-h"), dict(i1=0.2, i2=0.8))):
+        tables = [trial_tables(s, WalkParams(mu), DecisionRule(k=k, **rule), r, phase)
+                  for phase in (False, True) for s in ALL_STATES]
+        sizes = [len(t) for t in draw_thresholds(tables)]
+        assert sizes[0] <= 1 and sizes[1] <= 2 * law_window(k)
+        assert sizes[2] <= 8 * (k + 1) and sizes[3] <= 2 * law_window(r - k)
+    k = discriminate.MAX_K
+    dims = (2, 2 * law_window(k) + 1, 8 * (k + 1) + 1, 2 * law_window(MAX_STEPS) + 1)
+    assert math.prod(dims) < 2**63 // 40  # about 1.9e17 cells
+    last = np.unravel_index(np.array([math.prod(dims) - 1], dtype=np.int64), dims)
+    assert [int(b[0]) for b in last] == [d - 1 for d in dims]
 
 
 def scalar_votes(tables, r: int, u0: float, u1: float, u2: float, u3: float):
@@ -999,8 +1066,8 @@ def test_tally_decides_boundary_draws_as_the_rule_does(mu, rule):
     # random draws essentially never land on a threshold. Here each draw
     # is a threshold of its set, the float just below one, 0.0 or
     # 1 - 2^-53, in every combination across the four draws: the tally
-    # decides a cell at its least draws, and must count what the rule
-    # decides draw by draw
+    # decides a cell at its least draws, from a histogram or from sorted
+    # codes, and must count what the rule decides draw by draw
     r = 60
     tables = [trial_tables(s, WalkParams(mu), rule, r, phase)
               for phase in (False, True) for s in ALL_STATES]
@@ -1008,13 +1075,20 @@ def test_tally_decides_boundary_draws_as_the_rule_does(mu, rule):
     edges = [np.unique(np.concatenate([t, np.nextafter(t, 0.0), [0.0, 1.0 - 2.0**-53]]))
              for t in sets]
     draws = np.stack([a.ravel() for a in np.meshgrid(*edges, indexing="ij")])
-    hist = np.bincount(experiment._cell_codes(draws, sets),
-                       minlength=math.prod(len(t) + 1 for t in sets))
-    assert experiment._tally_votes(tables, sets, hist).tolist() == decide(tables, draws).tolist()
+    cells = math.prod(len(t) + 1 for t in sets)
+    codes = experiment._cell_codes(draws, sets, cells)
+    hist = np.bincount(codes, minlength=cells)
+    occupied = np.flatnonzero(hist)
+    ones = np.ones(draws.shape[1], np.int64)
+    expected = decide(tables, draws, ones).tolist()
+    assert experiment._tally_votes(tables, sets, occupied, hist[occupied]).tolist() == expected
+    assert experiment._tally_votes(tables, sets, *experiment._sorted_cells(codes)).tolist() == \
+        expected
     # and the rule on those draws is run_trial's, at up to 500 of them
     n = draws.shape[1]
     for i in np.random.default_rng(mu).choice(n, min(n, 500), replace=False).tolist():
-        for t, (one, h, both, one_or_tie) in zip(tables, decide(tables, draws[:, [i]]).tolist()):
+        votes = decide(tables, draws[:, [i]], ones[:1]).tolist()
+        for t, (one, h, both, one_or_tie) in zip(tables, votes):
             assert both == (one and h)
             assert scalar_votes(t, r, *draws[:, i].tolist()) == (one == 1, h == 1, one_or_tie == 1)
 
